@@ -98,36 +98,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _canonical_argv(args: argparse.Namespace) -> list[str]:
-    # --threads is an execution knob that cannot change any result (merges
-    # are deterministic), so it stays out of the manifest: outputs are then
-    # byte-identical across thread counts, and a manifest replay at the
-    # default thread count reproduces them.
-    argv = [
-        "--format", args.format,
-        "--budget", str(args.budget),
-        "--seed", str(args.seed),
-        args.command,
-    ]
-    if args.command == "mvalue":
-        argv += [args.file, "--notion", args.notion]
-    elif args.command == "fexact":
-        argv += [str(args.N), str(args.n), args.c, "--notion", args.notion]
-        if args.samples is not None:
-            argv += ["--samples", str(args.samples)]
-    elif args.command == "bound":
-        argv += ["--N", str(args.N), "--n", args.n, "--c", args.c, "--eps", args.eps]
-    elif args.command == "construct":
-        argv += [args.mode, str(args.n), str(args.N), args.eps,
-                 "--max-rounds", str(args.max_rounds), "--notion", args.notion]
-        if args.out is not None:
-            argv += ["--out", args.out]
-    elif args.command == "toric":
-        argv += [args.file, "--notion", args.notion]
-    elif args.command == "verify":
-        argv += [args.suite]
-        if args.count is not None:
-            argv += ["--count", str(args.count)]
+def _canonical_argv(parser: argparse.ArgumentParser, args: argparse.Namespace) -> list[str]:
+    """Every parsed value in parser order: positionals always, options when
+    not None, the subcommand's own arguments after its name.
+
+    --threads stays out: merges are deterministic, so results match across
+    thread counts whenever the search completes, and a manifest replay at the
+    default thread count reproduces them.  At the budget boundary the thread
+    count can still decide between a result and exit 3 (ROADMAP item 3).
+    """
+    argv: list[str] = []
+    for action in parser._actions:
+        if isinstance(action, argparse._HelpAction) or action.dest == "threads":
+            continue
+        if isinstance(action, argparse._SubParsersAction):
+            argv.append(args.command)
+            argv += _canonical_argv(action.choices[args.command], args)
+            continue
+        value = getattr(args, action.dest)
+        if not action.option_strings:
+            argv.append(str(value))
+        elif value is not None:
+            argv += [action.option_strings[0], str(value)]
     return argv
 
 
@@ -139,7 +131,7 @@ def _result_checksum(result: dict) -> str:
 def _emit_json(args: argparse.Namespace, result: dict) -> str:
     manifest = {
         "command": args.command,
-        "argv": _canonical_argv(args),
+        "argv": args.canonical_argv,
         "seed": args.seed,
         "version": __version__,
         "output_checksum": _result_checksum(result),
@@ -176,11 +168,7 @@ def _read_text(path: str) -> str:
 def _cmd_mvalue(args) -> tuple[int, str]:
     notion = CubeNotion.from_string(args.notion)
     s = parse_point_set(_read_text(args.file))
-    try:
-        m, witness = m_value(s, notion, budget=args.budget, threads=args.threads)
-    except SearchBudgetExceeded as exc:
-        result = {"status": "inconclusive", "best_m": exc.best_m}
-        return EXIT_INCONCLUSIVE, _emit(args, result, [result])
+    m, witness = m_value(s, notion, budget=args.budget, threads=args.threads)
     result = {
         "m": m,
         "witness": witness.to_record(notion),
@@ -198,14 +186,10 @@ def _cmd_mvalue(args) -> tuple[int, str]:
 def _cmd_fexact(args) -> tuple[int, str]:
     notion = CubeNotion.from_string(args.notion)
     c = Fraction(args.c)
-    try:
-        value = f_exhaustive(
-            args.N, args.n, c, notion,
-            samples=args.samples, seed=args.seed, budget=args.budget,
-        )
-    except SearchBudgetExceeded as exc:
-        result = {"status": "inconclusive", "best_m": exc.best_m}
-        return EXIT_INCONCLUSIVE, _emit(args, result, [result])
+    value = f_exhaustive(
+        args.N, args.n, c, notion,
+        samples=args.samples, seed=args.seed, budget=args.budget,
+    )
     result = {
         "N": args.N,
         "n": args.n,
@@ -233,15 +217,11 @@ def _cmd_construct(args) -> tuple[int, str]:
     notion = CubeNotion.from_string(args.notion)
     eps = Fraction(args.eps)
     build = construct_dense_small_M if args.mode == "dense" else construct_sparse_bounded_M
-    try:
-        res = build(
-            args.n, args.N, eps,
-            seed=args.seed, max_rounds=args.max_rounds,
-            budget=args.budget, notion=notion,
-        )
-    except SearchBudgetExceeded as exc:
-        result = {"status": "inconclusive", "best_m": exc.best_m}
-        return EXIT_INCONCLUSIVE, _emit(args, result, [result])
+    res = build(
+        args.n, args.N, eps,
+        seed=args.seed, max_rounds=args.max_rounds,
+        budget=args.budget, notion=notion,
+    )
     points_text = format_point_set(res.point_set) if res.point_set is not None else None
     result = {
         "mode": args.mode,
@@ -311,11 +291,10 @@ def run(argv: list[str]) -> tuple[int, str]:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return (EXIT_INPUT if exc.code else EXIT_OK), ""
+    args.canonical_argv = _canonical_argv(parser, args)
     try:
         return _HANDLERS[args.command](args)
     except SearchBudgetExceeded as exc:
-        # handlers with partial results catch this themselves; anything else
-        # (e.g. the cube search inside toric statistics) lands here
         result = {"status": "inconclusive", "best_m": exc.best_m}
         return EXIT_INCONCLUSIVE, _emit(args, result, [result])
     except (ValueError, ZeroDivisionError, OSError) as exc:

@@ -20,10 +20,14 @@ is exhaustive and visits each cube once.
 from __future__ import annotations
 
 import enum
+import math
+import os
+import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 from .exactmath import as_fraction
 from .grid import GridParams, Point, PointSet
@@ -207,7 +211,7 @@ def _run_search(
     notion: CubeNotion,
     target: Optional[int],
     budget: int,
-    bases: Optional[Sequence[Point]] = None,
+    bases: Sequence[Point],
 ) -> _SearchOutcome:
     """Depth-first doubling search over the given top-level bases.
 
@@ -286,52 +290,69 @@ def _run_search(
             vset.difference_update(new)
             gens.pop()
 
-    base_list = list(bases) if bases is not None else pts
+    conclusive = True
     try:
-        for z in base_list:
+        for z in bases:
             cands = sorted(
                 d for p in pts if p != z and _leading_positive(d := _sub(p, z))
             )
             descend(z, cands, 0, [z], {z}, [], [])
     except _Stop:
-        if found[0] is not None:
-            return _SearchOutcome(best_m, found[0], True, checks)
-        return _SearchOutcome(best_m, None, False, checks)
+        conclusive = found[0] is not None
     witness = found[0] if target is not None else best_cube
-    return _SearchOutcome(best_m, witness, True, checks)
+    return _SearchOutcome(best_m, witness, conclusive, checks)
 
 
-def _search_chunk_worker(payload) -> tuple[int, Optional[AffineCube], bool, int]:
-    base, dim, indices, notion_value, target, budget, chunk = payload
-    grid = GridParams(base, dim)
-    s = PointSet.from_indices(grid, indices)
-    out = _run_search(s, CubeNotion(notion_value), target, budget, bases=chunk)
-    return (out.best_m, out.witness, out.conclusive, out.checks)
+def map_chunks(fn: Callable[[Sequence], object], items: Sequence, threads: int) -> list:
+    """fn applied to round-robin chunks of items, one result per chunk.
+
+    There are at most min(threads, CPU count, len(items)) chunks.  A single
+    chunk (the whole list) runs inline; more run in a process pool with one
+    worker per chunk, so fn and its arguments must pickle.
+    """
+    if threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {threads}")
+    k = min(threads, os.cpu_count() or 1, len(items))
+    if k <= 1:
+        return [fn(items)]
+    chunks = [items[i::k] for i in range(k)]
+    with ProcessPoolExecutor(max_workers=k) as pool:
+        return list(pool.map(fn, chunks))
 
 
-def _search_parallel(s, notion, target, budget, threads) -> list[_SearchOutcome]:
-    pts = s.points()
-    chunks = [pts[i::threads] for i in range(threads)]
-    payloads = [
-        (s.grid.base, s.grid.dim, tuple(sorted(s.indices)), notion.value, target, budget, chunk)
-        for chunk in chunks
-        if chunk
-    ]
-    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-        raw = list(pool.map(_search_chunk_worker, payloads))
-    return [_SearchOutcome(*r) for r in raw]
-
-
-def _best_of(outcomes: Iterable[_SearchOutcome]) -> tuple[int, Optional[AffineCube]]:
-    best_m, best_cube = -1, None
+def _best_of(outcomes: Iterable[_SearchOutcome]) -> Optional[AffineCube]:
+    best_cube = None
     for out in outcomes:
         if out.witness is None:
             continue
-        if out.witness.m > best_m or (
-            out.witness.m == best_m and out.witness.sort_key() < best_cube.sort_key()
+        if best_cube is None or out.witness.m > best_cube.m or (
+            out.witness.m == best_cube.m and out.witness.sort_key() < best_cube.sort_key()
         ):
-            best_m, best_cube = out.witness.m, out.witness
-    return best_m, best_cube
+            best_cube = out.witness
+    return best_cube
+
+
+def _search(
+    s: PointSet, notion: CubeNotion, target: Optional[int], budget: int, threads: int
+) -> Optional[AffineCube]:
+    """Run _run_search over every base of a nonempty S and merge the chunks.
+
+    The bases are split as in map_chunks and each chunk gets the full
+    budget; the merged witness equals the sequential one whenever the search
+    completes.  Returns the target-dimension cube or None (target mode), or
+    the maximal cube (target=None).
+    """
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+    outcomes = map_chunks(partial(_run_search, s, notion, target, budget), s.points(), threads)
+    cube = _best_of(outcomes)
+    if all(out.conclusive for out in outcomes) or (target is not None and cube is not None):
+        return cube
+    raise SearchBudgetExceeded(
+        f"budget {budget} exhausted before the answer was certified",
+        best_m=max(out.best_m for out in outcomes),
+        witness=cube,
+    )
 
 
 def find_cube(
@@ -357,26 +378,7 @@ def find_cube(
         return None
     if notion is not CubeNotion.VERTEX_INJECTIVE and m > s.grid.dim:
         return None
-    if threads <= 1:
-        out = _run_search(s, notion, m, budget)
-        if out.witness is not None:
-            return out.witness
-        if out.conclusive:
-            return None
-        raise SearchBudgetExceeded(
-            f"budget {budget} exhausted before certifying a {m}-cube answer",
-            best_m=out.best_m,
-        )
-    outcomes = _search_parallel(s, notion, m, budget, threads)
-    _, cube = _best_of(outcomes)
-    if cube is not None and cube.m == m:
-        return cube
-    if all(out.conclusive for out in outcomes):
-        return None
-    raise SearchBudgetExceeded(
-        f"budget {budget} exhausted before certifying a {m}-cube answer",
-        best_m=max(out.best_m for out in outcomes),
-    )
+    return _search(s, notion, m, budget, threads)
 
 
 def m_value(
@@ -388,24 +390,8 @@ def m_value(
     """The largest cube dimension inside S with a canonical witness."""
     if len(s) == 0:
         raise ValueError("M(S) is undefined for the empty set")
-    if threads <= 1:
-        out = _run_search(s, notion, None, budget)
-        if not out.conclusive:
-            raise SearchBudgetExceeded(
-                f"budget {budget} exhausted before the maximum was certified",
-                best_m=out.best_m,
-                witness=out.witness,
-            )
-        return out.best_m, out.witness
-    outcomes = _search_parallel(s, notion, None, budget, threads)
-    best_m, cube = _best_of(outcomes)
-    if all(out.conclusive for out in outcomes):
-        return best_m, cube
-    raise SearchBudgetExceeded(
-        f"budget {budget} exhausted before the maximum was certified",
-        best_m=best_m,
-        witness=cube,
-    )
+    cube = _search(s, notion, None, budget, threads)
+    return cube.m, cube
 
 
 def m_value_oracle_all(s: PointSet) -> dict[CubeNotion, int]:
@@ -478,47 +464,39 @@ def f_exhaustive(
 ) -> int:
     """Exact f_N(n, c): the minimum of M(S) over subsets of density >= c.
 
-    Exhaustive mode enumerates every qualifying subset (grid size capped at
-    16 cells); pass `samples` for a seeded sampled variant (an upper
-    estimate, not exact).  A subset qualifies iff |S| >= ceil(c * N^n).
+    Exhaustive mode enumerates every subset of the least qualifying size
+    (grid size capped at 16 cells); M is monotone under inclusion, so larger
+    subsets cannot lower the minimum.  Pass `samples` for a seeded sampled
+    variant (an upper estimate, not exact).  A subset qualifies iff
+    |S| >= ceil(c * N^n).
     """
-    import math as _math
-    import random as _random
-
     c = as_fraction(c)
     if not 0 < c <= 1:
         raise ValueError(f"density threshold must lie in (0, 1], got {c}")
     grid = GridParams(N, n)
     cells = grid.size
-    k_min = max(1, _math.ceil(c * cells))
+    k_min = max(1, math.ceil(c * cells))
     if samples is None:
         if cells > 16:
             raise ValueError(
                 f"exhaustive mode handles at most 16 cells, got {cells}; pass samples="
             )
-        all_pts = list(grid.points())
-        mu: Optional[int] = None
-        for k in range(k_min, cells + 1):
-            for combo in combinations(all_pts, k):
-                sub = PointSet(grid, combo)
-                if mu is not None and find_cube(sub, mu, notion, budget=budget) is not None:
-                    continue  # M(sub) >= mu, cannot lower the minimum
-                mu = m_value(sub, notion, budget=budget)[0]
-                if mu == 0:
-                    return 0
-        return mu if mu is not None else 0
-    if samples < 1:
-        raise ValueError("sample count must be positive")
-    if cells > (1 << 24):
-        raise ValueError("grid too large to sample point sets from")
-    rng = _random.Random(seed)
-    mu = None
-    for _ in range(samples):
-        picked = rng.sample(range(cells), k_min)
-        sub = PointSet.from_indices(grid, picked)
+        subsets = combinations(grid.points(), k_min)
+    else:
+        if samples < 1:
+            raise ValueError("sample count must be positive")
+        if cells > (1 << 24):
+            raise ValueError("grid too large to sample point sets from")
+        rng = random.Random(seed)
+        subsets = (
+            map(grid.point_of, rng.sample(range(cells), k_min)) for _ in range(samples)
+        )
+    mu: Optional[int] = None
+    for points in subsets:
+        sub = PointSet(grid, points)
         if mu is not None and find_cube(sub, mu, notion, budget=budget) is not None:
-            continue
+            continue  # M(sub) >= mu, cannot lower the minimum
         mu = m_value(sub, notion, budget=budget)[0]
         if mu == 0:
             return 0
-    return mu if mu is not None else 0
+    return mu

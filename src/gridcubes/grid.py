@@ -1,8 +1,7 @@
 """Finite grids [N]^n and exact-density point sets.
 
 The ambient space is [N]^n = {0,1,...,N-1}^n.  Points are plain integer
-tuples.  A PointSet keeps its members both as tuples (for geometry) and as
-flat indices sum(p_i * N^i) in a frozenset (for O(1) membership), and every
+tuples.  A PointSet keeps its members as a frozenset of tuples, and every
 density it reports is an exact Fraction.
 """
 
@@ -72,13 +71,12 @@ class GridParams:
 class PointSet:
     """An immutable finite subset of a grid with exact cardinality/density."""
 
-    __slots__ = ("grid", "_points", "_indices")
+    __slots__ = ("grid", "_points")
 
     def __init__(self, grid: GridParams, points: Iterable[Sequence[int]]):
         pts = frozenset(grid.check_point(p) for p in points)
         object.__setattr__(self, "grid", grid)
         object.__setattr__(self, "_points", pts)
-        object.__setattr__(self, "_indices", frozenset(grid.index_of(p) for p in pts))
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("PointSet is immutable")
@@ -100,10 +98,6 @@ class PointSet:
         return cls(grid, ())
 
     @property
-    def indices(self) -> frozenset[int]:
-        return self._indices
-
-    @property
     def tuple_set(self) -> frozenset[Point]:
         return self._points
 
@@ -113,9 +107,6 @@ class PointSet:
 
     def __contains__(self, point: Sequence[int]) -> bool:
         return tuple(point) in self._points
-
-    def contains_index(self, index: int) -> bool:
-        return index in self._indices
 
     def __len__(self) -> int:
         return len(self._points)

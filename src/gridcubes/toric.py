@@ -11,10 +11,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from typing import Optional, Sequence
 
-from .cubes import CubeNotion, DEFAULT_BUDGET, DEFAULT_NOTION, m_value
+from .cubes import CubeNotion, DEFAULT_BUDGET, DEFAULT_NOTION, m_value, map_chunks
 from .grid import GridParams, Point, PointSet
 
 BOX_CAP = 10 ** 7  # enumerable bounding-box volume
@@ -264,30 +265,18 @@ def _min_weight_scan(matrix, q: int, first_values: Sequence[int]) -> int:
     return best
 
 
-def _dmin_worker(payload):
-    matrix, q, first_values = payload
-    return _min_weight_scan(matrix, q, first_values)
-
-
 def minimum_distance(code: ToricCode, threads: int = 1) -> int:
     """Exhaustive minimum Hamming distance of the code.
 
     Enumerates all q^k - 1 nonzero messages; with threads > 1 the message
-    space splits by the first symbol and the minima merge deterministically.
+    space splits by the first symbol (see cubes.map_chunks) and the minima
+    merge deterministically.
     """
     q = code.field.q
     k = code.dimension
     if q ** k > MESSAGE_CAP:
         raise ValueError(f"message space {q}^{k} exceeds cap {MESSAGE_CAP}")
-    if threads <= 1:
-        return _min_weight_scan(code.matrix, q, range(q))
-    from concurrent.futures import ProcessPoolExecutor
-
-    values = list(range(q))
-    chunks = [values[i::threads] for i in range(threads)]
-    payloads = [(code.matrix, q, chunk) for chunk in chunks if chunk]
-    with ProcessPoolExecutor(max_workers=len(payloads)) as pool:
-        return min(pool.map(_dmin_worker, payloads))
+    return min(map_chunks(partial(_min_weight_scan, code.matrix, q), range(q), threads))
 
 
 @dataclass(frozen=True)

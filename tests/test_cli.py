@@ -205,6 +205,22 @@ class TestVerify:
         assert run(["verify", "bogus"])[0] == 2
 
 
+class TestBadNumericFlags:
+    def test_exit_2_with_one_line_error(self, seg_path, tmp_path):
+        poly = tmp_path / "p.poly"
+        poly.write_text(SEG_POLY)
+        for argv in (
+            ["--threads", "0", "mvalue", seg_path],
+            ["--threads", "-3", "mvalue", seg_path],
+            ["--threads", "0", "toric", str(poly)],
+            ["--budget", "-5", "mvalue", seg_path],
+            ["verify", "oracle", "--count", "-1"],
+        ):
+            code, out = run(argv)
+            assert code == 2, argv
+            assert out.count("\n") == 1 and "error" in json.loads(out)
+
+
 class TestDeterminismAndManifest:
     CASES = [
         ["fexact", "2", "3", "3/4"],
@@ -241,6 +257,31 @@ class TestDeterminismAndManifest:
         b = run(case)
         files_b = ((tmp_path / "c.points.txt").read_bytes(), (tmp_path / "c.cert.json").read_bytes())
         assert a == b and files_a == files_b
+
+    def test_canonical_argv_per_subcommand(self, seg_path, tmp_path):
+        poly = tmp_path / "p.poly"
+        poly.write_text(SEG_POLY)
+        out = str(tmp_path / "c")
+        head = ["--format", "json", "--budget", "100000000", "--seed", "1729"]
+        cases = [
+            (["--threads", "2", "mvalue", seg_path, "--notion", "unimodular"],
+             ["mvalue", seg_path, "--notion", "unimodular"]),
+            (["fexact", "2", "2", "1/2"],
+             ["fexact", "2", "2", "1/2", "--notion", "independent-generators"]),
+            (["fexact", "2", "3", "1/2", "--samples", "2"],
+             ["fexact", "2", "3", "1/2", "--notion", "independent-generators", "--samples", "2"]),
+            (["bound", "--c", "1/2", "--n", "10,20", "--N", "2"],
+             ["bound", "--N", "2", "--n", "10,20", "--c", "1/2", "--eps", "1/2"]),
+            (["construct", "dense", "16", "2", "1/2", "--out", out],
+             ["construct", "dense", "16", "2", "1/2", "--max-rounds", "100000",
+              "--notion", "independent-generators", "--out", out]),
+            (["toric", str(poly)], ["toric", str(poly), "--notion", "independent-generators"]),
+            (["verify", "hypergeometric"], ["verify", "hypergeometric"]),
+            (["verify", "hypergeometric", "--count", "3"], ["verify", "hypergeometric", "--count", "3"]),
+        ]
+        for argv, expected in cases:
+            _, text = run(argv)
+            assert json.loads(text)["manifest"]["argv"] == head + expected
 
     def test_checksum_matches_result(self):
         import hashlib

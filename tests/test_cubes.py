@@ -166,6 +166,56 @@ class TestFindCube:
                 par = find_cube(s, 1, notion, threads=3)
                 assert seq == par
 
+    def test_threads_match_sequential_on_full_searches(self):
+        # M(S), a hit at m = M and an exhaustive "none" at m = M + 1
+        for seed in range(2):
+            rng = random.Random(seed)
+            s = PointSet.from_indices(GridParams(3, 4), rng.sample(range(81), 36))
+            for notion in CubeNotion:
+                m, witness = m_value(s, notion)
+                assert 2 ** (m + 1) <= len(s) and m + 1 <= s.grid.dim  # searched, not cut early
+                assert find_cube(s, m + 1, notion) is None
+                for threads in (2, 3):
+                    assert m_value(s, notion, threads=threads) == (m, witness)
+                    assert find_cube(s, m, notion, threads=threads) == find_cube(s, m, notion)
+                    assert find_cube(s, m + 1, notion, threads=threads) is None
+
+    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
+        from gridcubes import cubes
+        from gridcubes.toric import build_code, minimum_distance, LatticePolytope
+
+        requested = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, chunks):
+                return map(fn, chunks)
+
+        monkeypatch.setattr(cubes, "ProcessPoolExecutor", InlinePool)
+        monkeypatch.setattr(cubes.os, "cpu_count", lambda: 3)
+        s = PointSet.full(GridParams(2, 3))
+        assert m_value(s, threads=5000) == m_value(s)
+        assert find_cube(s, 2, threads=5000) == find_cube(s, 2)
+        code = build_code(LatticePolytope([(0,), (3,)]), 7)
+        assert minimum_distance(code, threads=5000) == minimum_distance(code)
+        assert requested == [3, 3, 3]
+
+    def test_bad_threads_and_budget_rejected(self):
+        s = seg_set()
+        for kwargs in ({"threads": 0}, {"threads": -3}, {"budget": -5}):
+            with pytest.raises(ValueError):
+                m_value(s, **kwargs)
+            with pytest.raises(ValueError):
+                find_cube(s, 1, **kwargs)
+
     def test_threads_budget_still_raises(self):
         s = PointSet.full(GridParams(2, 4))
         with pytest.raises(SearchBudgetExceeded):
