@@ -293,6 +293,10 @@ def run(argv: list[str]) -> tuple[int, str]:
         return (EXIT_INPUT if exc.code else EXIT_OK), ""
     args.canonical_argv = _canonical_argv(parser, args)
     try:
+        if args.threads < 1:
+            raise ValueError(f"--threads must be >= 1, got {args.threads}")
+        if args.budget < 0:
+            raise ValueError(f"--budget must be >= 0, got {args.budget}")
         return _HANDLERS[args.command](args)
     except SearchBudgetExceeded as exc:
         result = {"status": "inconclusive", "best_m": exc.best_m}
@@ -312,3 +316,7 @@ def main() -> None:
     if text:
         sys.stdout.write(text)
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main()

@@ -15,6 +15,16 @@ cube has a unique anchored representation (each generator with positive
 leading entry, generators sorted lexicographically, base at the anchor
 vertex), and shifts are enumerated in that canonical order, so the search
 is exhaustive and visits each cube once.
+
+Each search node carries only the shifts still valid for it, those d with
+V + d inside S, as a sorted list (the candidate-set idea of Bron-Kerbosch):
+after adding d, the shift e stays valid iff d + e was valid too.  Adding k
+more generators needs 2^k - 1 valid shifts, their nonzero subset sums, so a
+node with a short list is cut.  Inside the search, points and shifts are
+integers with coordinates in base 2N-1, first coordinate most significant:
+integer order is lex order, a shift is canonical iff it is positive, and a
+grid point plus a shift never aliases another grid point.  The API and
+PointSet stay tuple-only.
 """
 
 from __future__ import annotations
@@ -61,7 +71,7 @@ DEFAULT_NOTION = CubeNotion.INDEPENDENT_GENERATORS
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The node budget ran out before the search could certify its answer."""
+    """The check budget ran out before the search could certify its answer."""
 
     def __init__(self, message: str, best_m: int = 0, witness: Optional["AffineCube"] = None):
         super().__init__(message)
@@ -219,87 +229,96 @@ def _run_search(
     first (lexicographically minimal) witness.  target=m: stop at the first
     cube of dimension exactly m.  `conclusive` is False only when the budget
     ran out before the answer was certain.
+
+    A node is a cube with base z, generators g_1 < ... < g_m and vertex set
+    V, and it carries the sorted list L of canonical shifts d > g_m with
+    V + d inside S.  Adding L[i] = d gives the child list [e in L[i+1:] with
+    d + e in L], since V u (V + d) + e lies in S iff e and d + e are valid.
+    A check is one valid shift tried: it tests injectivity (vertex-injective
+    notion only; independence implies it), then independence and the Smith
+    form.  k more generators need 2^k - 1 valid shifts (their nonzero subset
+    sums), and also 2^k <= |S| / |V|, so a node stops as soon as
+    m + min of the two logs cannot beat the best or reach the target.
+
+    Points and shifts are integers here, coordinates in base 2N-1 with the
+    first most significant: lex order is integer order, canonical means
+    positive, and a grid point plus a shift (digits in [-(N-1), N-1]) can
+    never alias another grid point.  Tuples come back only for the linear
+    algebra and the witness.
     """
     pts = s.points()
-    tset = s.tuple_set
+    radix = 2 * s.grid.base - 1
+    codes = []
+    for p in pts:
+        c = 0
+        for x in p:
+            c = c * radix + x
+        codes.append(c)
+    point_of = dict(zip(codes, pts))
+    position = {p: j for j, p in enumerate(pts)}
     size = len(pts)
-    independent = notion is not CubeNotion.VERTEX_INJECTIVE
+    injective_only = notion is CubeNotion.VERTEX_INJECTIVE
     unimodular = notion is CubeNotion.UNIMODULAR
     n = s.grid.dim
 
     best_m = 0
     best_cube = AffineCube(pts[0]) if pts else None
-    found: list[Optional[AffineCube]] = [None]
+    found: Optional[AffineCube] = None
     checks = 0
 
     if target == 0:
         return _SearchOutcome(0, best_cube, True, 0)
 
-    def descend(z, cands, start, verts, vset, gens, reduced):
-        nonlocal best_m, best_cube, checks
+    def descend(z, cz, shifts, gens, verts, reduced):
+        nonlocal best_m, best_cube, found, checks
         m = len(gens)
-        if independent and m >= n:
-            return
-        # Doubling can multiply |V| by at most size // |V| in total.
-        max_extra = (size // len(verts)).bit_length() - 1
-        if target is None:
-            if m + max_extra <= best_m:
-                return
-        elif m + max_extra < target:
-            return
-        for idx in range(start, len(cands)):
-            if target is not None and m + (len(cands) - idx) < target:
-                break  # shifts are strictly increasing; not enough remain
+        # Doubling can multiply |V| = 2^m by at most size // 2^m in total.
+        cap = (size >> m).bit_length() - 1
+        if not injective_only:
+            cap = min(cap, n - m)
+        count = len(shifts)
+        valid = set(shifts)
+        for i, d in enumerate(shifts):
+            # every nonzero subset sum of the new generators lies in shifts[i:]
+            room = min(cap, (count - i + 1).bit_length() - 1)
+            if m + room <= (best_m if target is None else target - 1):
+                break
             checks += 1
             if checks > budget:
                 raise _Stop
-            d = cands[idx]
-            new = []
-            ok = True
-            for v in verts:
-                w = _add(v, d)
-                if w not in tset or w in vset:
-                    ok = False
-                    break
-                new.append(w)
-            if not ok:
+            if injective_only and any(v + d in verts for v in verts):
                 continue
+            g = _sub(point_of[cz + d], z)
             red = None
-            if independent:
-                red = reduce_against(d, reduced)
+            if not injective_only:
+                red = reduce_against(g, reduced)
                 if red is None:
                     continue
-                if unimodular and not is_primitive_system(gens + [d]):
+                if unimodular and not is_primitive_system(gens + (g,)):
                     continue
-            gens.append(d)
-            if len(gens) > best_m:
-                best_m = len(gens)
-                best_cube = AffineCube(z, tuple(gens))
+            if m + 1 > best_m:
+                best_m = m + 1
+                best_cube = AffineCube(z, gens + (g,))
                 if target is not None and best_m == target:
-                    found[0] = best_cube
-                    gens.pop()
+                    found = best_cube
                     raise _Stop
-            verts.extend(new)
-            vset.update(new)
-            if independent:
-                reduced.append((red, pivot_index(red)))
-            descend(z, cands, idx + 1, verts, vset, gens, reduced)
-            if independent:
-                reduced.pop()
-            del verts[-len(new):]
-            vset.difference_update(new)
-            gens.pop()
+            descend(
+                z, cz,
+                [e for e in shifts[i + 1:] if d + e in valid],
+                gens + (g,),
+                verts | {v + d for v in verts} if injective_only else verts,
+                reduced if injective_only else reduced + [(red, pivot_index(red))],
+            )
 
     conclusive = True
     try:
         for z in bases:
-            cands = sorted(
-                d for p in pts if p != z and _leading_positive(d := _sub(p, z))
-            )
-            descend(z, cands, 0, [z], {z}, [], [])
+            j = position[z]
+            cz = codes[j]
+            descend(z, cz, [c - cz for c in codes[j + 1:]], (), {cz}, [])
     except _Stop:
-        conclusive = found[0] is not None
-    witness = found[0] if target is not None else best_cube
+        conclusive = found is not None
+    witness = found if target is not None else best_cube
     return _SearchOutcome(best_m, witness, conclusive, checks)
 
 
@@ -332,6 +351,13 @@ def _best_of(outcomes: Iterable[_SearchOutcome]) -> Optional[AffineCube]:
     return best_cube
 
 
+def _check_limits(budget: int, threads: int) -> None:
+    if threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {threads}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
+
+
 def _search(
     s: PointSet, notion: CubeNotion, target: Optional[int], budget: int, threads: int
 ) -> Optional[AffineCube]:
@@ -342,8 +368,6 @@ def _search(
     completes.  Returns the target-dimension cube or None (target mode), or
     the maximal cube (target=None).
     """
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
     outcomes = map_chunks(partial(_run_search, s, notion, target, budget), s.points(), threads)
     cube = _best_of(outcomes)
     if all(out.conclusive for out in outcomes) or (target is not None and cube is not None):
@@ -370,6 +394,7 @@ def find_cube(
     worker gets the full budget; the merged answer equals the sequential one
     whenever the search completes.
     """
+    _check_limits(budget, threads)
     if m < 0:
         raise ValueError(f"cube dimension must be >= 0, got {m}")
     if len(s) == 0:
@@ -388,6 +413,7 @@ def m_value(
     threads: int = 1,
 ) -> tuple[int, AffineCube]:
     """The largest cube dimension inside S with a canonical witness."""
+    _check_limits(budget, threads)
     if len(s) == 0:
         raise ValueError("M(S) is undefined for the empty set")
     cube = _search(s, notion, None, budget, threads)

@@ -1,9 +1,14 @@
 """CLI contract: subcommands, exit codes, formats, manifests, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gridcubes
 from gridcubes.cli import run, run_from_manifest
 
 SEG_FILE = "5 1\n0\n1\n2\n3\n"
@@ -170,8 +175,9 @@ class TestToric:
         assert run(["toric", str(p)])[0] == 2
 
     def test_budget_exhaustion_exits_3(self, tmp_path):
-        p = tmp_path / "seg3.poly"
-        p.write_text("5 1\n0\n3\n")
+        # a unit square needs two checks; a segment is settled by its first
+        p = tmp_path / "square.poly"
+        p.write_text("5 2\n0 0\n1 0\n0 1\n1 1\n")
         code, out = run(["--budget", "1", "toric", str(p)])
         assert code == 3 and result_of(out)["status"] == "inconclusive"
 
@@ -215,6 +221,10 @@ class TestBadNumericFlags:
             ["--threads", "0", "toric", str(poly)],
             ["--budget", "-5", "mvalue", seg_path],
             ["verify", "oracle", "--count", "-1"],
+            ["--threads", "0", "bound", "--N", "2", "--n", "10", "--c", "1/2"],
+            ["--threads", "0", "fexact", "2", "2", "1"],
+            ["--threads", "-1", "verify", "hypergeometric", "--count", "3"],
+            ["--budget", "-1", "construct", "sparse", "10", "2", "1/2"],
         ):
             code, out = run(argv)
             assert code == 2, argv
@@ -290,3 +300,20 @@ class TestDeterminismAndManifest:
         doc = json.loads(out)
         blob = json.dumps(doc["result"], separators=(",", ":"), sort_keys=False)
         assert doc["manifest"]["output_checksum"] == hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestModuleEntryPoint:
+    def test_python_m_matches_run(self):
+        env = dict(os.environ, PYTHONPATH=str(Path(gridcubes.__file__).parent.parent))
+        argv = ["bound", "--N", "2", "--n", "10", "--c", "1/2"]
+        for module in ("gridcubes", "gridcubes.cli"):
+            proc = subprocess.run(
+                [sys.executable, "-m", module] + argv,
+                env=env, capture_output=True, text=True, timeout=60,
+            )
+            assert (proc.returncode, proc.stdout) == run(argv)
+        proc = subprocess.run(
+            [sys.executable, "-m", "gridcubes", "--threads", "0"] + argv,
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert proc.returncode == 2 and "error" in json.loads(proc.stdout)

@@ -2,16 +2,20 @@
 
 import random
 from fractions import Fraction
-from itertools import permutations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcubes.cubes import (
+    DEFAULT_BUDGET,
     AffineCube,
     CubeNotion,
     SearchBudgetExceeded,
+    _leading_positive,
+    _run_search,
+    _sub,
     cube_vertices,
     extend_cube,
     f_exhaustive,
@@ -34,6 +38,26 @@ def pset(N, n, pts):
 
 def seg_set():
     return pset(5, 1, [(0,), (1,), (2,), (3,)])
+
+
+def all_witnesses(s, m, notion):
+    """Every anchored cube of dimension m in S under the notion, by a scan
+    that shares nothing with the search."""
+    pts = s.points()
+    tset = s.tuple_set
+    out = []
+    for z in pts:
+        diffs = sorted(d for p in pts if p != z and _leading_positive(d := _sub(p, z)))
+        for combo in combinations(diffs, m):
+            cube = AffineCube(z, tuple(combo))
+            verts = cube.vertices()
+            if len(set(verts)) != 2 ** m:
+                continue
+            if any(v not in tset for v in verts):
+                continue
+            if cube.satisfies(notion):
+                out.append(cube)
+    return out
 
 
 class TestCubeVertices:
@@ -215,11 +239,67 @@ class TestFindCube:
                 m_value(s, **kwargs)
             with pytest.raises(ValueError):
                 find_cube(s, 1, **kwargs)
+            # rejected before the size checks that answer None unsearched
+            for small, m in ((s, 3), (s, 31), (PointSet.empty(GridParams(2, 2)), 1)):
+                with pytest.raises(ValueError):
+                    find_cube(small, m, **kwargs)
 
     def test_threads_budget_still_raises(self):
         s = PointSet.full(GridParams(2, 4))
         with pytest.raises(SearchBudgetExceeded):
             find_cube(s, 4, VI, budget=2, threads=2)
+
+
+class TestSearchChecksGate:
+    """Upper bounds on the search's checks (valid shifts tried).  A change
+    that improves pruning lowers a bound; none is raised without a
+    CHANGES.md entry.  The tuple search that tried every difference at
+    every node needed 14,953 and 13,160 checks on [3]^4 and 913,399 and
+    864,907 on [2]^8."""
+
+    CASES = [
+        # (N, n, |S|, checks for M(S), checks for the absent (M+1)-cube)
+        (3, 4, 36, 262, 261),
+        (2, 8, 128, 5641, 5610),
+    ]
+
+    def test_checks_bounded(self):
+        for N, n, size, max_checks, over_checks in self.CASES:
+            grid = GridParams(N, n)
+            s = PointSet.from_indices(grid, random.Random(0).sample(range(grid.size), size))
+            for notion in CubeNotion:
+                best = _run_search(s, notion, None, DEFAULT_BUDGET, s.points())
+                assert best.conclusive and best.checks <= max_checks
+                over = _run_search(s, notion, best.best_m + 1, DEFAULT_BUDGET, s.points())
+                assert over.conclusive and over.witness is None
+                assert over.checks <= over_checks
+
+
+class TestEncodingEdges:
+    def test_oracle_differential_on_corner_sets(self):
+        # Shifts are coded in base 2N-1 inside the search; in base N a shift
+        # such as (1, -1) would alias (0, 1), and sets holding grid corners
+        # put such shifts next to points on the grid boundary.
+        rng = random.Random(2718)
+        for N, n in [(7, 1), (3, 2), (5, 2), (4, 3), (2, 6)]:
+            grid = GridParams(N, n)
+            corners = [p for p in grid.points() if all(x in (0, N - 1) for x in p)]
+            for _ in range(6):
+                pts = {(0,) * n, (N - 1,) * n}
+                pts.update(rng.sample(corners, min(len(corners), rng.randint(2, 8))))
+                pts.update(map(grid.point_of, rng.sample(range(grid.size), rng.randint(0, 8))))
+                s = PointSet(grid, pts)
+                oracle = m_value_oracle_all(s)
+                for notion in CubeNotion:
+                    m, w = m_value(s, notion)
+                    assert m == oracle[notion], (N, n, notion)
+                    expected = (
+                        min(all_witnesses(s, m, notion), key=lambda c: c.sort_key())
+                        if m else AffineCube(min(pts))
+                    )
+                    assert w == expected
+                    assert find_cube(s, m, notion) == expected
+                    assert find_cube(s, m + 1, notion) is None
 
 
 class TestMValue:
@@ -332,29 +412,6 @@ class TestWitnessMinimality:
     def test_first_found_is_lexicographic_minimum(self):
         # enumerate every canonical witness of the maximal dimension by a
         # separate anchored scan; the search must return the smallest
-        from itertools import combinations
-
-        from gridcubes.cubes import _leading_positive, _sub
-
-        def all_witnesses(s, m, notion):
-            pts = s.points()
-            tset = s.tuple_set
-            out = []
-            for z in pts:
-                diffs = sorted(
-                    d for p in pts if p != z and _leading_positive(d := _sub(p, z))
-                )
-                for combo in combinations(diffs, m):
-                    cube = AffineCube(z, tuple(combo))
-                    verts = cube.vertices()
-                    if len(set(verts)) != 2 ** m:
-                        continue
-                    if any(v not in tset for v in verts):
-                        continue
-                    if cube.satisfies(notion):
-                        out.append(cube)
-            return out
-
         rng = random.Random(31337)
         for _ in range(60):
             N = rng.choice([2, 3, 4])
