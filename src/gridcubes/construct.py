@@ -19,7 +19,6 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from math import floor, sqrt
 from typing import Optional
 
@@ -36,6 +35,7 @@ from .cubes import (
     CubeNotion,
     DEFAULT_BUDGET,
     DEFAULT_NOTION,
+    anchored_cubes,
     find_cube,
 )
 from .exactmath import as_fraction, pow_at_least
@@ -77,7 +77,8 @@ class BadEventCatalog:
 
 
 def enumerate_cube_images(N: int, n: int, r: int, cap: int = 10 ** 7) -> BadEventCatalog:
-    """All distinct images Q of injective affine maps {0,1}^r -> [N]^n.
+    """All distinct images Q of injective affine maps {0,1}^r -> [N]^n,
+    the vertex sets of the anchored r-cubes of the full grid.
 
     The raw parametrization (base point plus r distinct vertex images) has
     at most N^(n(r+1)) tuples, which must not exceed `cap`; beyond that,
@@ -89,22 +90,10 @@ def enumerate_cube_images(N: int, n: int, r: int, cap: int = 10 ** 7) -> BadEven
     raw = N ** (n * (r + 1))
     if raw > cap:
         raise ValueError(f"raw enumeration count {raw} exceeds cap {cap}")
-    if r == 0:
-        events = tuple(frozenset([i]) for i in range(grid.size))
-        return BadEventCatalog(grid, r, events)
-    pts = list(grid.points())
-    events = set()
-    for z in pts:
-        for images in combinations(pts, r):
-            if z in images:
-                continue  # zero generator can never be injective
-            cube = AffineCube(z, tuple(tuple(w - b for w, b in zip(im, z)) for im in images))
-            verts = cube.vertices()
-            if len(set(verts)) != 2 ** r:
-                continue
-            if not all(grid.contains(v) for v in verts):
-                continue
-            events.add(frozenset(grid.index_of(v) for v in verts))
+    events = {
+        frozenset(map(grid.index_of, verts))
+        for _, _, verts in anchored_cubes(PointSet.full(grid), r)
+    }
     ordered = tuple(sorted(events, key=sorted))
     return BadEventCatalog(grid, r, ordered)
 
@@ -292,6 +281,8 @@ def construct_dense_small_M(
     """
     eps = as_fraction(eps)
     grid = GridParams(N, n)
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     r = choose_r_dense(n, eps)
     if r is None:
         return ConstructionResult(

@@ -37,7 +37,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exactmath import as_fraction
 from .grid import GridParams, Point, PointSet
@@ -420,51 +420,54 @@ def m_value(
     return cube.m, cube
 
 
-def m_value_oracle_all(s: PointSet) -> dict[CubeNotion, int]:
-    """Ground-truth M(S) for every notion by naive anchored enumeration.
+def anchored_cubes(s: PointSet, m: int) -> Iterator[tuple[Point, tuple, list[Point]]]:
+    """Every vertex-injective m-cube inside S by naive anchored enumeration.
 
-    For each dimension m, every (base, generator-set) pair with the base in
-    S and generators drawn from S - base is tried; no search-tree pruning,
-    no shift ordering.  Each cube has an anchor vertex from which all its
-    generators have positive leading entry (flipping a generator negates it
-    and moves the base, preserving the vertex set, the rank, and the Smith
-    form), so anchored enumeration misses nothing.
+    Yields (base, generators, vertices).  For each base z in S, every
+    increasing m-tuple of differences p - z (p in S) with positive leading
+    entry is tried; its vertices are built by doubling, in subset-bitmask
+    order, and the tuple is dropped at the first vertex outside S.  No
+    search-tree pruning, no shift ordering, no integer codes.  Each cube has
+    an anchor vertex from which all its generators have positive leading
+    entry (flipping a generator negates it and moves the base, preserving
+    the vertex set, the rank, and the Smith form), so anchored enumeration
+    misses nothing.
     """
+    tset = s.tuple_set
+    pts = s.points()
+    for z in pts:
+        diffs = sorted(d for p in pts if p != z and _leading_positive(d := _sub(p, z)))
+        for gens in combinations(diffs, m):
+            verts = [z]
+            for d in gens:
+                new = [_add(v, d) for v in verts]
+                if not all(w in tset for w in new):
+                    break
+                verts += new
+            else:
+                if len(set(verts)) == len(verts):
+                    yield z, gens, verts
+
+
+def m_value_oracle_all(s: PointSet) -> dict[CubeNotion, int]:
+    """Ground-truth M(S) for every notion, by looping over anchored_cubes
+    for each dimension m and testing rank and Smith form directly."""
     if s.grid.size > ORACLE_GRID_CAP:
         raise ValueError(f"oracle instance too large: {s.grid.size} > {ORACLE_GRID_CAP}")
     if len(s) == 0:
         raise ValueError("M(S) is undefined for the empty set")
-    pts = s.points()
-    tset = s.tuple_set
-    diffs_of = {
-        z: sorted(d for p in pts if p != z and _leading_positive(d := _sub(p, z)))
-        for z in pts
-    }
     results = {notion: 0 for notion in CubeNotion}
     alive = set(CubeNotion)
     m = 1
-    while alive and 2 ** m <= len(pts):
+    while alive and 2 ** m <= len(s):
         found: set[CubeNotion] = set()
-        for z in pts:
-            for combo in combinations(diffs_of[z], m):
-                verts = [z]
-                ok = True
-                for d in combo:
-                    new = [_add(v, d) for v in verts]
-                    if any(w not in tset for w in new):
-                        ok = False
-                        break
-                    verts += new
-                if not ok or len(set(verts)) != 2 ** m:
-                    continue
-                found.add(CubeNotion.VERTEX_INJECTIVE)
-                if CubeNotion.INDEPENDENT_GENERATORS in alive or CubeNotion.UNIMODULAR in alive:
-                    if rational_rank(combo) == m:
-                        found.add(CubeNotion.INDEPENDENT_GENERATORS)
-                        if CubeNotion.UNIMODULAR in alive and is_primitive_system(combo):
-                            found.add(CubeNotion.UNIMODULAR)
-                if alive <= found:
-                    break
+        for _, gens, _ in anchored_cubes(s, m):
+            found.add(CubeNotion.VERTEX_INJECTIVE)
+            if CubeNotion.INDEPENDENT_GENERATORS in alive or CubeNotion.UNIMODULAR in alive:
+                if rational_rank(gens) == m:
+                    found.add(CubeNotion.INDEPENDENT_GENERATORS)
+                    if CubeNotion.UNIMODULAR in alive and is_primitive_system(gens):
+                        found.add(CubeNotion.UNIMODULAR)
             if alive <= found:
                 break
         for notion in found & alive:

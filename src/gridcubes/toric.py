@@ -40,30 +40,13 @@ def is_prime(q: int) -> bool:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """Arithmetic mod a prime q, elements canonically in [0, q)."""
+    """A prime modulus q; the code layer does its arithmetic with % q."""
 
     q: int
 
     def __post_init__(self) -> None:
         if not is_prime(self.q):
             raise ValueError(f"{self.q} is not prime")
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.q
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.q
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.q
-
-    def inv(self, a: int) -> int:
-        if a % self.q == 0:
-            raise ZeroDivisionError("no inverse of 0")
-        return pow(a, self.q - 2, self.q)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.q)
 
 
 def _in_hull(x: Sequence[int], vertices: Sequence[Point]) -> bool:

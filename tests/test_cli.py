@@ -225,6 +225,8 @@ class TestBadNumericFlags:
             ["--threads", "0", "fexact", "2", "2", "1"],
             ["--threads", "-1", "verify", "hypergeometric", "--count", "3"],
             ["--budget", "-1", "construct", "sparse", "10", "2", "1/2"],
+            ["construct", "dense", "3", "2", "1", "--max-rounds", "0"],
+            ["construct", "dense", "3", "2", "1", "--max-rounds", "-7"],
         ):
             code, out = run(argv)
             assert code == 2, argv

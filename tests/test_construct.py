@@ -62,15 +62,20 @@ class TestEnumerateCubeImages:
 
     def test_raw_map_count_within_bound(self):
         # count actual injective affine maps (ordered generator tuples) and
-        # compare with the N^(n(r+1)) parametrization bound
+        # compare with the N^(n(r+1)) parametrization bound; their vertex
+        # index sets, collected independently of any cube generator, must be
+        # exactly the catalog's events
         from itertools import permutations, product as iproduct
 
         from gridcubes.grid import GridParams
 
-        for N, n, r in [(2, 1, 1), (2, 2, 1), (3, 1, 1), (2, 2, 2)]:
+        cases = [(2, 1, 1), (2, 2, 1), (3, 1, 1), (2, 2, 2), (2, 2, 0), (3, 2, 0),
+                 (3, 2, 2), (2, 3, 3)]
+        for N, n, r in cases:
             grid = GridParams(N, n)
             pts = list(grid.points())
             count = 0
+            images_seen = set()
             for z in pts:
                 for images in permutations(pts, r):
                     gens = tuple(tuple(w - b for w, b in zip(im, z)) for im in images)
@@ -78,7 +83,9 @@ class TestEnumerateCubeImages:
                     verts = cube.vertices()
                     if len(set(verts)) == 2 ** r and all(grid.contains(v) for v in verts):
                         count += 1
+                        images_seen.add(frozenset(grid.index_of(v) for v in verts))
             assert count <= count_affine_maps_bound(N, n, r)
+            assert images_seen == set(enumerate_cube_images(N, n, r).events), (N, n, r)
 
 
 class TestSamplerConfig:
@@ -247,6 +254,13 @@ class TestDenseConstruction:
     def test_budget_blowup_is_inconclusive(self):
         with pytest.raises(SearchBudgetExceeded):
             construct_dense_small_M(16, 2, 1, seed=0, budget=10 ** 5)
+
+    def test_max_rounds_checked_before_degenerate_schedule(self):
+        # n = 3 < N^N = 4 gives c_n = 0, which returns without sampling
+        assert construct_dense_small_M(3, 2, 1).status is ConstructStatus.VERIFIED
+        for bad in (0, -7):
+            with pytest.raises(ValueError, match="max_rounds"):
+                construct_dense_small_M(3, 2, 1, max_rounds=bad)
 
 
 class TestHypergeometricBound:
