@@ -9,6 +9,7 @@ by rational phase-1 simplex pivoting, never floats.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
@@ -211,55 +212,65 @@ def _eval_monomial(u: Point, t: Point, q: int) -> int:
     return val
 
 
-def _min_weight_scan(matrix, q: int, first_values: Sequence[int]) -> int:
-    """Minimum Hamming weight over nonzero messages whose first symbol is in
-    first_values; incremental partial sums, weight count aborts at the
-    current best."""
-    k = len(matrix)
-    block = len(matrix[0])
+def _min_weight_scan(matrix, q: int, prefixes: Sequence[tuple[int, ...]]) -> int:
+    """Minimum Hamming weight over the projective messages (first nonzero
+    symbol 1) whose leading symbols are one of prefixes.
+
+    Scaling a column by a nonzero constant keeps every weight, so each column
+    where the last row R is nonzero is scaled to make R[j] = -1.  The q
+    messages that share the partial codeword P of the other rows and differ
+    only in the last symbol m are then zero at such a column exactly when
+    P[j] = m, and at a column with R[j] = 0 exactly when P[j] = 0, so one
+    Counter over P weighs all q of them.
+    """
+    *head, last = matrix
+    block = len(last)
+    cols = sorted(range(block), key=lambda j: not last[j])  # R[j] != 0 first
+    live = block - last.count(0)
+    scale = [pow(-last[j], q - 2, q) if last[j] else 1 for j in cols]
+    rows = [[row[j] * c % q for j, c in zip(cols, scale)] for row in head]
     best = block + 1
 
-    def weight_capped(vec, cap):
-        w = 0
-        for x in vec:
-            if x:
-                w += 1
-                if w >= cap:
-                    return w
-        return w
-
-    def rec(i, partial, nonzero):
+    def rec(i, vec, started):
+        # rows i.. are still free; until a symbol is nonzero they take (0, 1)
         nonlocal best
-        if i == k:
-            if nonzero:
-                w = weight_capped(partial, best)
-                if w < best:
-                    best = w
+        if i == len(rows):
+            cnt = Counter(vec[:live])
+            most = max(cnt.values(), default=0) if started else cnt[1]
+            best = min(best, block - vec[live:].count(0) - most)
             return
-        values = first_values if i == 0 else range(q)
-        for m_i in values:
-            if m_i == 0:
-                rec(i + 1, partial, nonzero)
-            else:
-                row = matrix[i]
-                rec(i + 1, [(a + m_i * b) % q for a, b in zip(partial, row)], True)
+        rec(i + 1, vec, started)
+        row = rows[i]
+        for _ in range(q - 1 if started else 1):
+            vec = [(a + b) % q for a, b in zip(vec, row)]
+            rec(i + 1, vec, True)
 
-    rec(0, [0] * block, False)
+    for prefix in prefixes:
+        vec = [0] * block
+        for m_i, row in zip(prefix, rows):
+            vec = [(a + m_i * b) % q for a, b in zip(vec, row)]
+        rec(len(prefix), vec, any(prefix))
     return best
 
 
 def minimum_distance(code: ToricCode, threads: int = 1) -> int:
     """Exhaustive minimum Hamming distance of the code.
 
-    Enumerates all q^k - 1 nonzero messages; with threads > 1 the message
-    space splits by the first symbol (see cubes.map_chunks) and the minima
-    merge deterministically.
+    Scalar multiples have equal weight, so only the (q^k - 1)/(q - 1)
+    messages whose first nonzero symbol is 1 are weighed, q at a time (see
+    _min_weight_scan); the cap still applies to the whole space q^k.  The
+    work splits by the projective prefixes of the first min(2, k - 1)
+    symbols, up to q + 2 pieces, over at most `threads` workers (see
+    cubes.map_chunks); the minimum does not depend on the split.
     """
     q = code.field.q
     k = code.dimension
     if q ** k > MESSAGE_CAP:
         raise ValueError(f"message space {q}^{k} exceeds cap {MESSAGE_CAP}")
-    return min(map_chunks(partial(_min_weight_scan, code.matrix, q), range(q), threads))
+    prefixes = [()]
+    for _ in range(min(2, k - 1)):
+        prefixes = [p + (v,) for p in prefixes for v in (range(q) if any(p) else (0, 1))]
+    return min(map_chunks(partial(_min_weight_scan, code.matrix, q), prefixes, threads))
 
 
 @dataclass(frozen=True)
@@ -282,8 +293,13 @@ def code_stats(
     """All six statistics of the code of P over F_q.
 
     The cube dimension is computed on the lattice-point set of P viewed
-    inside the grid [q-1]^n.
+    inside the grid [q-1]^n, so q must be at least 3.
     """
+    if q < 3:
+        raise ValueError(
+            f"code statistics need q >= 3, got q = {q}: the cube dimension is "
+            f"taken in the grid [q-1]^n, whose base q-1 must be at least 2"
+        )
     code = build_code(p, q)
     dmin = minimum_distance(code, threads=threads)
     pts = PointSet(GridParams(q - 1, p.dim), p.lattice_points())

@@ -174,6 +174,13 @@ class TestToric:
         p.write_text("5 1\n0\n4\n")
         assert run(["toric", str(p)])[0] == 2
 
+    def test_field_of_two_exits_2(self, tmp_path):
+        p = tmp_path / "f2.poly"
+        p.write_text("2 1\n0\n")
+        code, out = run(["toric", str(p)])
+        assert code == 2
+        assert "q >= 3, got q = 2" in json.loads(out)["error"]
+
     def test_budget_exhaustion_exits_3(self, tmp_path):
         # a unit square needs two checks; a segment is settled by its first
         p = tmp_path / "square.poly"

@@ -1,16 +1,19 @@
 """Lattice polytopes, evaluation codes, and their exact statistics."""
 
+import dataclasses
 import random
 from fractions import Fraction
+from itertools import product as iproduct
 
 import pytest
 
+from gridcubes import cubes
 from gridcubes.toric import (
     LatticePolytope,
     PrimeField,
+    ToricCode,
     _gf_rank,
     _in_hull,
-    _min_weight_scan,
     build_code,
     code_stats,
     family_report,
@@ -23,6 +26,45 @@ from gridcubes.toric import (
 
 def segment(k):
     return LatticePolytope([(0,), (k,)])
+
+
+def naive_min_distance(matrix, q):
+    """Smallest weight over all nonzero messages, one codeword at a time."""
+    best = None
+    for msg in iproduct(range(q), repeat=len(matrix)):
+        if not any(msg):
+            continue
+        w = sum(
+            1
+            for j in range(len(matrix[0]))
+            if sum(m * row[j] for m, row in zip(msg, matrix)) % q
+        )
+        best = w if best is None else min(best, w)
+    return best
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Run map_chunks' pool in-process with 3 CPUs; returns the worker counts
+    asked for."""
+    requested = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, chunks):
+            return map(fn, chunks)
+
+    monkeypatch.setattr(cubes, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(cubes.os, "cpu_count", lambda: 3)
+    return requested
 
 
 class TestPrimeField:
@@ -174,21 +216,6 @@ class TestMinimumDistance:
         assert minimum_distance(code) == minimum_distance(code, threads=3)
 
     def test_against_flat_enumeration(self):
-        from itertools import product as iproduct
-
-        def naive(matrix, q):
-            best = None
-            for msg in iproduct(range(q), repeat=len(matrix)):
-                if not any(msg):
-                    continue
-                w = sum(
-                    1
-                    for j in range(len(matrix[0]))
-                    if sum(m * row[j] for m, row in zip(msg, matrix)) % q
-                )
-                best = w if best is None else min(best, w)
-            return best
-
         rng = random.Random(77)
         done = 0
         while done < 20:
@@ -202,8 +229,30 @@ class TestMinimumDistance:
             if q ** len(lattice_points(poly)) > 4000:
                 continue
             code = build_code(poly, q)
-            assert minimum_distance(code) == naive(code.matrix, q)
+            assert minimum_distance(code) == naive_min_distance(code.matrix, q)
             done += 1
+
+    def test_hand_built_matrices_against_flat_enumeration(self, inline_pool):
+        # k = 1, 2, 3 give prefix depths 0, 1, 2 and k = 4 one free row below
+        # them; a last row with zero entries (never built from a polytope)
+        # reaches the R[j] = 0 columns, and random rows may be dependent, so
+        # distance 0 is covered too
+        rng = random.Random(505)
+        for q in (2, 3, 5, 7):
+            for k in (1, 2, 3, 4):
+                for _ in range(4):
+                    block = rng.randint(1, 7)
+                    matrix = [[rng.randrange(q) for _ in range(block)] for _ in range(k)]
+                    matrix[-1][rng.randrange(block)] = 0
+                    code = ToricCode(PrimeField(q), segment(0), ((0,),) * k,
+                                     tuple(map(tuple, matrix)), block)
+                    want = naive_min_distance(code.matrix, q)
+                    pieces = {1: 1, 2: 2}.get(k, q + 2)
+                    for threads in (1, 2, 3):
+                        inline_pool.clear()
+                        assert minimum_distance(code, threads=threads) == want
+                        workers = min(threads, 3, pieces)
+                        assert inline_pool == ([workers] if workers > 1 else [])
 
     def test_message_cap(self):
         code = build_code(segment(2), 5)
@@ -228,6 +277,14 @@ class TestCodeStats:
         assert stats.information_rate == Fraction(1, 2)
         assert stats.max_cube_dim == 0
 
+    def test_field_of_two_rejected(self):
+        code = build_code(LatticePolytope([(0,)]), 2)
+        assert (code.block_length, code.dimension, minimum_distance(code)) == (1, 1, 1)
+        for call in (lambda: code_stats(LatticePolytope([(0,)]), 2),
+                     lambda: family_report([(LatticePolytope([(0,)]), 2)])):
+            with pytest.raises(ValueError, match=r"q >= 3, got q = 2.*\[q-1\]\^n"):
+                call()
+
     def test_rates_at_most_one(self):
         for poly, q in [(segment(1), 3), (LatticePolytope([(0, 0), (1, 1)]), 5)]:
             stats = code_stats(poly, q)
@@ -237,8 +294,10 @@ class TestCodeStats:
 
 class TestReedSolomonFamily:
     def test_parameters_for_all_segments(self):
-        for q in (3, 5, 7):
+        for q in (3, 5, 7, 11, 13):
             for k in range(q - 1):
+                if q ** (k + 1) > 10 ** 6:
+                    break
                 code = build_code(segment(k), q)
                 dmin = minimum_distance(code)
                 assert (code.block_length, code.dimension, dmin) == (q - 1, k + 1, q - 1 - k)
@@ -270,7 +329,8 @@ class TestColumnOrderIndependence:
             rng.shuffle(cols)
             shuffled = tuple(tuple(row[j] for j in cols) for row in code.matrix)
             assert _gf_rank(shuffled, 3) == code.dimension
-            assert _min_weight_scan(shuffled, 3, range(3)) == minimum_distance(code)
+            shuffled_code = dataclasses.replace(code, matrix=shuffled)
+            assert minimum_distance(shuffled_code) == minimum_distance(code)
 
 
 class TestFamilyReport:
