@@ -105,7 +105,7 @@ def _canonical_argv(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     --threads stays out: merges are deterministic, so results match across
     thread counts whenever the search completes, and a manifest replay at the
     default thread count reproduces them.  At the budget boundary the thread
-    count can still decide between a result and exit 3 (ROADMAP item 3).
+    count can still decide between a result and exit 3 (ROADMAP item 4).
     """
     argv: list[str] = []
     for action in parser._actions:

@@ -17,13 +17,17 @@ vertex), and shifts are enumerated in that canonical order, so the search
 is exhaustive and visits each cube once.
 
 Each search node carries only the shifts still valid for it, those d with
-V + d inside S, as a sorted list (the candidate-set idea of Bron-Kerbosch):
-after adding d, the shift e stays valid iff d + e was valid too.  Adding k
-more generators needs 2^k - 1 valid shifts, their nonzero subset sums, so a
-node with a short list is cut.  Inside the search, points and shifts are
-integers with coordinates in base 2N-1, first coordinate most significant:
-integer order is lex order, a shift is canonical iff it is positive, and a
-grid point plus a shift never aliases another grid point.  The API and
+V + d inside S (the candidate-set idea of Bron-Kerbosch): after adding d,
+the shift e stays valid iff d + e was valid too.  Adding k more generators
+needs 2^k - 1 valid shifts, their nonzero subset sums, so a node with few
+left is cut.  The valid shifts of a node are one integer bitmask over the
+cells of S's bounding box, numbered in mixed radix with the first
+coordinate most significant, so bit order is lex order and the canonical
+shifts from a base z are the bits above z; one shift and AND, with a guard
+mask against indices that wrap around the box, gives each child (as in
+bit-parallel clique search, San Segundo et al. 2011).  For a subset of
+[2]^n the three notions coincide and the search tests none of them.  A
+box of more than grid.MATERIALIZE_LIMIT cells is refused.  The API and
 PointSet stay tuple-only.
 """
 
@@ -37,10 +41,11 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
+from operator import mul
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exactmath import as_fraction
-from .grid import GridParams, Point, PointSet
+from .grid import MATERIALIZE_LIMIT, GridParams, Point, PointSet
 from .intlinalg import (
     is_primitive_system,
     pivot_index,
@@ -230,92 +235,182 @@ def _run_search(
     cube of dimension exactly m.  `conclusive` is False only when the budget
     ran out before the answer was certain.
 
-    A node is a cube with base z, generators g_1 < ... < g_m and vertex set
-    V, and it carries the sorted list L of canonical shifts d > g_m with
-    V + d inside S.  Adding L[i] = d gives the child list [e in L[i+1:] with
-    d + e in L], since V u (V + d) + e lies in S iff e and d + e are valid.
-    A check is one valid shift tried: it tests injectivity (vertex-injective
-    notion only; independence implies it), then independence and the Smith
-    form.  k more generators need 2^k - 1 valid shifts (their nonzero subset
-    sums), and also 2^k <= |S| / |V|, so a node stops as soon as
-    m + min of the two logs cannot beat the best or reach the target.
+    The cells of S's bounding box, widths w_i, are numbered in mixed radix,
+    first coordinate most significant, so bit order is lex order; a box of
+    more than MATERIALIZE_LIMIT cells raises ValueError before any mask is
+    built.  A node is a cube with base z, generators g_1 < ... < g_m and
+    vertex set V; it carries the bitmask of the cells z + d for the
+    canonical shifts d > g_m with V + d inside S (at a base, the cells of S
+    above z), and takes them low bit first.  With `rest` the bits above d
+    and o the index offset of d, the child is rest & (rest >> o) & guard(d),
+    since V u (V + d) + e lies in S iff e and d + e are valid.  guard(d)
+    keeps the cells x with x + d inside the box in coordinates 1..n-1,
+    where the index of x plus o could name another cell; past the box in
+    the first coordinate it names no cell.  guard(d) is the AND of two
+    masks keyed by d's coordinates 1..h-1 and h..n-1, h = ceil(n/2), built
+    on first use and kept for the call: at most
+    prod_{0<i<h} (2w_i - 1) + prod_{h<=i<n} (2w_i - 1) masks of prod w_i
+    bits, whatever |S|, the budget or the number of checks (972 masks of
+    512 bytes for [2]^12).
 
-    Points and shifts are integers here, coordinates in base 2N-1 with the
-    first most significant: lex order is integer order, canonical means
-    positive, and a grid point plus a shift (digits in [-(N-1), N-1]) can
-    never alias another grid point.  Tuples come back only for the linear
-    algebra and the witness.
+    A check is one valid shift tried.  It tests injectivity, V and V + d
+    disjoint as vmask & (vmask << o) (vertex-injective notion only;
+    independence implies it), then independence and the Smith form.  When
+    S spans at most two values per coordinate, as every subset of [2]^n
+    does, every notion holds and no test runs: on the support of g_j both
+    v and v + g_j lie in {a, a + 1}, so a valid d is zero there, and
+    distinct nonzero {-1, 0, 1} vectors with disjoint supports are
+    injective, independent and extend to a basis.  Generator tuples are
+    then built only for the witness.
+
+    k more generators need 2^k - 1 valid shifts (their nonzero subset sums),
+    2^k <= |S| / |V|, and k <= n - m for the independent notions, so a node
+    stops once too few shifts are left for m + k to beat the best or reach
+    the target.  A child that would stop before its first check is not
+    entered; the guard only removes bits, so its count is first bounded
+    without it.
     """
     pts = s.points()
-    radix = 2 * s.grid.base - 1
-    codes = []
-    for p in pts:
-        c = 0
-        for x in p:
-            c = c * radix + x
-        codes.append(c)
-    point_of = dict(zip(codes, pts))
-    position = {p: j for j, p in enumerate(pts)}
+    best_cube = AffineCube(pts[0]) if pts else None
+    if target == 0:
+        return _SearchOutcome(0, best_cube, True, 0)
+    n = s.grid.dim
+    columns = list(zip(*pts))
+    lows = list(map(min, columns))
+    widths = [hi - lo + 1 for hi, lo in zip(map(max, columns), lows)]
+    cells = math.prod(widths)
+    if cells > MATERIALIZE_LIMIT:
+        raise ValueError(
+            f"bounding box of the set has {cells} cells, more than the search limit {MATERIALIZE_LIMIT}"
+        )
+    strides = [1] * n
+    for i in range(n - 2, -1, -1):
+        strides[i] = strides[i + 1] * widths[i + 1]
+    origin = sum(map(mul, lows, strides))
+    cell = [sum(map(mul, p, strides)) - origin for p in pts]
+    index = dict(zip(pts, cell))
+    point_at = dict(zip(cell, pts))
+    bits = bytearray((cells + 7) >> 3)
+    for k in cell:
+        bits[k >> 3] |= 1 << (k & 7)
+    s_mask = int.from_bytes(bits, "little")
+    full = (1 << cells) - 1
+    h = (n + 1) // 2
+    halves: dict[int, tuple[int, int]] = {}
+    guard_hi: dict[int, int] = {}
+    guard_lo: dict[int, int] = {}
+
+    def half_codes(k):
+        """Codes of the point at cell k over coordinates 1..h-1 and h..n-1,
+        in base 2w_i - 1: a difference of codes names one half of d."""
+        p = point_at[k]
+        hc = lc = 0
+        for i in range(1, h):
+            hc = hc * (2 * widths[i] - 1) + p[i]
+        for i in range(h, n):
+            lc = lc * (2 * widths[i] - 1) + p[i]
+        halves[k] = (hc, lc)
+        return hc, lc
+
+    def guard(cache, key, coords, k, z):
+        """Cells x with x_i + d_i in the box for i in coords, d = cell k - z."""
+        mask = full
+        for i in coords:
+            d = point_at[k][i] - z[i]
+            if not d:
+                continue
+            a, b = max(0, -d), widths[i] - 1 - max(0, d)
+            run = ((1 << ((b - a + 1) * strides[i])) - 1) << (a * strides[i])
+            span = strides[i] * widths[i]
+            while span < cells:  # repeat the run in every block of coordinate i
+                run |= run << span
+                span <<= 1
+            mask &= run
+        cache[key] = mask
+        return mask
+
     size = len(pts)
+    two_valued = all(w <= 2 for w in widths)
     injective_only = notion is CubeNotion.VERTEX_INJECTIVE
     unimodular = notion is CubeNotion.UNIMODULAR
-    n = s.grid.dim
+    test_injective = injective_only and not two_valued
+    test_linalg = not injective_only and not two_valued
 
     best_m = 0
-    best_cube = AffineCube(pts[0]) if pts else None
     found: Optional[AffineCube] = None
     checks = 0
 
-    if target == 0:
-        return _SearchOutcome(0, best_cube, True, 0)
-
-    def descend(z, cz, shifts, gens, verts, reduced):
-        nonlocal best_m, best_cube, found, checks
-        m = len(gens)
-        # Doubling can multiply |V| = 2^m by at most size // 2^m in total.
+    def threshold(m):
+        """Fewest valid shifts left that let a node with m generators try
+        one: k more generators need 2^k - 1 of them."""
+        f = (best_m if target is None else target - 1) - m
+        # doubling can multiply |V| = 2^m by at most size // 2^m in total
         cap = (size >> m).bit_length() - 1
-        if not injective_only:
-            cap = min(cap, n - m)
-        count = len(shifts)
-        valid = set(shifts)
-        for i, d in enumerate(shifts):
-            # every nonzero subset sum of the new generators lies in shifts[i:]
-            room = min(cap, (count - i + 1).bit_length() - 1)
-            if m + room <= (best_m if target is None else target - 1):
-                break
+        if cap <= f or (not injective_only and n - m <= f):
+            return size + 1
+        return (1 << (f + 1)) - 1 if f >= 0 else 1
+
+    def descend(z, iz, hz, lz, rest, left, ks, vmask, reduced):
+        nonlocal best_m, best_cube, found, checks
+        m = len(ks)
+        stop, stop_child = threshold(m), threshold(m + 1)
+        while left >= stop:
             checks += 1
             if checks > budget:
                 raise _Stop
-            if injective_only and any(v + d in verts for v in verts):
+            low = rest & -rest
+            rest ^= low
+            left -= 1
+            k = low.bit_length() - 1
+            o = k - iz
+            if test_injective and vmask & (vmask << o):
                 continue
-            g = _sub(point_of[cz + d], z)
             red = None
-            if not injective_only:
+            if test_linalg:
+                g = _sub(point_at[k], z)
                 red = reduce_against(g, reduced)
                 if red is None:
                     continue
-                if unimodular and not is_primitive_system(gens + (g,)):
+                if unimodular and not is_primitive_system(
+                    tuple(_sub(point_at[j], z) for j in ks) + (g,)
+                ):
                     continue
             if m + 1 > best_m:
                 best_m = m + 1
-                best_cube = AffineCube(z, gens + (g,))
+                best_cube = AffineCube(z, tuple(_sub(point_at[j], z) for j in ks + (k,)))
                 if target is not None and best_m == target:
                     found = best_cube
                     raise _Stop
-            descend(
-                z, cz,
-                [e for e in shifts[i + 1:] if d + e in valid],
-                gens + (g,),
-                verts | {v + d for v in verts} if injective_only else verts,
-                reduced if injective_only else reduced + [(red, pivot_index(red))],
-            )
+                stop, stop_child = threshold(m), threshold(m + 1)
+            if left < stop_child:
+                continue  # the child's shifts are among the ones left
+            child = rest & (rest >> o)
+            if child.bit_count() < stop_child:
+                continue  # the guard only removes bits
+            hc, lc = halves.get(k) or half_codes(k)
+            gh = guard_hi.get(hc - hz)
+            if gh is None:
+                gh = guard(guard_hi, hc - hz, range(1, h), k, z)
+            gl = guard_lo.get(lc - lz)
+            if gl is None:
+                gl = guard(guard_lo, lc - lz, range(h, n), k, z)
+            child &= gh & gl
+            count = child.bit_count()
+            if count >= stop_child:
+                descend(
+                    z, iz, hz, lz, child, count, ks + (k,),
+                    vmask | (vmask << o) if test_injective else vmask,
+                    reduced + [(red, pivot_index(red))] if test_linalg else reduced,
+                )
+                stop, stop_child = threshold(m), threshold(m + 1)
 
     conclusive = True
     try:
         for z in bases:
-            j = position[z]
-            cz = codes[j]
-            descend(z, cz, [c - cz for c in codes[j + 1:]], (), {cz}, [])
+            iz = index[z]
+            hz, lz = halves.get(iz) or half_codes(iz)
+            rest = s_mask >> (iz + 1) << (iz + 1)
+            descend(z, iz, hz, lz, rest, rest.bit_count(), (), 1 << iz, [])
     except _Stop:
         conclusive = found is not None
     witness = found if target is not None else best_cube
@@ -331,6 +426,8 @@ def map_chunks(fn: Callable[[Sequence], object], items: Sequence, threads: int) 
     """
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")
+    if threads == 1:
+        return [fn(items)]
     k = min(threads, os.cpu_count() or 1, len(items))
     if k <= 1:
         return [fn(items)]

@@ -57,6 +57,12 @@ class TestMValue:
         code, _ = run(["mvalue", "/nonexistent/file.txt"])
         assert code == 2
 
+    def test_bounding_box_over_limit_exits_2(self, tmp_path):
+        p = tmp_path / "far.txt"
+        p.write_text("1000000 3\n0 0 0\n999999 999999 999999\n")
+        code, out = run(["mvalue", str(p)])
+        assert code == 2 and "bounding box" in json.loads(out)["error"]
+
     def test_budget_exceeded_exits_3(self, tmp_path):
         p = tmp_path / "full4.txt"
         pts = [f"{a} {b} {c} {d}" for a in (0, 1) for b in (0, 1) for c in (0, 1) for d in (0, 1)]

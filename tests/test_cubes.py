@@ -1,5 +1,6 @@
 """Affine cubes: vertex generation, notions, search, oracle, f_N(n, c)."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -25,7 +26,7 @@ from gridcubes.cubes import (
     m_value_oracle,
     m_value_oracle_all,
 )
-from gridcubes.grid import GridParams, PointSet
+from gridcubes.grid import MATERIALIZE_LIMIT, GridParams, PointSet
 
 VI = CubeNotion.VERTEX_INJECTIVE
 IND = CubeNotion.INDEPENDENT_GENERATORS
@@ -277,9 +278,11 @@ class TestSearchChecksGate:
 
 class TestEncodingEdges:
     def test_oracle_differential_on_corner_sets(self):
-        # Shifts are coded in base 2N-1 inside the search; in base N a shift
-        # such as (1, -1) would alias (0, 1), and sets holding grid corners
-        # put such shifts next to points on the grid boundary.
+        # The search indexes the cells of S's bounding box in mixed radix, so
+        # a cell x plus a shift such as (1, -1) can land on the index of
+        # another cell when x + d leaves the box in some coordinate.  The
+        # guard masks drop those cells from each child; sets holding grid
+        # corners put such shifts next to points on the box boundary.
         rng = random.Random(2718)
         for N, n in [(7, 1), (3, 2), (5, 2), (4, 3), (2, 6)]:
             grid = GridParams(N, n)
@@ -300,6 +303,71 @@ class TestEncodingEdges:
                     assert w == expected
                     assert find_cube(s, m, notion) == expected
                     assert find_cube(s, m + 1, notion) is None
+
+
+class TestNotionCollapseAtTwo:
+    """In {0,1}^n a valid shift has support disjoint from every earlier
+    generator, so the three notions agree and the search skips their tests;
+    the oracle checks rank and Smith form directly."""
+
+    def check(self, s):
+        oracle = m_value_oracle_all(s)
+        assert len(set(oracle.values())) == 1
+        results = {m_value(s, notion) for notion in CubeNotion}
+        assert len(results) == 1
+        (m, witness), = results
+        assert m == oracle[VI]
+        for notion in CubeNotion:
+            assert is_cube_in(s, witness, notion)
+
+    def test_every_subset_of_the_3_cube(self):
+        grid = GridParams(2, 3)
+        pts = list(grid.points())
+        for mask in range(1, 1 << 8):
+            self.check(PointSet(grid, [pts[i] for i in range(8) if mask >> i & 1]))
+
+    def test_seeded_subsets_up_to_dimension_7(self):
+        rng = random.Random(1618)
+        for n, count, max_size in [(4, 40, 16), (5, 30, 24), (6, 20, 26), (7, 10, 24)]:
+            grid = GridParams(2, n)
+            for _ in range(count):
+                size = rng.randint(1, max_size)
+                self.check(PointSet.from_indices(grid, rng.sample(range(grid.size), size)))
+
+
+class TestBoxIndexing:
+    def test_translate_into_a_huge_grid(self):
+        # only the bounding box of S is indexed, so the grid size is free
+        rng = random.Random(1009)
+        big = GridParams(10 ** 6, 3)
+        offset = (123456, 999990, 7)
+        for N in (2, 3, 4):
+            grid = GridParams(N, 3)
+            for _ in range(8):
+                small = PointSet.from_indices(grid, rng.sample(range(grid.size), rng.randint(1, grid.size)))
+                moved = PointSet(big, [tuple(a + b for a, b in zip(p, offset)) for p in small])
+                for notion in CubeNotion:
+                    m, w = m_value(small, notion)
+                    shifted = AffineCube(tuple(a + b for a, b in zip(w.base, offset)), w.generators)
+                    assert m_value(moved, notion) == (m, shifted)
+                    assert find_cube(moved, m, notion) == shifted
+                    assert find_cube(moved, m + 1, notion) is None
+
+    def test_box_limit(self):
+        # 10^18 cells: a ValueError (not MemoryError) shows the box is
+        # refused before any mask is allocated
+        huge = PointSet(GridParams(10 ** 6, 3), [(0, 0, 0), (999999,) * 3])
+        with pytest.raises(ValueError, match="bounding box"):
+            m_value(huge)
+        with pytest.raises(ValueError, match="bounding box"):
+            find_cube(huge, 1)
+        side = math.isqrt(MATERIALIZE_LIMIT)
+        assert side * side == MATERIALIZE_LIMIT
+        over = PointSet(GridParams(side + 1, 2), [(0, 0), (side, side - 1)])
+        with pytest.raises(ValueError, match="bounding box"):
+            m_value(over, VI)
+        at_limit = PointSet(GridParams(side, 2), [(0, 0), (side - 1, side - 1)])
+        assert m_value(at_limit, VI) == (1, AffineCube((0, 0), ((side - 1, side - 1),)))
 
 
 class TestMValue:
