@@ -102,10 +102,10 @@ def _canonical_argv(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     """Every parsed value in parser order: positionals always, options when
     not None, the subcommand's own arguments after its name.
 
-    --threads stays out: merges are deterministic, so results match across
-    thread counts whenever the search completes, and a manifest replay at the
-    default thread count reproduces them.  At the budget boundary the thread
-    count can still decide between a result and exit 3 (ROADMAP item 4).
+    --threads stays out: it only splits toric's minimum-distance scan, whose
+    minimum does not depend on the split, and the cube search runs in one
+    process, so results do not depend on the thread count at any budget and
+    a manifest replay at the default thread count reproduces them.
     """
     argv: list[str] = []
     for action in parser._actions:
@@ -168,7 +168,7 @@ def _read_text(path: str) -> str:
 def _cmd_mvalue(args) -> tuple[int, str]:
     notion = CubeNotion.from_string(args.notion)
     s = parse_point_set(_read_text(args.file))
-    m, witness = m_value(s, notion, budget=args.budget, threads=args.threads)
+    m, witness = m_value(s, notion, budget=args.budget)
     result = {
         "m": m,
         "witness": witness.to_record(notion),

@@ -35,14 +35,11 @@ from __future__ import annotations
 
 import enum
 import math
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from itertools import combinations
 from operator import mul
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
+from typing import Iterator, NamedTuple, Optional, Sequence
 
 from .exactmath import as_fraction
 from .grid import MATERIALIZE_LIMIT, GridParams, Point, PointSet
@@ -226,9 +223,8 @@ def _run_search(
     notion: CubeNotion,
     target: Optional[int],
     budget: int,
-    bases: Sequence[Point],
 ) -> _SearchOutcome:
-    """Depth-first doubling search over the given top-level bases.
+    """Depth-first doubling search from every base of S in lex order.
 
     target=None: exhaust the tree and report the maximal dimension with its
     first (lexicographically minimal) witness.  target=m: stop at the first
@@ -288,7 +284,6 @@ def _run_search(
         strides[i] = strides[i + 1] * widths[i + 1]
     origin = sum(map(mul, lows, strides))
     cell = [sum(map(mul, p, strides)) - origin for p in pts]
-    index = dict(zip(pts, cell))
     point_at = dict(zip(cell, pts))
     bits = bytearray((cells + 7) >> 3)
     for k in cell:
@@ -406,8 +401,7 @@ def _run_search(
 
     conclusive = True
     try:
-        for z in bases:
-            iz = index[z]
+        for z, iz in zip(pts, cell):
             hz, lz = halves.get(iz) or half_codes(iz)
             rest = s_mask >> (iz + 1) << (iz + 1)
             descend(z, iz, hz, lz, rest, rest.bit_count(), (), 1 << iz, [])
@@ -417,62 +411,23 @@ def _run_search(
     return _SearchOutcome(best_m, witness, conclusive, checks)
 
 
-def map_chunks(fn: Callable[[Sequence], object], items: Sequence, threads: int) -> list:
-    """fn applied to round-robin chunks of items, one result per chunk.
-
-    There are at most min(threads, CPU count, len(items)) chunks.  A single
-    chunk (the whole list) runs inline; more run in a process pool with one
-    worker per chunk, so fn and its arguments must pickle.
-    """
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
-    if threads == 1:
-        return [fn(items)]
-    k = min(threads, os.cpu_count() or 1, len(items))
-    if k <= 1:
-        return [fn(items)]
-    chunks = [items[i::k] for i in range(k)]
-    with ProcessPoolExecutor(max_workers=k) as pool:
-        return list(pool.map(fn, chunks))
-
-
-def _best_of(outcomes: Iterable[_SearchOutcome]) -> Optional[AffineCube]:
-    best_cube = None
-    for out in outcomes:
-        if out.witness is None:
-            continue
-        if best_cube is None or out.witness.m > best_cube.m or (
-            out.witness.m == best_cube.m and out.witness.sort_key() < best_cube.sort_key()
-        ):
-            best_cube = out.witness
-    return best_cube
-
-
-def _check_limits(budget: int, threads: int) -> None:
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
+def _check_budget(budget: int) -> None:
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
 
 
-def _search(
-    s: PointSet, notion: CubeNotion, target: Optional[int], budget: int, threads: int
-) -> Optional[AffineCube]:
-    """Run _run_search over every base of a nonempty S and merge the chunks.
-
-    The bases are split as in map_chunks and each chunk gets the full
-    budget; the merged witness equals the sequential one whenever the search
-    completes.  Returns the target-dimension cube or None (target mode), or
-    the maximal cube (target=None).
-    """
-    outcomes = map_chunks(partial(_run_search, s, notion, target, budget), s.points(), threads)
-    cube = _best_of(outcomes)
-    if all(out.conclusive for out in outcomes) or (target is not None and cube is not None):
-        return cube
+def _search(s: PointSet, notion: CubeNotion, target: Optional[int], budget: int) -> Optional[AffineCube]:
+    """_run_search on a nonempty S: the target-dimension cube or None
+    (target mode), or the maximal cube (target=None).  Raises
+    SearchBudgetExceeded when the budget ran out before the answer was
+    certain."""
+    out = _run_search(s, notion, target, budget)
+    if out.conclusive:
+        return out.witness
     raise SearchBudgetExceeded(
         f"budget {budget} exhausted before the answer was certified",
-        best_m=max(out.best_m for out in outcomes),
-        witness=cube,
+        best_m=out.best_m,
+        witness=out.witness,
     )
 
 
@@ -481,17 +436,15 @@ def find_cube(
     m: int,
     notion: CubeNotion = DEFAULT_NOTION,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> Optional[AffineCube]:
     """Canonical-form witness of dimension exactly m inside S, or None.
 
-    The search is exhaustive: None means no such cube exists.  Running out
-    of budget raises SearchBudgetExceeded instead (never reported as None).
-    With threads > 1 the top-level bases are split across processes and each
-    worker gets the full budget; the merged answer equals the sequential one
-    whenever the search completes.
+    The search is exhaustive and runs in this process: None means no such
+    cube exists.  Running out of budget raises SearchBudgetExceeded instead
+    (never reported as None), so the answer depends only on S, the notion
+    and the budget.
     """
-    _check_limits(budget, threads)
+    _check_budget(budget)
     if m < 0:
         raise ValueError(f"cube dimension must be >= 0, got {m}")
     if len(s) == 0:
@@ -500,20 +453,19 @@ def find_cube(
         return None
     if notion is not CubeNotion.VERTEX_INJECTIVE and m > s.grid.dim:
         return None
-    return _search(s, notion, m, budget, threads)
+    return _search(s, notion, m, budget)
 
 
 def m_value(
     s: PointSet,
     notion: CubeNotion = DEFAULT_NOTION,
     budget: int = DEFAULT_BUDGET,
-    threads: int = 1,
 ) -> tuple[int, AffineCube]:
     """The largest cube dimension inside S with a canonical witness."""
-    _check_limits(budget, threads)
+    _check_budget(budget)
     if len(s) == 0:
         raise ValueError("M(S) is undefined for the empty set")
-    cube = _search(s, notion, None, budget, threads)
+    cube = _search(s, notion, None, budget)
     return cube.m, cube
 
 
@@ -611,7 +563,7 @@ def f_exhaustive(
     else:
         if samples < 1:
             raise ValueError("sample count must be positive")
-        if cells > (1 << 24):
+        if cells > MATERIALIZE_LIMIT:
             raise ValueError("grid too large to sample point sets from")
         rng = random.Random(seed)
         subsets = (

@@ -9,14 +9,16 @@ by rational phase-1 simplex pivoting, never floats.
 
 from __future__ import annotations
 
+import os
 from collections import Counter
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import product
 from typing import Optional, Sequence
 
-from .cubes import CubeNotion, DEFAULT_BUDGET, DEFAULT_NOTION, m_value, map_chunks
+from .cubes import CubeNotion, DEFAULT_BUDGET, DEFAULT_NOTION, m_value
 from .grid import GridParams, Point, PointSet
 
 BOX_CAP = 10 ** 7  # enumerable bounding-box volume
@@ -260,9 +262,13 @@ def minimum_distance(code: ToricCode, threads: int = 1) -> int:
     messages whose first nonzero symbol is 1 are weighed, q at a time (see
     _min_weight_scan); the cap still applies to the whole space q^k.  The
     work splits by the projective prefixes of the first min(2, k - 1)
-    symbols, up to q + 2 pieces, over at most `threads` workers (see
-    cubes.map_chunks); the minimum does not depend on the split.
+    symbols, up to q + 2 of them, dealt round-robin to at most
+    min(threads, CPU count) worker processes; a single worker scans
+    in-process.  The minimum does not depend on the split.  This scan is the
+    only work that --threads splits: the cube search runs in one process.
     """
+    if threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {threads}")
     q = code.field.q
     k = code.dimension
     if q ** k > MESSAGE_CAP:
@@ -270,7 +276,12 @@ def minimum_distance(code: ToricCode, threads: int = 1) -> int:
     prefixes = [()]
     for _ in range(min(2, k - 1)):
         prefixes = [p + (v,) for p in prefixes for v in (range(q) if any(p) else (0, 1))]
-    return min(map_chunks(partial(_min_weight_scan, code.matrix, q), prefixes, threads))
+    scan = partial(_min_weight_scan, code.matrix, q)
+    workers = min(threads, os.cpu_count() or 1, len(prefixes))
+    if workers == 1:
+        return scan(prefixes)
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return min(pool.map(scan, [prefixes[i::workers] for i in range(workers)]))
 
 
 @dataclass(frozen=True)

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -10,6 +11,8 @@ import pytest
 
 import gridcubes
 from gridcubes.cli import run, run_from_manifest
+from gridcubes.cubes import DEFAULT_BUDGET, DEFAULT_NOTION, _run_search
+from gridcubes.grid import GridParams, PointSet, format_point_set
 
 SEG_FILE = "5 1\n0\n1\n2\n3\n"
 SEG_POLY = "5 1\n0\n2\n"
@@ -266,6 +269,18 @@ class TestDeterminismAndManifest:
             out1 = run(["--threads", "1"] + case)
             out4 = run(["--threads", "4"] + case)
             assert out1 == out4
+        # the search budget is one global count, so the thread count cannot
+        # decide between exit 3 and a result on either side of the boundary
+        grid = GridParams(3, 4)
+        s = PointSet.from_indices(grid, random.Random(0).sample(range(grid.size), 32))
+        path = tmp_path / "s.txt"
+        path.write_text(format_point_set(s))
+        checks = _run_search(s, DEFAULT_NOTION, None, DEFAULT_BUDGET).checks
+        for budget, exit_code in ((checks - 1, 3), (checks, 0)):
+            outs = [run(["--threads", str(k), "--budget", str(budget), "mvalue", str(path)])
+                    for k in (1, 2, 3)]
+            assert outs[0][0] == exit_code
+            assert outs[1] == outs[0] and outs[2] == outs[0]
 
     def test_manifest_round_trip(self, seg_path):
         for case in self.CASES + [["mvalue", seg_path]]:

@@ -180,75 +180,21 @@ class TestFindCube:
             m_value(s, VI, budget=2)
         assert find_cube(s, 4, VI) is not None  # same query, ample budget
 
-    def test_threads_match_sequential(self):
-        rng = random.Random(5)
-        for _ in range(3):
-            s = PointSet.from_indices(
-                GridParams(3, 2), rng.sample(range(9), 6)
-            )
-            for notion in CubeNotion:
-                seq = find_cube(s, 1, notion)
-                par = find_cube(s, 1, notion, threads=3)
-                assert seq == par
-
-    def test_threads_match_sequential_on_full_searches(self):
-        # M(S), a hit at m = M and an exhaustive "none" at m = M + 1
-        for seed in range(2):
-            rng = random.Random(seed)
-            s = PointSet.from_indices(GridParams(3, 4), rng.sample(range(81), 36))
-            for notion in CubeNotion:
-                m, witness = m_value(s, notion)
-                assert 2 ** (m + 1) <= len(s) and m + 1 <= s.grid.dim  # searched, not cut early
-                assert find_cube(s, m + 1, notion) is None
-                for threads in (2, 3):
-                    assert m_value(s, notion, threads=threads) == (m, witness)
-                    assert find_cube(s, m, notion, threads=threads) == find_cube(s, m, notion)
-                    assert find_cube(s, m + 1, notion, threads=threads) is None
-
-    def test_worker_count_capped_at_cpu_count(self, monkeypatch):
-        from gridcubes import cubes
-        from gridcubes.toric import build_code, minimum_distance, LatticePolytope
-
-        requested = []
-
-        class InlinePool:
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, chunks):
-                return map(fn, chunks)
-
-        monkeypatch.setattr(cubes, "ProcessPoolExecutor", InlinePool)
-        monkeypatch.setattr(cubes.os, "cpu_count", lambda: 3)
-        s = PointSet.full(GridParams(2, 3))
-        assert m_value(s, threads=5000) == m_value(s)
-        assert find_cube(s, 2, threads=5000) == find_cube(s, 2)
-        code = build_code(LatticePolytope([(0,), (3,)]), 7)
-        assert minimum_distance(code, threads=5000) == minimum_distance(code)
-        assert requested == [3, 3, 3]
-
     def test_bad_threads_and_budget_rejected(self):
         s = seg_set()
-        for kwargs in ({"threads": 0}, {"threads": -3}, {"budget": -5}):
+        # the search runs in one process and takes no thread count
+        with pytest.raises(TypeError):
+            m_value(s, threads=2)
+        with pytest.raises(TypeError):
+            find_cube(s, 1, threads=2)
+        with pytest.raises(ValueError):
+            m_value(s, budget=-5)
+        with pytest.raises(ValueError):
+            find_cube(s, 1, budget=-5)
+        # rejected before the size checks that answer None unsearched
+        for small, m in ((s, 3), (s, 31), (PointSet.empty(GridParams(2, 2)), 1)):
             with pytest.raises(ValueError):
-                m_value(s, **kwargs)
-            with pytest.raises(ValueError):
-                find_cube(s, 1, **kwargs)
-            # rejected before the size checks that answer None unsearched
-            for small, m in ((s, 3), (s, 31), (PointSet.empty(GridParams(2, 2)), 1)):
-                with pytest.raises(ValueError):
-                    find_cube(small, m, **kwargs)
-
-    def test_threads_budget_still_raises(self):
-        s = PointSet.full(GridParams(2, 4))
-        with pytest.raises(SearchBudgetExceeded):
-            find_cube(s, 4, VI, budget=2, threads=2)
+                find_cube(small, m, budget=-5)
 
 
 class TestSearchChecksGate:
@@ -269,9 +215,9 @@ class TestSearchChecksGate:
             grid = GridParams(N, n)
             s = PointSet.from_indices(grid, random.Random(0).sample(range(grid.size), size))
             for notion in CubeNotion:
-                best = _run_search(s, notion, None, DEFAULT_BUDGET, s.points())
+                best = _run_search(s, notion, None, DEFAULT_BUDGET)
                 assert best.conclusive and best.checks <= max_checks
-                over = _run_search(s, notion, best.best_m + 1, DEFAULT_BUDGET, s.points())
+                over = _run_search(s, notion, best.best_m + 1, DEFAULT_BUDGET)
                 assert over.conclusive and over.witness is None
                 assert over.checks <= over_checks
 

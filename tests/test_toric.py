@@ -7,7 +7,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from gridcubes import cubes
+from gridcubes import toric
 from gridcubes.toric import (
     LatticePolytope,
     PrimeField,
@@ -45,8 +45,8 @@ def naive_min_distance(matrix, q):
 
 @pytest.fixture
 def inline_pool(monkeypatch):
-    """Run map_chunks' pool in-process with 3 CPUs; returns the worker counts
-    asked for."""
+    """Run minimum_distance's pool in-process with 3 CPUs; returns the worker
+    counts asked for."""
     requested = []
 
     class InlinePool:
@@ -62,8 +62,8 @@ def inline_pool(monkeypatch):
         def map(self, fn, chunks):
             return map(fn, chunks)
 
-    monkeypatch.setattr(cubes, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(cubes.os, "cpu_count", lambda: 3)
+    monkeypatch.setattr(toric, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(toric.os, "cpu_count", lambda: 3)
     return requested
 
 
@@ -214,6 +214,8 @@ class TestMinimumDistance:
     def test_threads_agree(self):
         code = build_code(segment(3), 7)
         assert minimum_distance(code) == minimum_distance(code, threads=3)
+        with pytest.raises(ValueError):
+            minimum_distance(code, threads=0)
 
     def test_against_flat_enumeration(self):
         rng = random.Random(77)
@@ -248,7 +250,7 @@ class TestMinimumDistance:
                                      tuple(map(tuple, matrix)), block)
                     want = naive_min_distance(code.matrix, q)
                     pieces = {1: 1, 2: 2}.get(k, q + 2)
-                    for threads in (1, 2, 3):
+                    for threads in (1, 2, 3, 5):
                         inline_pool.clear()
                         assert minimum_distance(code, threads=threads) == want
                         workers = min(threads, 3, pieces)
