@@ -35,8 +35,10 @@ from .cubes import (
     CubeNotion,
     DEFAULT_BUDGET,
     DEFAULT_NOTION,
+    GridBox,
     anchored_cubes,
     find_cube,
+    find_cube_in_box,
 )
 from .exactmath import as_fraction, pow_at_least
 from .grid import MATERIALIZE_LIMIT, GridParams, PointSet
@@ -61,6 +63,8 @@ class SamplerConfig:
             raise ValueError(f"inclusion probability must lie in (0, 1), got {self.p}")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+        if self.search_budget < 0:
+            raise ValueError(f"search_budget must be >= 0, got {self.search_budget}")
 
 
 @dataclass(frozen=True)
@@ -110,10 +114,13 @@ def moser_tardos_sample(grid: GridParams, r: int, config: SamplerConfig) -> Samp
     """Resample violating r-cubes until none remain or rounds run out.
 
     Deterministic for a fixed config: one random stream drives both the
-    initial sample and every redraw, the violating cube is always the
-    canonically smallest one, and its cells are redrawn in index order.
-    A search-budget blowup propagates as SearchBudgetExceeded (the outcome
-    is then unknown, which is different from an honest failure).
+    initial sample (one draw per cell, in grid.index_of order) and every
+    redraw, the violating cube is always the canonically smallest one, and
+    its cells are redrawn in grid.index_of order.  The current set is a
+    cell mask of one GridBox of the grid, so every round's search shares
+    the box's guard masks, and the PointSet is built once, at return.  A
+    search-budget blowup propagates as SearchBudgetExceeded (the outcome is
+    then unknown, which is different from an honest failure).
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -121,20 +128,18 @@ def moser_tardos_sample(grid: GridParams, r: int, config: SamplerConfig) -> Samp
         raise ValueError(f"grid with {grid.size} cells is too large to sample")
     rng = random.Random(config.seed)
     p = float(config.p)
-    included = {idx for idx in range(grid.size) if rng.random() < p}
+    box = GridBox.of_grid(grid)
+    cell_of = box.index_map()
+    included = box.mask(cell_of(idx) for idx in range(grid.size) if rng.random() < p)
     rounds = 0
     while True:
-        current = PointSet.from_indices(grid, included)
-        cube = find_cube(current, r, config.notion, budget=config.search_budget)
-        if cube is None:
-            return SampleOutcome(current, rounds, True, None)
-        if rounds >= config.max_rounds:
-            return SampleOutcome(current, rounds, False, cube)
-        for idx in sorted(grid.index_of(v) for v in cube.vertices()):
-            if rng.random() < p:
-                included.add(idx)
-            else:
-                included.discard(idx)
+        cube = find_cube_in_box(box, included, r, config.notion, config.search_budget)
+        if cube is None or rounds >= config.max_rounds:
+            current = PointSet(grid, map(box.point, box.cells_of(included)))
+            return SampleOutcome(current, rounds, cube is None, cube)
+        for v in sorted(cube.vertices(), key=grid.index_of):
+            bit = 1 << box.cell(v)
+            included = included | bit if rng.random() < p else included & ~bit
         rounds += 1
 
 

@@ -21,14 +21,17 @@ V + d inside S (the candidate-set idea of Bron-Kerbosch): after adding d,
 the shift e stays valid iff d + e was valid too.  Adding k more generators
 needs 2^k - 1 valid shifts, their nonzero subset sums, so a node with few
 left is cut.  The valid shifts of a node are one integer bitmask over the
-cells of S's bounding box, numbered in mixed radix with the first
+cells of a GridBox around S, numbered in mixed radix with the first
 coordinate most significant, so bit order is lex order and the canonical
 shifts from a base z are the bits above z; one shift and AND, with a guard
 mask against indices that wrap around the box, gives each child (as in
-bit-parallel clique search, San Segundo et al. 2011).  For a subset of
-[2]^n the three notions coincide and the search tests none of them.  A
-box of more than grid.MATERIALIZE_LIMIT cells is refused.  The API and
-PointSet stay tuple-only.
+bit-parallel clique search, San Segundo et al. 2011).  find_cube and
+m_value search S's own bounding box; f_exhaustive and the resampling loop
+of construct search cell masks of one box of the whole grid, whose guard
+masks all their subsets share.  For a subset of [2]^n the three notions
+coincide and the search tests none of them.  A box of more than
+grid.MATERIALIZE_LIMIT cells is refused.  The API and PointSet stay
+tuple-only.
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ import random
 from dataclasses import dataclass
 from itertools import combinations
 from operator import mul
-from typing import Iterator, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exactmath import as_fraction
 from .grid import MATERIALIZE_LIMIT, GridParams, Point, PointSet
@@ -207,6 +210,132 @@ def extend_cube(a: Sequence[int], b: Sequence[int], inner: AffineCube) -> Affine
     return AffineCube(a + inner.base, gens)
 
 
+class GridBox:
+    """The cells of a box of grid points, numbered in mixed radix with the
+    first coordinate most significant, so bit order is lex order: a subset
+    of the box is one int mask over its cells.
+
+    The box also keeps what the searches over its subsets share: the
+    decoded points, the half codes and the guard masks (see _run_box_search).
+    A box of more than MATERIALIZE_LIMIT cells raises ValueError before any
+    mask is built.
+    """
+
+    __slots__ = ("dim", "lows", "widths", "strides", "cells", "origin", "h",
+                 "points", "halves", "guard_hi", "guard_lo")
+
+    def __init__(self, lows: Sequence[int], widths: Sequence[int]):
+        cells = math.prod(widths)
+        if cells > MATERIALIZE_LIMIT:
+            raise ValueError(
+                f"bounding box of the set has {cells} cells, more than the search limit {MATERIALIZE_LIMIT}"
+            )
+        n = len(widths)
+        strides = [1] * n
+        for i in range(n - 2, -1, -1):
+            strides[i] = strides[i + 1] * widths[i + 1]
+        self.dim = n
+        self.lows = list(lows)
+        self.widths = list(widths)
+        self.strides = strides
+        self.cells = cells
+        self.origin = sum(map(mul, lows, strides))
+        self.h = (n + 1) // 2
+        self.points: dict[int, Point] = {}
+        self.halves: dict[int, tuple[int, int]] = {}
+        self.guard_hi: dict[int, int] = {}
+        self.guard_lo: dict[int, int] = {}
+
+    @classmethod
+    def of_grid(cls, grid: GridParams) -> "GridBox":
+        return cls([0] * grid.dim, [grid.base] * grid.dim)
+
+    def cell(self, p: Sequence[int]) -> int:
+        return sum(map(mul, p, self.strides)) - self.origin
+
+    def point(self, k: int) -> Point:
+        """The point at cell k, decoded once per box."""
+        p = self.points.get(k)
+        if p is None:
+            p = self.points[k] = tuple(
+                lo + k // st % w for lo, st, w in zip(self.lows, self.strides, self.widths)
+            )
+        return p
+
+    def mask(self, cells: Iterable[int]) -> int:
+        bits = bytearray((self.cells + 7) >> 3)
+        for k in cells:
+            bits[k >> 3] |= 1 << (k & 7)
+        return int.from_bytes(bits, "little")
+
+    @staticmethod
+    def cells_of(mask: int) -> list[int]:
+        """The set bits of mask, low first (lex order of their points)."""
+        bits = bin(mask)[:1:-1]
+        out = []
+        k = bits.find("1")
+        while k >= 0:
+            out.append(k)
+            k = bits.find("1", k + 1)
+        return out
+
+    def index_map(self) -> Callable[[int], int]:
+        """For the box of a whole grid: the cell of a grid.index_of index,
+        which puts the first coordinate least significant.  The digits are
+        reversed by one table over the first n // 2 coordinates and one over
+        the rest, so neither has more than about sqrt(N^n) entries."""
+        tables = []
+        for part in (slice(0, self.dim // 2), slice(self.dim // 2, None)):
+            table = [0]
+            for stride, width in zip(self.strides[part], self.widths[part]):
+                table = [t + x * stride for x in range(width) for t in table]
+            tables.append(table)
+        low, high = tables
+        split = len(low)
+        return lambda index: low[index % split] + high[index // split]
+
+    def half_codes(self, k: int) -> tuple[int, int]:
+        """Codes of the point at cell k over coordinates 1..h-1 and h..n-1,
+        in base 2w_i - 1: a difference of codes names one half of d."""
+        p = self.points[k]
+        hc = lc = 0
+        for i in range(1, self.h):
+            hc = hc * (2 * self.widths[i] - 1) + p[i]
+        for i in range(self.h, self.dim):
+            lc = lc * (2 * self.widths[i] - 1) + p[i]
+        self.halves[k] = (hc, lc)
+        return hc, lc
+
+    def guard(self, cache: dict, key: int, coords: range, k: int, z: Point) -> int:
+        """Cells x with x_i + d_i in the box for i in coords, d = cell k - z."""
+        mask = (1 << self.cells) - 1
+        for i in coords:
+            d = self.points[k][i] - z[i]
+            if not d:
+                continue
+            a, b = max(0, -d), self.widths[i] - 1 - max(0, d)
+            stride = self.strides[i]
+            run = ((1 << ((b - a + 1) * stride)) - 1) << (a * stride)
+            span = stride * self.widths[i]
+            while span < self.cells:  # repeat the run in every block of coordinate i
+                run |= run << span
+                span <<= 1
+            mask &= run
+        cache[key] = mask
+        return mask
+
+
+def _box_of(s: PointSet) -> tuple[GridBox, int]:
+    """S's own bounding box, with S's points decoded, and S as a cell mask."""
+    pts = s.points()
+    columns = list(zip(*pts)) or [(0,)] * s.grid.dim
+    lows = list(map(min, columns))
+    box = GridBox(lows, [hi - lo + 1 for hi, lo in zip(map(max, columns), lows)])
+    cells = list(map(box.cell, pts))
+    box.points.update(zip(cells, pts))
+    return box, box.mask(cells)
+
+
 class _SearchOutcome(NamedTuple):
     best_m: int
     witness: Optional[AffineCube]  # target mode: the target-dimension cube, if found
@@ -224,35 +353,48 @@ def _run_search(
     target: Optional[int],
     budget: int,
 ) -> _SearchOutcome:
-    """Depth-first doubling search from every base of S in lex order.
+    """_run_box_search on S's own bounding box, so the grid may be far
+    larger than MATERIALIZE_LIMIT cells as long as that box is not."""
+    return _run_box_search(*_box_of(s), notion, target, budget)
+
+
+def _run_box_search(
+    box: GridBox,
+    s_mask: int,
+    notion: CubeNotion,
+    target: Optional[int],
+    budget: int,
+) -> _SearchOutcome:
+    """Depth-first doubling search from every base of S in lex order, where
+    S is the set of cells in s_mask.
 
     target=None: exhaust the tree and report the maximal dimension with its
     first (lexicographically minimal) witness.  target=m: stop at the first
     cube of dimension exactly m.  `conclusive` is False only when the budget
     ran out before the answer was certain.
 
-    The cells of S's bounding box, widths w_i, are numbered in mixed radix,
-    first coordinate most significant, so bit order is lex order; a box of
-    more than MATERIALIZE_LIMIT cells raises ValueError before any mask is
-    built.  A node is a cube with base z, generators g_1 < ... < g_m and
-    vertex set V; it carries the bitmask of the cells z + d for the
-    canonical shifts d > g_m with V + d inside S (at a base, the cells of S
-    above z), and takes them low bit first.  With `rest` the bits above d
-    and o the index offset of d, the child is rest & (rest >> o) & guard(d),
-    since V u (V + d) + e lies in S iff e and d + e are valid.  guard(d)
-    keeps the cells x with x + d inside the box in coordinates 1..n-1,
-    where the index of x plus o could name another cell; past the box in
-    the first coordinate it names no cell.  guard(d) is the AND of two
-    masks keyed by d's coordinates 1..h-1 and h..n-1, h = ceil(n/2), built
-    on first use and kept for the call: at most
-    prod_{0<i<h} (2w_i - 1) + prod_{h<=i<n} (2w_i - 1) masks of prod w_i
-    bits, whatever |S|, the budget or the number of checks (972 masks of
-    512 bytes for [2]^12).
+    The box's cells, widths w_i, are numbered in mixed radix, first
+    coordinate most significant, so bit order is lex order.  A node is a
+    cube with base z, generators g_1 < ... < g_m and vertex set V; it
+    carries the bitmask of the cells z + d for the canonical shifts d > g_m
+    with V + d inside S (at a base, the cells of S above z), and takes them
+    low bit first.  With `rest` the bits above d and o the index offset of
+    d, the child is rest & (rest >> o) & guard(d), since V u (V + d) + e
+    lies in S iff e and d + e are valid.  guard(d) keeps the cells x with
+    x + d inside the box in coordinates 1..n-1, where the index of x plus o
+    could name another cell; past the box in the first coordinate it names
+    no cell.  guard(d) is the AND of two masks keyed by d's coordinates
+    1..h-1 and h..n-1, h = ceil(n/2), built on first use and kept by the
+    box: at most prod_{0<i<h} (2w_i - 1) + prod_{h<=i<n} (2w_i - 1) masks of
+    prod w_i bits, whatever |S|, the budget, the number of checks or the
+    number of subsets searched (972 masks of 512 bytes for [2]^12).  Cells
+    outside S are never valid, so the valid shifts, the checks and the
+    witness do not depend on which box around S is used.
 
     A check is one valid shift tried.  It tests injectivity, V and V + d
     disjoint as vmask & (vmask << o) (vertex-injective notion only;
     independence implies it), then independence and the Smith form.  When
-    S spans at most two values per coordinate, as every subset of [2]^n
+    the box spans at most two values per coordinate, as every box of [2]^n
     does, every notion holds and no test runs: on the support of g_j both
     v and v + g_j lie in {a, a + 1}, so a valid d is zero there, and
     distinct nonzero {-1, 0, 1} vectors with disjoint supports are
@@ -266,66 +408,17 @@ def _run_search(
     entered; the guard only removes bits, so its count is first bounded
     without it.
     """
-    pts = s.points()
+    bases = box.cells_of(s_mask)
+    pts = list(map(box.point, bases))
     best_cube = AffineCube(pts[0]) if pts else None
     if target == 0:
         return _SearchOutcome(0, best_cube, True, 0)
-    n = s.grid.dim
-    columns = list(zip(*pts))
-    lows = list(map(min, columns))
-    widths = [hi - lo + 1 for hi, lo in zip(map(max, columns), lows)]
-    cells = math.prod(widths)
-    if cells > MATERIALIZE_LIMIT:
-        raise ValueError(
-            f"bounding box of the set has {cells} cells, more than the search limit {MATERIALIZE_LIMIT}"
-        )
-    strides = [1] * n
-    for i in range(n - 2, -1, -1):
-        strides[i] = strides[i + 1] * widths[i + 1]
-    origin = sum(map(mul, lows, strides))
-    cell = [sum(map(mul, p, strides)) - origin for p in pts]
-    point_at = dict(zip(cell, pts))
-    bits = bytearray((cells + 7) >> 3)
-    for k in cell:
-        bits[k >> 3] |= 1 << (k & 7)
-    s_mask = int.from_bytes(bits, "little")
-    full = (1 << cells) - 1
-    h = (n + 1) // 2
-    halves: dict[int, tuple[int, int]] = {}
-    guard_hi: dict[int, int] = {}
-    guard_lo: dict[int, int] = {}
-
-    def half_codes(k):
-        """Codes of the point at cell k over coordinates 1..h-1 and h..n-1,
-        in base 2w_i - 1: a difference of codes names one half of d."""
-        p = point_at[k]
-        hc = lc = 0
-        for i in range(1, h):
-            hc = hc * (2 * widths[i] - 1) + p[i]
-        for i in range(h, n):
-            lc = lc * (2 * widths[i] - 1) + p[i]
-        halves[k] = (hc, lc)
-        return hc, lc
-
-    def guard(cache, key, coords, k, z):
-        """Cells x with x_i + d_i in the box for i in coords, d = cell k - z."""
-        mask = full
-        for i in coords:
-            d = point_at[k][i] - z[i]
-            if not d:
-                continue
-            a, b = max(0, -d), widths[i] - 1 - max(0, d)
-            run = ((1 << ((b - a + 1) * strides[i])) - 1) << (a * strides[i])
-            span = strides[i] * widths[i]
-            while span < cells:  # repeat the run in every block of coordinate i
-                run |= run << span
-                span <<= 1
-            mask &= run
-        cache[key] = mask
-        return mask
+    n, h = box.dim, box.h
+    point_at, halves, guard_hi, guard_lo = box.points, box.halves, box.guard_hi, box.guard_lo
+    half_codes, guard = box.half_codes, box.guard
 
     size = len(pts)
-    two_valued = all(w <= 2 for w in widths)
+    two_valued = all(w <= 2 for w in box.widths)
     injective_only = notion is CubeNotion.VERTEX_INJECTIVE
     unimodular = notion is CubeNotion.UNIMODULAR
     test_injective = injective_only and not two_valued
@@ -401,7 +494,7 @@ def _run_search(
 
     conclusive = True
     try:
-        for z, iz in zip(pts, cell):
+        for z, iz in zip(pts, bases):
             hz, lz = halves.get(iz) or half_codes(iz)
             rest = s_mask >> (iz + 1) << (iz + 1)
             descend(z, iz, hz, lz, rest, rest.bit_count(), (), 1 << iz, [])
@@ -416,12 +509,23 @@ def _check_budget(budget: int) -> None:
         raise ValueError(f"budget must be >= 0, got {budget}")
 
 
-def _search(s: PointSet, notion: CubeNotion, target: Optional[int], budget: int) -> Optional[AffineCube]:
-    """_run_search on a nonempty S: the target-dimension cube or None
+def _too_small(size: int, dim: int, m: int, notion: CubeNotion) -> bool:
+    """True when no m-cube fits a set of `size` points of a dim-dimensional
+    grid: too few points for 2^m vertices, or more independent generators
+    than dimensions.  Every target-mode search asks this first."""
+    if m > VERTEX_CAP or size < 2 ** m:
+        return True
+    return notion is not CubeNotion.VERTEX_INJECTIVE and m > dim
+
+
+def _search(
+    box: GridBox, s_mask: int, notion: CubeNotion, target: Optional[int], budget: int
+) -> Optional[AffineCube]:
+    """_run_box_search on a nonempty S: the target-dimension cube or None
     (target mode), or the maximal cube (target=None).  Raises
     SearchBudgetExceeded when the budget ran out before the answer was
     certain."""
-    out = _run_search(s, notion, target, budget)
+    out = _run_box_search(box, s_mask, notion, target, budget)
     if out.conclusive:
         return out.witness
     raise SearchBudgetExceeded(
@@ -429,6 +533,17 @@ def _search(s: PointSet, notion: CubeNotion, target: Optional[int], budget: int)
         best_m=out.best_m,
         witness=out.witness,
     )
+
+
+def find_cube_in_box(
+    box: GridBox, s_mask: int, m: int, notion: CubeNotion, budget: int
+) -> Optional[AffineCube]:
+    """find_cube for the set of cells in s_mask, on a box shared with other
+    subsets (the f loop's and the sampler's); m and budget are the
+    caller's to check."""
+    if _too_small(s_mask.bit_count(), box.dim, m, notion):
+        return None
+    return _search(box, s_mask, notion, m, budget)
 
 
 def find_cube(
@@ -447,13 +562,9 @@ def find_cube(
     _check_budget(budget)
     if m < 0:
         raise ValueError(f"cube dimension must be >= 0, got {m}")
-    if len(s) == 0:
+    if _too_small(len(s), s.grid.dim, m, notion):
         return None
-    if m > VERTEX_CAP or len(s) < 2 ** m:
-        return None
-    if notion is not CubeNotion.VERTEX_INJECTIVE and m > s.grid.dim:
-        return None
-    return _search(s, notion, m, budget)
+    return _search(*_box_of(s), notion, m, budget)
 
 
 def m_value(
@@ -465,7 +576,7 @@ def m_value(
     _check_budget(budget)
     if len(s) == 0:
         raise ValueError("M(S) is undefined for the empty set")
-    cube = _search(s, notion, None, budget)
+    cube = _search(*_box_of(s), notion, None, budget)
     return cube.m, cube
 
 
@@ -543,38 +654,44 @@ def f_exhaustive(
     """Exact f_N(n, c): the minimum of M(S) over subsets of density >= c.
 
     Exhaustive mode enumerates every subset of the least qualifying size
-    (grid size capped at 16 cells); M is monotone under inclusion, so larger
-    subsets cannot lower the minimum.  Pass `samples` for a seeded sampled
-    variant (an upper estimate, not exact).  A subset qualifies iff
-    |S| >= ceil(c * N^n).
+    (grid size capped at 16 cells) in lex order; M is monotone under
+    inclusion, so larger subsets cannot lower the minimum.  Pass `samples`
+    for a seeded sampled variant (an upper estimate, not exact): each
+    sample is rng.sample(range(N^n), k) of grid.index_of indices.  A subset
+    qualifies iff |S| >= ceil(c * N^n).
+
+    Every subset is a cell mask of one GridBox of [N]^n, built once per
+    call, so the subsets share its decoded points and guard masks and no
+    PointSet is built.
     """
+    _check_budget(budget)
     c = as_fraction(c)
     if not 0 < c <= 1:
         raise ValueError(f"density threshold must lie in (0, 1], got {c}")
     grid = GridParams(N, n)
     cells = grid.size
     k_min = max(1, math.ceil(c * cells))
+    if samples is None and cells > 16:
+        raise ValueError(f"exhaustive mode handles at most 16 cells, got {cells}; pass samples=")
+    if samples is not None and samples < 1:
+        raise ValueError("sample count must be positive")
+    if cells > MATERIALIZE_LIMIT:
+        raise ValueError("grid too large to sample point sets from")
+    box = GridBox.of_grid(grid)
     if samples is None:
-        if cells > 16:
-            raise ValueError(
-                f"exhaustive mode handles at most 16 cells, got {cells}; pass samples="
-            )
-        subsets = combinations(grid.points(), k_min)
+        masks = map(box.mask, combinations(range(cells), k_min))
     else:
-        if samples < 1:
-            raise ValueError("sample count must be positive")
-        if cells > MATERIALIZE_LIMIT:
-            raise ValueError("grid too large to sample point sets from")
+        cell_of = box.index_map()
         rng = random.Random(seed)
-        subsets = (
-            map(grid.point_of, rng.sample(range(cells), k_min)) for _ in range(samples)
+        masks = (
+            box.mask(map(cell_of, rng.sample(range(cells), k_min)))
+            for _ in range(samples)
         )
     mu: Optional[int] = None
-    for points in subsets:
-        sub = PointSet(grid, points)
-        if mu is not None and find_cube(sub, mu, notion, budget=budget) is not None:
+    for s_mask in masks:
+        if mu is not None and find_cube_in_box(box, s_mask, mu, notion, budget) is not None:
             continue  # M(sub) >= mu, cannot lower the minimum
-        mu = m_value(sub, notion, budget=budget)[0]
+        mu = _search(box, s_mask, notion, None, budget).m
         if mu == 0:
             return 0
     return mu

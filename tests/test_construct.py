@@ -19,7 +19,7 @@ from gridcubes.construct import (
     sparse_exponent_chain,
     verify_construction,
 )
-from gridcubes.cubes import AffineCube, CubeNotion, SearchBudgetExceeded
+from gridcubes.cubes import AffineCube, CubeNotion, SearchBudgetExceeded, find_cube
 from gridcubes.grid import GridParams, PointSet
 
 
@@ -97,6 +97,12 @@ class TestSamplerConfig:
         with pytest.raises(ValueError):
             SamplerConfig(p=Fraction(1, 2), max_rounds=0)
 
+    def test_negative_search_budget(self):
+        # rejected here, not inside the first search after the initial draw
+        with pytest.raises(ValueError, match="search_budget"):
+            SamplerConfig(p=Fraction(1, 2), search_budget=-1)
+        assert SamplerConfig(p=Fraction(1, 2), search_budget=0).search_budget == 0
+
 
 class TestMoserTardos:
     def test_sparse_initial_sample_is_already_clean(self):
@@ -132,6 +138,42 @@ class TestMoserTardos:
             assert len(out.point_set) <= 1
         else:
             assert out.rounds == 50 and out.last_violation is not None
+
+    def test_against_reference_loop(self):
+        # slow path: a PointSet of grid.index_of indices and find_cube every
+        # round, drawing from the random stream in the same order
+        def reference(grid, r, config):
+            rng = random.Random(config.seed)
+            p = float(config.p)
+            included = {idx for idx in range(grid.size) if rng.random() < p}
+            rounds = 0
+            while True:
+                current = PointSet.from_indices(grid, included)
+                cube = find_cube(current, r, config.notion, budget=config.search_budget)
+                if cube is None or rounds >= config.max_rounds:
+                    return rounds, cube is None, current, cube
+                for idx in sorted(grid.index_of(v) for v in cube.vertices()):
+                    if rng.random() < p:
+                        included.add(idx)
+                    else:
+                        included.discard(idx)
+                rounds += 1
+
+        cases = [((2, 5), 3, Fraction(1, 2), 100), ((2, 6), 3, Fraction(1, 2), 100),
+                 ((3, 3), 2, Fraction(1, 2), 100), ((3, 3), 2, Fraction(2, 3), 100),
+                 ((2, 6), 2, Fraction(3, 4), 5)]  # the last one runs out of rounds
+        resampled = exhausted = 0
+        for (N, n), r, p, max_rounds in cases:
+            grid = GridParams(N, n)
+            for notion in CubeNotion:
+                for seed in range(4):
+                    config = SamplerConfig(p=p, seed=seed, max_rounds=max_rounds, notion=notion)
+                    out = moser_tardos_sample(grid, r, config)
+                    got = (out.rounds, out.success, out.point_set, out.last_violation)
+                    assert got == reference(grid, r, config), (N, n, r, notion, seed)
+                    resampled += out.rounds > 0
+                    exhausted += not out.success
+        assert resampled >= 40 and exhausted == 12
 
     def test_budget_propagates(self):
         with pytest.raises(SearchBudgetExceeded):

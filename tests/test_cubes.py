@@ -13,8 +13,10 @@ from gridcubes.cubes import (
     DEFAULT_BUDGET,
     AffineCube,
     CubeNotion,
+    GridBox,
     SearchBudgetExceeded,
     _leading_positive,
+    _run_box_search,
     _run_search,
     _sub,
     cube_vertices,
@@ -299,6 +301,31 @@ class TestBoxIndexing:
                     assert find_cube(moved, m, notion) == shifted
                     assert find_cube(moved, m + 1, notion) is None
 
+    def test_grid_box_matches_own_box(self):
+        # The f loop and the sampler search cell masks of the whole grid's
+        # box, one box shared by every subset; cells outside S are never
+        # valid shifts, so the answer and the check count must not depend
+        # on the box.  Every subset here has a box strictly inside the grid.
+        rng = random.Random(4242)
+        for N, n, count in [(2, 4, 12), (2, 5, 12), (2, 6, 10), (2, 7, 6),
+                            (3, 3, 12), (3, 4, 10), (4, 3, 10)]:
+            grid = GridParams(N, n)
+            box = GridBox.of_grid(grid)
+            for _ in range(count):
+                spans = [sorted(rng.sample(range(N), 2)) for _ in range(n)]
+                spans[rng.randrange(n)] = [rng.randrange(N)] * 2  # one flat coordinate
+                cells = [p for p in grid.points() if all(a <= x <= b for x, (a, b) in zip(p, spans))]
+                s = PointSet(grid, rng.sample(cells, rng.randint(1, min(len(cells), 24))))
+                assert math.prod(hi - lo + 1 for lo, hi in
+                                 zip(map(min, zip(*s)), map(max, zip(*s)))) < grid.size
+                s_mask = box.mask(map(box.cell, s))
+                for notion in CubeNotion:
+                    best = _run_search(s, notion, None, DEFAULT_BUDGET)
+                    assert _run_box_search(box, s_mask, notion, None, DEFAULT_BUDGET) == best
+                    for target in (best.best_m, best.best_m + 1):
+                        own = _run_search(s, notion, target, DEFAULT_BUDGET)
+                        assert _run_box_search(box, s_mask, notion, target, DEFAULT_BUDGET) == own
+
     def test_box_limit(self):
         # 10^18 cells: a ValueError (not MemoryError) shows the box is
         # refused before any mask is allocated
@@ -513,3 +540,40 @@ class TestFExhaustive:
             f_exhaustive(2, 2, 0)
         with pytest.raises(ValueError):
             f_exhaustive(2, 2, Fraction(3, 2))
+        # the loop searches masks, not PointSets, so the budget is checked at entry
+        for samples in (None, 3):
+            with pytest.raises(ValueError, match="budget"):
+                f_exhaustive(2, 2, Fraction(1, 2), samples=samples, budget=-1)
+
+    def test_exhaustive_against_oracle(self):
+        # slow path: every subset of the least qualifying size, in the
+        # same lex order, through PointSet and the naive oracle
+        for N, n, ks in [(2, 1, (1, 2)), (5, 1, range(1, 6)), (2, 2, range(1, 5)),
+                         (2, 3, range(1, 9)), (3, 2, range(1, 10)), (2, 4, (13, 14, 16)),
+                         (4, 2, (14, 15))]:
+            grid = GridParams(N, n)
+            for k in ks:
+                c = Fraction(k, grid.size)
+                values = {notion: [] for notion in CubeNotion}
+                for pts in combinations(grid.points(), k):
+                    oracle = m_value_oracle_all(PointSet(grid, pts))
+                    for notion in CubeNotion:
+                        values[notion].append(oracle[notion])
+                for notion in CubeNotion:
+                    assert f_exhaustive(N, n, c, notion) == min(values[notion]), (N, n, k, notion)
+
+    def test_sampled_against_oracle(self):
+        # slow path: the same rng.sample draws of grid.index_of indices
+        for N, n, c, samples, seed in [(2, 6, Fraction(1, 4), 12, 0), (2, 9, Fraction(1, 32), 6, 1),
+                                       (3, 4, Fraction(1, 5), 10, 2), (3, 5, Fraction(1, 15), 6, 3),
+                                       (5, 3, Fraction(1, 8), 8, 4), (8, 3, Fraction(1, 32), 6, 5),
+                                       (7, 2, Fraction(1, 3), 8, 6)]:
+            grid = GridParams(N, n)
+            k = math.ceil(c * grid.size)
+            rng = random.Random(seed)
+            sets = [PointSet.from_indices(grid, rng.sample(range(grid.size), k)) for _ in range(samples)]
+            oracles = [m_value_oracle_all(s) for s in sets]
+            for notion in CubeNotion:
+                expected = min(o[notion] for o in oracles)
+                got = f_exhaustive(N, n, c, notion, samples=samples, seed=seed)
+                assert got == expected, (N, n, notion)
