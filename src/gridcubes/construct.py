@@ -151,12 +151,12 @@ class VerifyReport:
     cardinality: int
 
     def to_dict(self, notion: CubeNotion = DEFAULT_NOTION) -> dict:
-        """Self-contained JSON-ready form (used standalone, without a run)."""
+        """Self-contained JSON-ready form; certificate_dict embeds it as is."""
         out = {
-            "verified": self.verified,
             "density_num": self.density.numerator,
             "density_den": self.density.denominator,
             "cardinality": self.cardinality,
+            "verified": self.verified,
         }
         if self.witness is not None:
             out["witness"] = self.witness.to_record(notion)
@@ -219,13 +219,8 @@ def certificate_dict(
         "p": str(p),
         "seed": seed,
         "rounds": rounds,
-        "density_num": report.density.numerator,
-        "density_den": report.density.denominator,
-        "cardinality": report.cardinality,
-        "verified": report.verified,
+        **report.to_dict(notion),
     }
-    if report.witness is not None:
-        cert["witness"] = report.witness.to_record(notion)
     if extras:
         cert.update(extras)
     return cert

@@ -393,13 +393,14 @@ def _run_box_search(
 
     A check is one valid shift tried.  It tests injectivity, V and V + d
     disjoint as vmask & (vmask << o) (vertex-injective notion only;
-    independence implies it), then independence and the Smith form.  When
+    independence implies it), then independence and unimodularity.  When
     the box spans at most two values per coordinate, as every box of [2]^n
     does, every notion holds and no test runs: on the support of g_j both
     v and v + g_j lie in {a, a + 1}, so a valid d is zero there, and
     distinct nonzero {-1, 0, 1} vectors with disjoint supports are
     injective, independent and extend to a basis.  Generator tuples are
-    then built only for the witness.
+    then built only for the witness: the best cube is kept as its base and
+    generator cells, and one AffineCube is built when the search returns.
 
     k more generators need 2^k - 1 valid shifts (their nonzero subset sums),
     2^k <= |S| / |V|, and k <= n - m for the independent notions, so a node
@@ -410,9 +411,8 @@ def _run_box_search(
     """
     bases = box.cells_of(s_mask)
     pts = list(map(box.point, bases))
-    best_cube = AffineCube(pts[0]) if pts else None
     if target == 0:
-        return _SearchOutcome(0, best_cube, True, 0)
+        return _SearchOutcome(0, AffineCube(pts[0]) if pts else None, True, 0)
     n, h = box.dim, box.h
     point_at, halves, guard_hi, guard_lo = box.points, box.halves, box.guard_hi, box.guard_lo
     half_codes, guard = box.half_codes, box.guard
@@ -425,7 +425,7 @@ def _run_box_search(
     test_linalg = not injective_only and not two_valued
 
     best_m = 0
-    found: Optional[AffineCube] = None
+    best = (pts[0], ()) if pts else None  # base and generator cells of the best cube
     checks = 0
 
     def threshold(m):
@@ -439,7 +439,7 @@ def _run_box_search(
         return (1 << (f + 1)) - 1 if f >= 0 else 1
 
     def descend(z, iz, hz, lz, rest, left, ks, vmask, reduced):
-        nonlocal best_m, best_cube, found, checks
+        nonlocal best_m, best, checks
         m = len(ks)
         stop, stop_child = threshold(m), threshold(m + 1)
         while left >= stop:
@@ -465,9 +465,8 @@ def _run_box_search(
                     continue
             if m + 1 > best_m:
                 best_m = m + 1
-                best_cube = AffineCube(z, tuple(_sub(point_at[j], z) for j in ks + (k,)))
-                if target is not None and best_m == target:
-                    found = best_cube
+                best = (z, ks + (k,))
+                if best_m == target:
                     raise _Stop
                 stop, stop_child = threshold(m), threshold(m + 1)
             if left < stop_child:
@@ -499,8 +498,11 @@ def _run_box_search(
             rest = s_mask >> (iz + 1) << (iz + 1)
             descend(z, iz, hz, lz, rest, rest.bit_count(), (), 1 << iz, [])
     except _Stop:
-        conclusive = found is not None
-    witness = found if target is not None else best_cube
+        conclusive = best_m == target
+    if best is None or (target is not None and best_m != target):
+        return _SearchOutcome(best_m, None, conclusive, checks)
+    z, ks = best
+    witness = AffineCube(z, tuple(_sub(point_at[j], z) for j in ks))
     return _SearchOutcome(best_m, witness, conclusive, checks)
 
 
@@ -590,7 +592,7 @@ def anchored_cubes(s: PointSet, m: int) -> Iterator[tuple[Point, tuple, list[Poi
     search-tree pruning, no shift ordering, no integer codes.  Each cube has
     an anchor vertex from which all its generators have positive leading
     entry (flipping a generator negates it and moves the base, preserving
-    the vertex set, the rank, and the Smith form), so anchored enumeration
+    the vertex set, the rank, and unimodularity), so anchored enumeration
     misses nothing.
     """
     tset = s.tuple_set
@@ -611,7 +613,7 @@ def anchored_cubes(s: PointSet, m: int) -> Iterator[tuple[Point, tuple, list[Poi
 
 def m_value_oracle_all(s: PointSet) -> dict[CubeNotion, int]:
     """Ground-truth M(S) for every notion, by looping over anchored_cubes
-    for each dimension m and testing rank and Smith form directly."""
+    for each dimension m and testing rank and unimodularity directly."""
     if s.grid.size > ORACLE_GRID_CAP:
         raise ValueError(f"oracle instance too large: {s.grid.size} > {ORACLE_GRID_CAP}")
     if len(s) == 0:

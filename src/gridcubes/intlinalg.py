@@ -3,9 +3,10 @@
 Two questions come up in the cube search: is a set of integer vectors
 linearly independent over the rationals, and does it extend to a basis of
 the integer lattice Z^n?  The first is answered by fraction-free Gaussian
-elimination, the second by Smith-normal-form reduction (the system is
-extendable iff every elementary divisor equals 1).  Everything is plain
-Python integers; no floating point is allowed near these decisions.
+elimination, the second by reducing the rows to lower triangular form with
+unimodular column operations (the system is extendable iff every diagonal
+entry is +-1).  Everything is plain Python integers; no floating point is
+allowed near these decisions.
 """
 
 from __future__ import annotations
@@ -66,86 +67,32 @@ def rational_rank(rows: Sequence[IntVector]) -> int:
     return len(reduced)
 
 
-def smith_diagonal(rows: Sequence[IntVector]) -> list[int]:
-    """Nonzero diagonal of the Smith normal form of an integer matrix.
-
-    Returns the elementary divisors d_1 | d_2 | ... (positive, possibly
-    fewer than min(m, n) when the matrix is rank deficient).
-    """
-    a = [list(r) for r in rows]
-    m = len(a)
-    n = len(a[0]) if m else 0
-    divisors: list[int] = []
-    t = 0
-    while t < m and t < n:
-        # Locate the entry of smallest nonzero magnitude in the submatrix.
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = a[i][j]
-                if x and (best is None or abs(x) < abs(a[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        bi, bj = best
-        a[t], a[bi] = a[bi], a[t]
-        for row in a:
-            row[t], row[bj] = row[bj], row[t]
-
-        restart = False
-        # Clear the pivot column; a nonzero remainder becomes the new,
-        # strictly smaller pivot, so this terminates.
-        for i in range(t + 1, m):
-            if a[i][t]:
-                q = a[i][t] // a[t][t]
-                if q:
-                    a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if a[i][t]:
-                    a[t], a[i] = a[i], a[t]
-                    restart = True
-                    break
-        if restart:
-            continue
-        # Clear the pivot row the same way.
-        for j in range(t + 1, n):
-            if a[t][j]:
-                q = a[t][j] // a[t][t]
-                if q:
-                    for row in a:
-                        row[j] -= q * row[t]
-                if a[t][j]:
-                    for row in a:
-                        row[t], row[j] = row[j], row[t]
-                    restart = True
-                    break
-        if restart:
-            continue
-        # Divisibility fix-up: the pivot must divide the whole submatrix.
-        p = a[t][t]
-        fixed = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % p:
-                    a[t] = [x + y for x, y in zip(a[t], a[i])]
-                    fixed = False
-                    break
-            if not fixed:
-                break
-        if not fixed:
-            continue
-        divisors.append(abs(p))
-        t += 1
-    return divisors
-
-
 def is_primitive_system(rows: Sequence[IntVector]) -> bool:
     """True iff the vectors extend to a basis of Z^n.
 
-    Equivalent to the Smith normal form having exactly len(rows) divisors,
-    all equal to 1 (which also forces full rank).
+    Column swaps and subtracting an integer multiple of one column from
+    another keep that property, and keep each row's gcd.  Column Euclid
+    leaves the first row one nonzero entry, which is +-1 iff the row's gcd
+    is 1; the rows then extend iff the rows below do on the other columns,
+    so that column is dropped.  Either every row's gcd is 1 and the rows end
+    lower triangular [L | 0] with a +-1 diagonal, or the answer is False at
+    the first row whose gcd is not 1 (0 when it depends on the rows above,
+    or when there are more rows than columns).  The empty system is True.
     """
-    rows = list(rows)
-    if not rows:
-        return True
-    divisors = smith_diagonal(rows)
-    return len(divisors) == len(rows) and all(d == 1 for d in divisors)
+    a = [list(r) for r in rows]
+    while a:
+        top = a[0]
+        if gcd(*top) != 1:
+            return False
+        live = [j for j, x in enumerate(top) if x]
+        while len(live) > 1:
+            p = min(live, key=lambda j: abs(top[j]))
+            for j in live:
+                if j != p:
+                    q = top[j] // top[p]
+                    for r in a:
+                        r[j] -= q * r[p]
+            live = [j for j in live if top[j]]
+        p = live[0]
+        a = [r[:p] + r[p + 1:] for r in a[1:]]
+    return True

@@ -256,7 +256,7 @@ class TestEncodingEdges:
 class TestNotionCollapseAtTwo:
     """In {0,1}^n a valid shift has support disjoint from every earlier
     generator, so the three notions agree and the search skips their tests;
-    the oracle checks rank and Smith form directly."""
+    the oracle checks rank and unimodularity directly."""
 
     def check(self, s):
         oracle = m_value_oracle_all(s)

@@ -1,15 +1,10 @@
-"""Exact rank and Smith form, cross-checked against a minors-gcd oracle."""
+"""Exact rank and primitivity, cross-checked against a minors-gcd oracle."""
 
 import random
 from itertools import combinations
 from math import gcd
 
-from gridcubes.intlinalg import (
-    is_primitive_system,
-    rational_rank,
-    reduce_against,
-    smith_diagonal,
-)
+from gridcubes.intlinalg import is_primitive_system, rational_rank, reduce_against
 
 
 def det(rows):
@@ -29,7 +24,7 @@ def det(rows):
 def minors_gcd_divisors(mat):
     """Elementary divisors via d_k = gcd of all k x k minors; independent of
     the reduction algorithm under test."""
-    m, n = len(mat), len(mat[0])
+    m, n = len(mat), len(mat[0]) if mat else 0
     divisors = []
     prev = 1
     for k in range(1, min(m, n) + 1):
@@ -42,6 +37,25 @@ def minors_gcd_divisors(mat):
         divisors.append(g // prev)
         prev = g
     return divisors
+
+
+def random_matrix(rng):
+    """Up to 5 columns and one row more than columns, either count may be
+    zero; some matrices get an all-zero row or column, and some a last row
+    that is an integer combination of the rows above it."""
+    n = rng.randint(0, 5)
+    m = rng.randint(0, n + 1)
+    r = rng.choice((1, 4))
+    mat = [[rng.randint(-r, r) for _ in range(n)] for _ in range(m)]
+    if m and rng.random() < 0.15:
+        mat[rng.randrange(m)] = [0] * n
+    if n and rng.random() < 0.15:
+        j = rng.randrange(n)
+        for row in mat:
+            row[j] = 0
+    if m >= 2 and rng.random() < 0.3:
+        mat[-1] = [sum(rng.randint(-2, 2) * row[j] for row in mat[:-1]) for j in range(n)]
+    return mat
 
 
 class TestRank:
@@ -62,37 +76,10 @@ class TestRank:
 
     def test_random_against_oracle(self):
         rng = random.Random(11)
-        for _ in range(200):
-            m = rng.randint(1, 3)
-            n = rng.randint(m, 4)
-            mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        for _ in range(300):
+            mat = random_matrix(rng)
             oracle = len(minors_gcd_divisors(mat))
             assert rational_rank(mat) == oracle
-
-
-class TestSmith:
-    def test_examples(self):
-        assert smith_diagonal([(1, 0), (0, 1)]) == [1, 1]
-        assert smith_diagonal([(2, 0), (0, 2)]) == [2, 2]
-        assert smith_diagonal([(2, 0), (0, 3)]) == [1, 6]
-        assert smith_diagonal([(1, 2), (2, 4)]) == [1]
-        assert smith_diagonal([(0, 0)]) == []
-
-    def test_random_against_minors_oracle(self):
-        rng = random.Random(13)
-        for _ in range(200):
-            m = rng.randint(1, 3)
-            n = rng.randint(1, 4)
-            mat = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(m)]
-            assert smith_diagonal(mat) == minors_gcd_divisors(mat)
-
-    def test_divisibility_chain(self):
-        rng = random.Random(17)
-        for _ in range(100):
-            mat = [[rng.randint(-9, 9) for _ in range(4)] for _ in range(3)]
-            d = smith_diagonal(mat)
-            for a, b in zip(d, d[1:]):
-                assert b % a == 0
 
 
 class TestPrimitivity:
@@ -107,10 +94,9 @@ class TestPrimitivity:
 
     def test_primitive_iff_unit_divisors(self):
         rng = random.Random(19)
-        for _ in range(200):
-            m = rng.randint(1, 3)
-            n = rng.randint(m, 4)
-            mat = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        for _ in range(300):
+            mat = random_matrix(rng)
             d = minors_gcd_divisors(mat)
+            m = len(mat)
             expected = len(d) == m and all(x == 1 for x in d)
             assert is_primitive_system(mat) == expected

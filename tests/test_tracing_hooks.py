@@ -1,0 +1,25 @@
+"""The benchmark's tracer (benchmarks/tracing.py) wraps gridcubes functions
+under the module globals their callers look them up by.  A rename or a
+dropped import of a traced name, such as cubes.reduce_against or
+cubes.is_primitive_system, must fail here and not only in the benchmark's
+self-test."""
+
+import types
+from pathlib import Path
+
+from gridcubes import cli, construct, cubes, grid, toric
+
+BENCHMARKS = Path(__file__).resolve().parent.parent / "benchmarks"
+
+
+def test_tracer_wraps_and_restores_every_traced_name(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+
+    lib = types.SimpleNamespace(cli=cli, construct=construct, cubes=cubes, grid=grid, toric=toric)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(lib)
+    finally:
+        restored = tracer.uninstall()
+    assert restored
