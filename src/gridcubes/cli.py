@@ -18,6 +18,7 @@ result block.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import io
 import json
@@ -53,7 +54,11 @@ EXIT_INCONCLUSIVE = 3
 EXIT_FAILURE = 4
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process.  Building it costs about a third of a
+    small command, and parse_args leaves it unchanged, so every run shares
+    it."""
     parser = argparse.ArgumentParser(prog="gridcubes", description=__doc__)
     parser.add_argument("--format", choices=["json", "csv"], default="json")
     parser.add_argument("--threads", type=int, default=1)

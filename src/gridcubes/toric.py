@@ -10,6 +10,7 @@ by rational phase-1 simplex pivoting, never floats.
 from __future__ import annotations
 
 import os
+import struct
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -24,6 +25,7 @@ from .grid import GridParams, Point, PointSet
 BOX_CAP = 10 ** 7  # enumerable bounding-box volume
 BLOCK_CAP = 10 ** 6  # largest torus we evaluate on
 MESSAGE_CAP = 10 ** 7  # exhaustive minimum-distance enumeration
+_LANE_FORMAT = {1: "B", 2: "H", 4: "I"}  # struct code per lane width
 
 
 def is_prime(q: int) -> bool:
@@ -223,35 +225,82 @@ def _min_weight_scan(matrix, q: int, prefixes: Sequence[tuple[int, ...]]) -> int
     messages that share the partial codeword P of the other rows and differ
     only in the last symbol m are then zero at such a column exactly when
     P[j] = m, and at a column with R[j] = 0 exactly when P[j] = 0, so one
-    Counter over P weighs all q of them.
+    count of the symbols of P weighs all q of them.
+
+    P is packed into one int, a lane of `width` bytes per column with the
+    live columns (R[j] != 0) first: one byte for q <= 128, else two or four.
+    Adding a row is one int addition and one branch-free reduction: a lane
+    then holds at most 2q - 2 < 2^(8 width), so it never carries into the
+    next lane, and adding 2^top - q to every lane (top = 8 width - 1) sets a
+    lane's top bit exactly when it is >= q.  A leaf is weighed from P's
+    bytes by C-level counts, one per symbol; wider lanes, which only q > 128
+    and so k <= 3 reach, use a Counter.
     """
     *head, last = matrix
     block = len(last)
     cols = sorted(range(block), key=lambda j: not last[j])  # R[j] != 0 first
     live = block - last.count(0)
     scale = [pow(-last[j], q - 2, q) if last[j] else 1 for j in cols]
-    rows = [[row[j] * c % q for j, c in zip(cols, scale)] for row in head]
+    width = 1 if q <= 128 else 2 if q <= 1 << 15 else 4
+    fmt = f"<{block}{_LANE_FORMAT[width]}"
+    size = block * width
+
+    def pack(vec):
+        return int.from_bytes(struct.pack(fmt, *vec), "little")
+
+    top = 8 * width - 1
+    ones = pack([1] * block)
+    high, bias = ones << top, ones * ((1 << top) - q)
+    rows = [pack([row[j] * c % q for j, c in zip(cols, scale)]) for row in head]
+    syms = range(q)
+
+    def add(x, r):
+        x += r
+        return x - (((x + bias) & high) >> top) * q
+
+    def weigh(x, started):
+        if width == 1:
+            v = x.to_bytes(size, "little")
+            p = v[:live]
+            most = max(map(p.count, syms)) if started else p.count(1)
+            return block - v.count(0, live) - most
+        v = struct.unpack(fmt, x.to_bytes(size, "little"))
+        cnt = Counter(v[:live])
+        most = max(cnt.values(), default=0) if started else cnt[1]
+        return block - v[live:].count(0) - most
+
     best = block + 1
 
-    def rec(i, vec, started):
+    def rec(i, x, started):
         # rows i.. are still free; until a symbol is nonzero they take (0, 1)
         nonlocal best
         if i == len(rows):
-            cnt = Counter(vec[:live])
-            most = max(cnt.values(), default=0) if started else cnt[1]
-            best = min(best, block - vec[live:].count(0) - most)
+            best = min(best, weigh(x, started))
             return
-        rec(i + 1, vec, started)
-        row = rows[i]
+        r = rows[i]
+        if i + 1 < len(rows):
+            rec(i + 1, x, started)
+            for _ in range(q - 1 if started else 1):
+                x = add(x, r)
+                rec(i + 1, x, True)
+            return
+        # the last head row: its q leaves are weighed in this frame, with
+        # add() inlined, which saves two calls per leaf
+        w = weigh(x, started)
         for _ in range(q - 1 if started else 1):
-            vec = [(a + b) % q for a, b in zip(vec, row)]
-            rec(i + 1, vec, True)
+            x += r
+            x -= (((x + bias) & high) >> top) * q
+            w_m = weigh(x, True)
+            if w_m < w:
+                w = w_m
+        best = min(best, w)
 
     for prefix in prefixes:
-        vec = [0] * block
-        for m_i, row in zip(prefix, rows):
-            vec = [(a + m_i * b) % q for a, b in zip(vec, row)]
-        rec(len(prefix), vec, any(prefix))
+        x = 0
+        for m_i, r in zip(prefix, rows):
+            for _ in range(m_i):
+                x = add(x, r)
+        rec(len(prefix), x, any(prefix))
     return best
 
 
@@ -259,7 +308,8 @@ def minimum_distance(code: ToricCode, threads: int = 1) -> int:
     """Exhaustive minimum Hamming distance of the code.
 
     Scalar multiples have equal weight, so only the (q^k - 1)/(q - 1)
-    messages whose first nonzero symbol is 1 are weighed, q at a time (see
+    messages whose first nonzero symbol is 1 are weighed, q at a time, on
+    partial codewords packed into byte lanes of one int (see
     _min_weight_scan); the cap still applies to the whole space q^k.  The
     work splits by the projective prefixes of the first min(2, k - 1)
     symbols, up to q + 2 of them, dealt round-robin to at most

@@ -11,6 +11,7 @@ import pytest
 
 import gridcubes
 from gridcubes.cli import run, run_from_manifest
+from gridcubes.construct import DEFAULT_SEED
 from gridcubes.cubes import DEFAULT_BUDGET, DEFAULT_NOTION, _run_search
 from gridcubes.grid import GridParams, PointSet, format_point_set
 
@@ -330,6 +331,27 @@ class TestDeterminismAndManifest:
         doc = json.loads(out)
         blob = json.dumps(doc["result"], separators=(",", ":"), sort_keys=False)
         assert doc["manifest"]["output_checksum"] == hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestCachedParser:
+    def test_calls_in_one_process_stay_independent(self):
+        # build_parser is built once per process; a seeded call and a
+        # rejected one must not leak into the next call's defaults
+        env = dict(os.environ, PYTHONPATH=str(Path(gridcubes.__file__).parent.parent))
+        argv = ["fexact", "2", "3", "1/2", "--samples", "3"]
+        seeded = run(["--seed", "5"] + argv)
+        assert seeded[0] == 0 and json.loads(seeded[1])["manifest"]["seed"] == 5
+        assert run(["--threads", "0", "fexact", "2", "2", "1"])[0] == 2
+        assert run(["--seed", "x"] + argv) == (2, "")
+        third = run(argv)
+        first = subprocess.run(
+            [sys.executable, "-m", "gridcubes"] + argv,
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert third == (first.returncode, first.stdout)
+        assert json.loads(third[1])["manifest"]["seed"] == DEFAULT_SEED
+        for code, out in (seeded, third):
+            assert run_from_manifest(json.loads(out)["manifest"]) == (code, out)
 
 
 class TestModuleEntryPoint:

@@ -235,15 +235,18 @@ class TestMinimumDistance:
             done += 1
 
     def test_hand_built_matrices_against_flat_enumeration(self, inline_pool):
-        # k = 1, 2, 3 give prefix depths 0, 1, 2 and k = 4 one free row below
-        # them; a last row with zero entries (never built from a polytope)
-        # reaches the R[j] = 0 columns, and random rows may be dependent, so
-        # distance 0 is covered too
+        # k = 1 (no head row), 2, 3 give prefix depths 0, 1, 2 and k = 4 one
+        # free row below them; a last row with zero entries (never built from
+        # a polytope) reaches the R[j] = 0 columns, and random rows may be
+        # dependent, so distance 0 is covered too.  q = 127 is the largest
+        # prime on 1-byte lanes and q = 131 takes 2-byte lanes; blocks of 9 or
+        # more columns pack into ints of several machine words (up to 16 for
+        # the large fields, whose flat enumeration is slow).
         rng = random.Random(505)
-        for q in (2, 3, 5, 7):
-            for k in (1, 2, 3, 4):
-                for _ in range(4):
-                    block = rng.randint(1, 7)
+        for q in (2, 3, 5, 7, 127, 131):
+            for k in (1, 2, 3, 4) if q < 127 else (1, 2):
+                for rep in range(4):
+                    block = rng.randint(1, 7) if rep < 2 else rng.randint(9, 70 if q < 127 else 16)
                     matrix = [[rng.randrange(q) for _ in range(block)] for _ in range(k)]
                     matrix[-1][rng.randrange(block)] = 0
                     code = ToricCode(PrimeField(q), segment(0), ((0,),) * k,
@@ -255,6 +258,30 @@ class TestMinimumDistance:
                         assert minimum_distance(code, threads=threads) == want
                         workers = min(threads, 3, pieces)
                         assert inline_pool == ([workers] if workers > 1 else [])
+
+    def test_lane_reduction_against_flat_weights(self):
+        # at k <= 2 a row is added at most once, so the lane reduction first
+        # runs at k = 3: the prefix (1, m) adds the middle row m times, and
+        # the prefix (1,) leaves it free.  Both are weighed against the words
+        # of the messages (1, m, s), computed one column at a time.  q = 32771
+        # takes 4-byte lanes, which only k = 1 reaches through minimum_distance.
+        rng = random.Random(506)
+        for q, reps in ((127, 3), (131, 3), (32771, 1)):
+            for _ in range(reps):
+                block = rng.randint(9, 16)
+                matrix = [[rng.randrange(q) for _ in range(block)] for _ in range(3)]
+                matrix[-1][rng.randrange(block)] = 0
+                ms = range(q) if q < 1000 else (q - 1, rng.randrange(q))
+                flat = {
+                    m: min(sum(1 for a, b, c in zip(*matrix) if (a + m * b + s * c) % q)
+                           for s in range(q))
+                    for m in ms
+                }
+                for m in (q - 1, rng.choice(ms)):
+                    assert toric._min_weight_scan(matrix, q, [(1, m)]) == flat[m]
+                if q < 1000:
+                    assert toric._min_weight_scan(matrix, q, [(1,)]) == min(flat.values())
+                assert toric._min_weight_scan(matrix[2:], q, [()]) == block - matrix[2].count(0)
 
     def test_message_cap(self):
         code = build_code(segment(2), 5)
