@@ -39,21 +39,17 @@ from .cubes import (
     CubeNotion,
     DEFAULT_NOTION,
     SearchBudgetExceeded,
-    cube_vertices,
     extend_cube,
     f_exhaustive,
     find_cube,
     is_cube_in,
     m_value,
-    m_value_oracle,
     m_value_oracle_all,
 )
 from .grid import (
     GridParams,
     PointSet,
     count_heavy_prefixes,
-    density,
-    entropy_profile,
     format_point_set,
     max_pair_intersection,
     parse_point_set,
@@ -66,9 +62,7 @@ from .toric import (
     ToricCode,
     build_code,
     code_stats,
-    family_report,
     format_polytope,
-    lattice_points,
     minimum_distance,
     parse_polytope,
 )

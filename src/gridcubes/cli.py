@@ -289,8 +289,9 @@ _HANDLERS = {
 
 
 def run(argv: list[str]) -> tuple[int, str]:
-    """Parse and execute; returns (exit_code, stdout_text). Input problems
-    map to exit 2 with a one-line JSON error object."""
+    """Parse and execute; returns (exit_code, stdout_text). Input problems,
+    numbers too large for the arithmetic behind a command among them, map
+    to exit 2 with a one-line JSON error object."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -306,7 +307,7 @@ def run(argv: list[str]) -> tuple[int, str]:
     except SearchBudgetExceeded as exc:
         result = {"status": "inconclusive", "best_m": exc.best_m}
         return EXIT_INCONCLUSIVE, _emit(args, result, [result])
-    except (ValueError, ZeroDivisionError, OSError) as exc:
+    except (ValueError, ArithmeticError, OSError) as exc:
         return EXIT_INPUT, json.dumps({"error": str(exc)}) + "\n"
 
 

@@ -41,7 +41,7 @@ from .cubes import (
     find_cube_in_box,
 )
 from .exactmath import as_fraction, pow_at_least
-from .grid import MATERIALIZE_LIMIT, GridParams, PointSet
+from .grid import GridParams, PointSet
 
 DEFAULT_SEED = 1729
 DEFAULT_MAX_ROUNDS = 10 ** 5
@@ -93,7 +93,7 @@ def enumerate_cube_images(N: int, n: int, r: int, cap: int = 10 ** 7) -> BadEven
         raise ValueError(f"r must be >= 0, got {r}")
     raw = N ** (n * (r + 1))
     if raw > cap:
-        raise ValueError(f"raw enumeration count {raw} exceeds cap {cap}")
+        raise ValueError(f"raw enumeration count {N}^{n * (r + 1)} exceeds cap {cap}")
     events = {
         frozenset(map(grid.index_of, verts))
         for _, _, verts in anchored_cubes(PointSet.full(grid), r)
@@ -124,8 +124,7 @@ def moser_tardos_sample(grid: GridParams, r: int, config: SamplerConfig) -> Samp
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
-    if grid.size > MATERIALIZE_LIMIT:
-        raise ValueError(f"grid with {grid.size} cells is too large to sample")
+    grid.require_materializable("sample")
     rng = random.Random(config.seed)
     p = float(config.p)
     box = GridBox.of_grid(grid)
@@ -281,6 +280,7 @@ def construct_dense_small_M(
     """
     eps = as_fraction(eps)
     grid = GridParams(N, n)
+    grid.require_materializable("sample")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
     r = choose_r_dense(n, eps)
@@ -335,6 +335,7 @@ def construct_sparse_bounded_M(
     """
     eps = as_fraction(eps)
     grid = GridParams(N, n)
+    grid.require_materializable("sample")
     r = choose_r_sparse(eps)
     exponent = floor(eps * n)
     if exponent < 1:

@@ -157,9 +157,6 @@ class AffineCube:
         gens.sort()
         return AffineCube(tuple(base), tuple(gens))
 
-    def sort_key(self):
-        return (self.base, self.generators)
-
     def to_record(self, notion: CubeNotion) -> dict:
         return {
             "notion": notion.value,
@@ -174,11 +171,6 @@ class AffineCube:
         base = ",".join(str(x) for x in cube.base)
         gens = ";".join(",".join(str(x) for x in v) for v in cube.generators)
         return f"{notion.value} m={cube.m} base=({base}) gens=[{gens}]"
-
-
-def cube_vertices(cube: AffineCube) -> list[Point]:
-    """Distinct subset sums, sorted; has length 2^m iff vertex-injective."""
-    return sorted(set(cube.vertices()))
 
 
 def is_cube_in(s: PointSet, cube: AffineCube, notion: CubeNotion = DEFAULT_NOTION) -> bool:
@@ -345,17 +337,6 @@ class _SearchOutcome(NamedTuple):
 
 class _Stop(Exception):
     pass
-
-
-def _run_search(
-    s: PointSet,
-    notion: CubeNotion,
-    target: Optional[int],
-    budget: int,
-) -> _SearchOutcome:
-    """_run_box_search on S's own bounding box, so the grid may be far
-    larger than MATERIALIZE_LIMIT cells as long as that box is not."""
-    return _run_box_search(*_box_of(s), notion, target, budget)
 
 
 def _run_box_search(
@@ -639,11 +620,6 @@ def m_value_oracle_all(s: PointSet) -> dict[CubeNotion, int]:
     return results
 
 
-def m_value_oracle(s: PointSet, notion: CubeNotion = DEFAULT_NOTION) -> int:
-    """Independent brute-force value of M(S); see m_value_oracle_all."""
-    return m_value_oracle_all(s)[notion]
-
-
 def f_exhaustive(
     N: int,
     n: int,
@@ -671,14 +647,13 @@ def f_exhaustive(
     if not 0 < c <= 1:
         raise ValueError(f"density threshold must lie in (0, 1], got {c}")
     grid = GridParams(N, n)
+    grid.require_materializable("search")
     cells = grid.size
     k_min = max(1, math.ceil(c * cells))
     if samples is None and cells > 16:
         raise ValueError(f"exhaustive mode handles at most 16 cells, got {cells}; pass samples=")
     if samples is not None and samples < 1:
         raise ValueError("sample count must be positive")
-    if cells > MATERIALIZE_LIMIT:
-        raise ValueError("grid too large to sample point sets from")
     box = GridBox.of_grid(grid)
     if samples is None:
         masks = map(box.mask, combinations(range(cells), k_min))

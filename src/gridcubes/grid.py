@@ -7,11 +7,10 @@ density it reports is an exact Fraction.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Sequence, Union
+from typing import Iterable, Iterator, Sequence
 
 from .exactmath import as_fraction
 
@@ -61,10 +60,19 @@ class GridParams:
             coords.append(rem)
         return tuple(coords)
 
+    def require_materializable(self, action: str) -> None:
+        """Raise ValueError unless N^n <= MATERIALIZE_LIMIT.  N >= 2, so
+        n > 24 already exceeds 2^24 and N^n is only built when n is small;
+        the message names N^n, never its digits."""
+        if self.dim >= MATERIALIZE_LIMIT.bit_length() or self.size > MATERIALIZE_LIMIT:
+            raise ValueError(
+                f"grid [{self.base}]^{self.dim} has {self.base}^{self.dim} cells, "
+                f"more than {MATERIALIZE_LIMIT}: too large to {action}"
+            )
+
     def points(self) -> Iterator[Point]:
         """All grid points in lexicographic order. Requires a desk-scale grid."""
-        if self.size > MATERIALIZE_LIMIT:
-            raise ValueError(f"grid with {self.size} cells is too large to materialize")
+        self.require_materializable("materialize")
         return product(range(self.base), repeat=self.dim)
 
 
@@ -80,10 +88,6 @@ class PointSet:
 
     def __setattr__(self, name, value):  # pragma: no cover - immutability guard
         raise AttributeError("PointSet is immutable")
-
-    def __reduce__(self):
-        # the immutability guard blocks default slot-state pickling
-        return (PointSet, (self.grid, tuple(self._points)))
 
     @classmethod
     def from_indices(cls, grid: GridParams, indices: Iterable[int]) -> "PointSet":
@@ -136,11 +140,6 @@ class PointSet:
         return PointSet(self.grid, self._points & other._points)
 
 
-def density(s: PointSet) -> Fraction:
-    """|S| / N^n as an exact rational."""
-    return s.density()
-
-
 def split_by_prefix(s: PointSet, r: int) -> dict[Point, PointSet]:
     """Fibers T_a = {p : a x p in S} for every prefix a of length r.
 
@@ -186,34 +185,6 @@ def max_pair_intersection(family: Sequence[PointSet]) -> tuple[int, int, Fractio
             if best is None or d > best[2]:
                 best = (i, j, d)
     return best
-
-
-def entropy_profile(
-    samples: Sequence[tuple[int, int]], base: int
-) -> tuple[list[Union[Fraction, float]], Union[Fraction, float]]:
-    """Values log_base(size_i)/n_i for each (n_i, size_i), plus their maximum.
-
-    The value is an exact Fraction whenever size_i is a power of the base,
-    and a float otherwise (the quantity is irrational then).
-    """
-    if not samples:
-        raise ValueError("entropy profile of an empty sample list")
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    values: list[Union[Fraction, float]] = []
-    for n_i, size_i in samples:
-        if n_i < 1 or size_i < 1:
-            raise ValueError(f"need n >= 1 and size >= 1, got ({n_i}, {size_i})")
-        k = 0
-        power = 1
-        while power < size_i:
-            power *= base
-            k += 1
-        if power == size_i:
-            values.append(Fraction(k, n_i))
-        else:
-            values.append(math.log(size_i, base) / n_i)
-    return values, max(values)
 
 
 def parse_point_set(text: str) -> PointSet:

@@ -144,11 +144,6 @@ class LatticePolytope:
         return self._points
 
 
-def lattice_points(p: LatticePolytope) -> list[Point]:
-    """Integer points of the convex hull, lexicographically sorted."""
-    return list(p.lattice_points())
-
-
 def _gf_rank(matrix: Sequence[Sequence[int]], q: int) -> int:
     rows = [list(r) for r in matrix]
     ncols = len(rows[0]) if rows else 0
@@ -189,16 +184,19 @@ def build_code(p: LatticePolytope, q: int) -> ToricCode:
 
     Rows follow the lex-sorted lattice points of P; columns follow the
     lex-sorted torus points of [1, q-1]^n, so the matrix is reproducible.
+    The lattice box and the block-length cap are checked before q is
+    tested for primality, so for n >= 1 trial division never runs past
+    q = BLOCK_CAP + 1.
     """
-    field = PrimeField(q)
     n = p.dim
     pts = p.lattice_points()
     for u in pts:
         if any(not 0 <= x <= q - 2 for x in u):
             raise ValueError(f"lattice point {u} outside the box [0, {q - 2}]^{n}")
+    if (n and q - 1 > BLOCK_CAP) or (q - 1) ** n > BLOCK_CAP:
+        raise ValueError(f"block length {q - 1}^{n} exceeds cap {BLOCK_CAP}")
+    field = PrimeField(q)
     block = (q - 1) ** n
-    if block > BLOCK_CAP:
-        raise ValueError(f"block length {block} exceeds cap {BLOCK_CAP}")
     torus = list(product(range(1, q), repeat=n))
     matrix = tuple(
         tuple(_eval_monomial(u, t, q) for t in torus)
@@ -373,32 +371,6 @@ def code_stats(
         information_rate=Fraction(code.dimension, code.block_length),
         max_cube_dim=m,
     )
-
-
-def family_report(entries: Sequence[tuple[LatticePolytope, int]], notion: CubeNotion = DEFAULT_NOTION) -> list[dict]:
-    """Trend table over a finite list of (polytope, q) pairs.
-
-    One row per entry: ambient dimension, rate, relative distance, cube
-    dimension, and the entropy term log_{q-1}(dimension)/n.  No convergence
-    claims; this is finite-prefix reporting only.
-    """
-    from .grid import entropy_profile
-
-    rows = []
-    for poly, q in entries:
-        stats = code_stats(poly, q, notion)
-        values, _ = entropy_profile([(poly.dim, stats.dimension)], q - 1)
-        rows.append(
-            {
-                "q": q,
-                "n": poly.dim,
-                "information_rate": str(stats.information_rate),
-                "relative_min_distance": str(stats.relative_min_distance),
-                "max_cube_dim": stats.max_cube_dim,
-                "entropy_term": float(values[0]),
-            }
-        )
-    return rows
 
 
 def parse_polytope(text: str) -> tuple[int, LatticePolytope]:

@@ -12,7 +12,7 @@ import pytest
 import gridcubes
 from gridcubes.cli import run, run_from_manifest
 from gridcubes.construct import DEFAULT_SEED
-from gridcubes.cubes import DEFAULT_BUDGET, DEFAULT_NOTION, _run_search
+from gridcubes.cubes import DEFAULT_BUDGET, DEFAULT_NOTION, _box_of, _run_box_search
 from gridcubes.grid import GridParams, PointSet, format_point_set
 
 SEG_FILE = "5 1\n0\n1\n2\n3\n"
@@ -232,6 +232,10 @@ class TestBadNumericFlags:
     def test_exit_2_with_one_line_error(self, seg_path, tmp_path):
         poly = tmp_path / "p.poly"
         poly.write_text(SEG_POLY)
+        # q = 10^16 + 61 is prime; the block-length cap refuses it before
+        # trial division to sqrt(q) starts
+        big_q = tmp_path / "big_q.poly"
+        big_q.write_text("10000000000000061 1\n0\n")
         for argv in (
             ["--threads", "0", "mvalue", seg_path],
             ["--threads", "-3", "mvalue", seg_path],
@@ -244,10 +248,18 @@ class TestBadNumericFlags:
             ["--budget", "-1", "construct", "sparse", "10", "2", "1/2"],
             ["construct", "dense", "3", "2", "1", "--max-rounds", "0"],
             ["construct", "dense", "3", "2", "1", "--max-rounds", "-7"],
+            # alpha = 2 + eps/3 overflows a float: an ArithmeticError, not exit 1
+            ["bound", "--N", "2", "--n", "10", "--c", "1/3", "--eps", "1e400"],
+            ["toric", str(big_q)],
+            # grids past 2^24 cells, refused before N^n is built or printed
+            ["construct", "dense", str(10 ** 400), "2", "1"],
+            ["fexact", "2", "20000", "1/2"],
+            ["construct", "sparse", "20000", "2", "1/2"],
         ):
             code, out = run(argv)
             assert code == 2, argv
             assert out.count("\n") == 1 and "error" in json.loads(out)
+            assert "4300 digits" not in out, argv
 
 
 class TestDeterminismAndManifest:
@@ -276,7 +288,7 @@ class TestDeterminismAndManifest:
         s = PointSet.from_indices(grid, random.Random(0).sample(range(grid.size), 32))
         path = tmp_path / "s.txt"
         path.write_text(format_point_set(s))
-        checks = _run_search(s, DEFAULT_NOTION, None, DEFAULT_BUDGET).checks
+        checks = _run_box_search(*_box_of(s), DEFAULT_NOTION, None, DEFAULT_BUDGET).checks
         for budget, exit_code in ((checks - 1, 3), (checks, 0)):
             outs = [run(["--threads", str(k), "--budget", str(budget), "mvalue", str(path)])
                     for k in (1, 2, 3)]

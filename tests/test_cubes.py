@@ -15,17 +15,15 @@ from gridcubes.cubes import (
     CubeNotion,
     GridBox,
     SearchBudgetExceeded,
+    _box_of,
     _leading_positive,
     _run_box_search,
-    _run_search,
     _sub,
-    cube_vertices,
     extend_cube,
     f_exhaustive,
     find_cube,
     is_cube_in,
     m_value,
-    m_value_oracle,
     m_value_oracle_all,
 )
 from gridcubes.grid import MATERIALIZE_LIMIT, GridParams, PointSet
@@ -66,23 +64,23 @@ def all_witnesses(s, m, notion):
 class TestCubeVertices:
     def test_unit_square(self):
         cube = AffineCube((0, 0), ((1, 0), (0, 1)))
-        assert cube_vertices(cube) == [(0, 0), (0, 1), (1, 0), (1, 1)]
+        assert sorted(set(cube.vertices())) == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
     def test_point_cube(self):
-        assert cube_vertices(AffineCube((0,))) == [(0,)]
+        assert sorted(set(AffineCube((0,)).vertices())) == [(0,)]
 
     def test_one_dim_generators(self):
-        assert cube_vertices(AffineCube((0,), ((1,), (2,)))) == [(0,), (1,), (2,), (3,)]
+        assert sorted(set(AffineCube((0,), ((1,), (2,))).vertices())) == [(0,), (1,), (2,), (3,)]
 
     def test_collision_shrinks_set(self):
         cube = AffineCube((0,), ((1,), (1,)))
-        assert len(cube_vertices(cube)) == 3  # not vertex-injective
+        assert len(set(cube.vertices())) == 3  # not vertex-injective
         assert not cube.is_vertex_injective()
 
     def test_dimension_overflow(self):
         cube = AffineCube((0,) * 31, tuple(tuple(1 if i == j else 0 for j in range(31)) for i in range(31)))
         with pytest.raises(ValueError):
-            cube_vertices(cube)
+            cube.vertices()
 
 
 class TestValidation:
@@ -115,7 +113,7 @@ class TestCanonical:
         cube = AffineCube((1, 0), ((-1, 0), (0, 1)))
         canon = cube.canonical()
         assert canon == AffineCube((0, 0), ((0, 1), (1, 0)))
-        assert sorted(cube_vertices(cube)) == sorted(cube_vertices(canon))
+        assert sorted(set(cube.vertices())) == sorted(set(canon.vertices()))
 
     @settings(max_examples=80, deadline=None)
     @given(st.data())
@@ -217,9 +215,9 @@ class TestSearchChecksGate:
             grid = GridParams(N, n)
             s = PointSet.from_indices(grid, random.Random(0).sample(range(grid.size), size))
             for notion in CubeNotion:
-                best = _run_search(s, notion, None, DEFAULT_BUDGET)
+                best = _run_box_search(*_box_of(s), notion, None, DEFAULT_BUDGET)
                 assert best.conclusive and best.checks <= max_checks
-                over = _run_search(s, notion, best.best_m + 1, DEFAULT_BUDGET)
+                over = _run_box_search(*_box_of(s), notion, best.best_m + 1, DEFAULT_BUDGET)
                 assert over.conclusive and over.witness is None
                 assert over.checks <= over_checks
 
@@ -245,7 +243,7 @@ class TestEncodingEdges:
                     m, w = m_value(s, notion)
                     assert m == oracle[notion], (N, n, notion)
                     expected = (
-                        min(all_witnesses(s, m, notion), key=lambda c: c.sort_key())
+                        min(all_witnesses(s, m, notion), key=lambda c: (c.base, c.generators))
                         if m else AffineCube(min(pts))
                     )
                     assert w == expected
@@ -320,10 +318,10 @@ class TestBoxIndexing:
                                  zip(map(min, zip(*s)), map(max, zip(*s)))) < grid.size
                 s_mask = box.mask(map(box.cell, s))
                 for notion in CubeNotion:
-                    best = _run_search(s, notion, None, DEFAULT_BUDGET)
+                    best = _run_box_search(*_box_of(s), notion, None, DEFAULT_BUDGET)
                     assert _run_box_search(box, s_mask, notion, None, DEFAULT_BUDGET) == best
                     for target in (best.best_m, best.best_m + 1):
-                        own = _run_search(s, notion, target, DEFAULT_BUDGET)
+                        own = _run_box_search(*_box_of(s), notion, target, DEFAULT_BUDGET)
                         assert _run_box_search(box, s_mask, notion, target, DEFAULT_BUDGET) == own
 
     def test_box_limit(self):
@@ -418,7 +416,7 @@ class TestOracle:
 
     def test_segment_agreement(self):
         for notion in CubeNotion:
-            assert m_value_oracle(seg_set(), notion) == m_value(seg_set(), notion)[0]
+            assert m_value_oracle_all(seg_set())[notion] == m_value(seg_set(), notion)[0]
 
     def test_random_3x3x3(self):
         rng = random.Random(37)
@@ -434,7 +432,7 @@ class TestOracle:
 
     def test_too_large_rejected(self):
         with pytest.raises(ValueError, match="too large"):
-            m_value_oracle(PointSet.full(GridParams(2, 10)))
+            m_value_oracle_all(PointSet.full(GridParams(2, 10)))
 
     def test_diverse_grids(self):
         # wider bases make non-primitive and dependent generators common
@@ -464,7 +462,7 @@ class TestWitnessMinimality:
                 m, w = m_value(s, notion)
                 if m == 0:
                     continue
-                expected = min(all_witnesses(s, m, notion), key=lambda c: c.sort_key())
+                expected = min(all_witnesses(s, m, notion), key=lambda c: (c.base, c.generators))
                 assert w == expected
                 assert find_cube(s, m, notion) == expected
 
@@ -473,7 +471,7 @@ class TestExtendCube:
     def test_point_to_segment(self):
         seg = extend_cube((0,), (1,), AffineCube((1,)))
         assert seg == AffineCube((0, 1), ((1, 0),))
-        assert cube_vertices(seg) == [(0, 1), (1, 1)]
+        assert sorted(set(seg.vertices())) == [(0, 1), (1, 1)]
 
     def test_segment_to_square(self):
         inner = AffineCube((0,), ((1,),))

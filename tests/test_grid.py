@@ -11,8 +11,6 @@ from gridcubes.grid import (
     GridParams,
     PointSet,
     count_heavy_prefixes,
-    density,
-    entropy_profile,
     format_point_set,
     max_pair_intersection,
     parse_point_set,
@@ -37,6 +35,17 @@ class TestGridParams:
         for idx in range(grid.size):
             assert grid.index_of(grid.point_of(idx)) == idx
 
+    def test_materialize_limit(self):
+        # N >= 2, so n > 24 is refused without building N^n, and the message
+        # names N^n rather than its digits
+        for N, n in [(2, 24), (4096, 2), (5, 0)]:
+            GridParams(N, n).require_materializable("sample")
+        for N, n in [(2, 25), (4097, 2), (2, 10 ** 9)]:
+            with pytest.raises(ValueError, match=rf"{N}\^{n} cells"):
+                GridParams(N, n).require_materializable("sample")
+        with pytest.raises(ValueError, match=r"2\^20000 cells"):
+            GridParams(2, 20000).points()
+
     def test_zero_dim_grid(self):
         grid = GridParams(5, 0)
         assert grid.size == 1
@@ -45,14 +54,14 @@ class TestGridParams:
 
 class TestDensity:
     def test_empty(self):
-        assert density(PointSet.empty(GridParams(2, 3))) == 0
+        assert PointSet.empty(GridParams(2, 3)).density() == 0
 
     def test_full(self):
-        assert density(PointSet.full(GridParams(2, 3))) == 1
+        assert PointSet.full(GridParams(2, 3)).density() == 1
 
     def test_direct_count(self):
         s = PointSet(GridParams(3, 2), [(0, 0), (1, 1)])
-        d = density(s)
+        d = s.density()
         assert d == Fraction(2, 9)
         assert isinstance(d, Fraction)
 
@@ -148,28 +157,6 @@ class TestMaxPairIntersection:
             max_pair_intersection([PointSet.full(GridParams(2, 1))])
 
 
-class TestEntropyProfile:
-    def test_full_grid_value(self):
-        values, top = entropy_profile([(3, 8)], 2)
-        assert values == [Fraction(1)] and top == 1
-
-    def test_singleton(self):
-        values, top = entropy_profile([(5, 1)], 3)
-        assert values == [Fraction(0)] and top == 0
-
-    def test_three_quarters(self):
-        values, _ = entropy_profile([(4, 8)], 2)
-        assert values == [Fraction(3, 4)]
-
-    def test_inexact_size_gives_float(self):
-        values, _ = entropy_profile([(2, 5)], 2)
-        assert isinstance(values[0], float)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            entropy_profile([], 2)
-
-
 class TestTextFormat:
     def test_round_trip_examples(self):
         s = PointSet(GridParams(3, 2), [(0, 0), (2, 1), (1, 2)])
@@ -208,12 +195,6 @@ class TestPointSetObject:
         s = PointSet.full(GridParams(2, 2))
         with pytest.raises(AttributeError):
             s.grid = GridParams(2, 3)
-
-    def test_picklable(self):
-        import pickle
-
-        s = PointSet(GridParams(3, 2), [(0, 0), (2, 1)])
-        assert pickle.loads(pickle.dumps(s)) == s
 
     def test_intersection_requires_common_grid(self):
         a = PointSet.full(GridParams(2, 2))

@@ -16,9 +16,7 @@ from gridcubes.toric import (
     _in_hull,
     build_code,
     code_stats,
-    family_report,
     format_polytope,
-    lattice_points,
     minimum_distance,
     parse_polytope,
 )
@@ -148,23 +146,23 @@ class TestHull:
 
 class TestLatticePoints:
     def test_segment(self):
-        assert lattice_points(segment(2)) == [(0,), (1,), (2,)]
+        assert segment(2).lattice_points() == ((0,), (1,), (2,))
 
     def test_single_vertex(self):
-        assert lattice_points(LatticePolytope([(3, 4)])) == [(3, 4)]
+        assert LatticePolytope([(3, 4)]).lattice_points() == ((3, 4),)
 
     def test_triangle(self):
-        pts = lattice_points(LatticePolytope([(0, 0), (2, 0), (0, 2)]))
+        pts = LatticePolytope([(0, 0), (2, 0), (0, 2)]).lattice_points()
         assert len(pts) == 6
-        assert pts == [(0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0)]
+        assert pts == ((0, 0), (0, 1), (0, 2), (1, 0), (1, 1), (2, 0))
 
     def test_square(self):
-        pts = lattice_points(LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)]))
+        pts = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)]).lattice_points()
         assert len(pts) == 4
 
     def test_box_cap(self):
         with pytest.raises(ValueError, match="cap"):
-            lattice_points(LatticePolytope([(0, 0, 0), (300, 300, 300)]))
+            LatticePolytope([(0, 0, 0), (300, 300, 300)]).lattice_points()
 
 
 class TestBuildCode:
@@ -189,13 +187,23 @@ class TestBuildCode:
             (LatticePolytope([(0, 0), (2, 0), (0, 2)]), 5),
         ]:
             code = build_code(poly, q)
-            assert _gf_rank(code.matrix, q) == len(lattice_points(poly))
+            assert _gf_rank(code.matrix, q) == len(poly.lattice_points())
 
     def test_out_of_box_rejected(self):
         with pytest.raises(ValueError, match="outside"):
             build_code(segment(4), 5)  # exponent 4 > q-2 = 3
         with pytest.raises(ValueError):
             build_code(LatticePolytope([(-1,), (1,)]), 5)
+
+    def test_caps_before_primality(self, monkeypatch):
+        # trial division to sqrt(q) would never finish on 2^89 - 1, so the
+        # block-length cap must refuse it before q is tested
+        def refuse(q):
+            raise AssertionError("is_prime called before the caps")
+
+        monkeypatch.setattr(toric, "is_prime", refuse)
+        with pytest.raises(ValueError, match="block length"):
+            build_code(LatticePolytope([(0,)]), 2 ** 89 - 1)
 
 
 class TestMinimumDistance:
@@ -228,7 +236,7 @@ class TestMinimumDistance:
                 for _ in range(rng.randint(1, 4))
             ]
             poly = LatticePolytope(verts)
-            if q ** len(lattice_points(poly)) > 4000:
+            if q ** len(poly.lattice_points()) > 4000:
                 continue
             code = build_code(poly, q)
             assert minimum_distance(code) == naive_min_distance(code.matrix, q)
@@ -309,10 +317,8 @@ class TestCodeStats:
     def test_field_of_two_rejected(self):
         code = build_code(LatticePolytope([(0,)]), 2)
         assert (code.block_length, code.dimension, minimum_distance(code)) == (1, 1, 1)
-        for call in (lambda: code_stats(LatticePolytope([(0,)]), 2),
-                     lambda: family_report([(LatticePolytope([(0,)]), 2)])):
-            with pytest.raises(ValueError, match=r"q >= 3, got q = 2.*\[q-1\]\^n"):
-                call()
+        with pytest.raises(ValueError, match=r"q >= 3, got q = 2.*\[q-1\]\^n"):
+            code_stats(LatticePolytope([(0,)]), 2)
 
     def test_rates_at_most_one(self):
         for poly, q in [(segment(1), 3), (LatticePolytope([(0, 0), (1, 1)]), 5)]:
@@ -360,24 +366,6 @@ class TestColumnOrderIndependence:
             assert _gf_rank(shuffled, 3) == code.dimension
             shuffled_code = dataclasses.replace(code, matrix=shuffled)
             assert minimum_distance(shuffled_code) == minimum_distance(code)
-
-
-class TestFamilyReport:
-    def test_single_segment_row(self):
-        rows = family_report([(segment(3), 7)])
-        assert len(rows) == 1
-        assert rows[0]["information_rate"] == "2/3"
-
-    def test_full_boxes_reach_dimension(self):
-        rows = family_report([
-            (LatticePolytope([(0,), (1,)]), 3),
-            (LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)]), 3),
-        ])
-        assert [r["max_cube_dim"] for r in rows] == [1, 2]
-        assert [r["entropy_term"] for r in rows] == [1.0, 1.0]
-
-    def test_empty(self):
-        assert family_report([]) == []
 
 
 class TestPolytopeFormat:
