@@ -18,9 +18,16 @@ from typing import Optional
 
 from .exactmath import as_fraction, ceil_log, floor_log, floor_log_log, log_float
 
-# Bit budget for exact big-integer fallbacks in boundary decisions; beyond
-# this a genuinely ambiguous comparison raises instead of guessing.
-_EXACT_BITS_CAP = 10 ** 8
+# Bit cap on the big integers of bounds and the constructions: on a 2-core
+# VM (Python 3.11) a power of 3 of 2^23 bits took 1.5 s to build and 3.4 s
+# to square, one of 2^25 bits 14 s and 30 s.  Past it a command exits 2.
+BITS_CAP = 2 ** 23
+
+
+def require_bits(bits: int, what: str) -> None:
+    """Refuse, before it is built, an integer of more than BITS_CAP bits."""
+    if bits > BITS_CAP:
+        raise ArithmeticError(f"{what} needs more than {BITS_CAP} bits")
 
 
 @dataclass(frozen=True)
@@ -61,7 +68,8 @@ def inductive_step(n: int, c, N: int) -> tuple[int, Fraction]:
 
 
 def lower_bound_iterated(n: int, c, N: int) -> int:
-    """Number of inductive steps possible from (n, c): a lower bound on f."""
+    """Number of inductive steps possible from (n, c): a lower bound on f.
+    Each step about doubles c's bits; refused once they pass BITS_CAP."""
     c = as_fraction(c)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
@@ -72,6 +80,8 @@ def lower_bound_iterated(n: int, c, N: int) -> int:
         except ValueError:
             return steps
         steps += 1
+        require_bits(max(c.numerator.bit_length(), c.denominator.bit_length()),
+                     f"the density after {steps} inductive steps")
 
 
 @dataclass(frozen=True)
@@ -99,11 +109,7 @@ def _alpha_pow_le_x(k: int, n: int, c: Fraction, N: int, alpha: Fraction) -> boo
     ratio = ((1 - n) * (alpha - 1)) / (alpha ** k - 1)  # = u/v, exact
     u, v = ratio.numerator, ratio.denominator
     bits = v * max(c.numerator.bit_length(), c.denominator.bit_length()) + abs(u) * N.bit_length()
-    if bits > _EXACT_BITS_CAP:
-        raise ArithmeticError(
-            "closed-form floor is within float noise of a boundary and the exact "
-            "fallback would need infeasibly large integers"
-        )
+    require_bits(bits, "the exact fallback of a closed-form floor within float noise of a boundary")
     return c.numerator ** v * N ** max(0, -u) >= c.denominator ** v * N ** max(0, u)
 
 
@@ -263,9 +269,10 @@ def check_eq_ep(n: int, eps, N: int) -> EqEpReport:
 def choose_r_dense(n: int, eps) -> Optional[int]:
     """Smallest integer strictly inside ((1+eps/2) log2(n), (1+eps) log2(n)).
 
-    Exact: with eps = p/q, r > (1+eps/2) log2(n) iff 2^(2qr) > n^(2q+p) and
-    r < (1+eps) log2(n) iff 2^(qr) < n^(q+p).  Returns None when the open
-    interval contains no integer (small n).
+    Exact: with eps = p/q, r > (1+eps/2) log2(n) iff 4^(qr) > n^(2q+p), so
+    r = floor(log_{4^q}(n^(2q+p))) + 1, and r < (1+eps) log2(n) iff
+    2^(qr) < n^(q+p).  Returns None when the open interval contains no
+    integer (small n).
     """
     eps = as_fraction(eps)
     if n < 2:
@@ -273,9 +280,8 @@ def choose_r_dense(n: int, eps) -> Optional[int]:
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     p, q = eps.numerator, eps.denominator
-    r = 1
-    while not 2 ** (2 * q * r) > n ** (2 * q + p):
-        r += 1
+    require_bits((2 * q + p) * n.bit_length(), "n^(2q+p) for eps = p/q")
+    r = floor_log(n ** (2 * q + p), 4 ** q) + 1
     if 2 ** (q * r) < n ** (q + p):
         return r
     return None
@@ -313,8 +319,7 @@ def lll_condition(L: int, p, r: int) -> bool:
     # Boundary-tight: decide exactly (small exponents only; a tie with an
     # astronomically large exponent is not decidable within memory).
     bits = exp * max(p.numerator.bit_length(), p.denominator.bit_length())
-    if bits > _EXACT_BITS_CAP:
-        raise ArithmeticError("LLL comparison too close to the boundary for exact fallback")
+    require_bits(bits, "the exact fallback of an LLL comparison too close to the boundary")
     return 4 * L * p.numerator ** exp < p.denominator ** exp
 
 

@@ -29,6 +29,7 @@ from .bounds import (
     choose_r_sparse,
     count_affine_maps_bound,
     lll_condition,
+    require_bits,
 )
 from .cubes import (
     AffineCube,
@@ -340,6 +341,7 @@ def construct_sparse_bounded_M(
     exponent = floor(eps * n)
     if exponent < 1:
         raise ValueError(f"eps*n = {eps * n} < 1 gives inclusion probability 1; increase n")
+    require_bits(exponent * N.bit_length(), "the inclusion probability N^-floor(eps*n)")
     p = Fraction(1, N ** exponent)
     config = SamplerConfig(p=p, seed=seed, max_rounds=max_rounds,
                            notion=notion, search_budget=budget)

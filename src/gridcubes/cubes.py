@@ -46,12 +46,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exactmath import as_fraction
 from .grid import MATERIALIZE_LIMIT, GridParams, Point, PointSet
-from .intlinalg import (
-    is_primitive_system,
-    pivot_index,
-    rational_rank,
-    reduce_against,
-)
+from .intlinalg import eliminate, is_primitive_system, rational_rank, reduce_against, unit_columns
 
 DEFAULT_BUDGET = 10 ** 8
 
@@ -374,7 +369,12 @@ def _run_box_search(
 
     A check is one valid shift tried.  It tests injectivity, V and V + d
     disjoint as vmask & (vmask << o) (vertex-injective notion only;
-    independence implies it), then independence and unimodularity.  When
+    independence implies it), then independence and unimodularity: a node
+    carries the free columns left by eliminating its generators (see
+    intlinalg), d is rejected when red = reduce_against(d, cols) is None or,
+    for the unimodular notion, gcd(red) != 1, and the child gets
+    eliminate(red, cols).  At a base the free columns are the unit columns,
+    so red = d without a call; they are built only when tests run.  When
     the box spans at most two values per coordinate, as every box of [2]^n
     does, every notion holds and no test runs: on the support of g_j both
     v and v + g_j lie in {a, a + 1}, so a valid d is zero there, and
@@ -404,6 +404,7 @@ def _run_box_search(
     unimodular = notion is CubeNotion.UNIMODULAR
     test_injective = injective_only and not two_valued
     test_linalg = not injective_only and not two_valued
+    units = unit_columns(n) if test_linalg else None
 
     best_m = 0
     best = (pts[0], ()) if pts else None  # base and generator cells of the best cube
@@ -419,7 +420,7 @@ def _run_box_search(
             return size + 1
         return (1 << (f + 1)) - 1 if f >= 0 else 1
 
-    def descend(z, iz, hz, lz, rest, left, ks, vmask, reduced):
+    def descend(z, iz, hz, lz, rest, left, ks, vmask, cols):
         nonlocal best_m, best, checks
         m = len(ks)
         stop, stop_child = threshold(m), threshold(m + 1)
@@ -436,13 +437,12 @@ def _run_box_search(
                 continue
             red = None
             if test_linalg:
-                g = _sub(point_at[k], z)
-                red = reduce_against(g, reduced)
-                if red is None:
-                    continue
-                if unimodular and not is_primitive_system(
-                    tuple(_sub(point_at[j], z) for j in ks) + (g,)
-                ):
+                red = _sub(point_at[k], z)  # at m = 0 the free columns are the unit columns
+                if m:
+                    red = reduce_against(red, cols)
+                    if red is None:
+                        continue
+                if unimodular and math.gcd(*red) != 1:
                     continue
             if m + 1 > best_m:
                 best_m = m + 1
@@ -468,7 +468,7 @@ def _run_box_search(
                 descend(
                     z, iz, hz, lz, child, count, ks + (k,),
                     vmask | (vmask << o) if test_injective else vmask,
-                    reduced + [(red, pivot_index(red))] if test_linalg else reduced,
+                    eliminate(red, cols) if test_linalg else cols,
                 )
                 stop, stop_child = threshold(m), threshold(m + 1)
 
@@ -477,7 +477,7 @@ def _run_box_search(
         for z, iz in zip(pts, bases):
             hz, lz = halves.get(iz) or half_codes(iz)
             rest = s_mask >> (iz + 1) << (iz + 1)
-            descend(z, iz, hz, lz, rest, rest.bit_count(), (), 1 << iz, [])
+            descend(z, iz, hz, lz, rest, rest.bit_count(), (), 1 << iz, units)
     except _Stop:
         conclusive = best_m == target
     if best is None or (target is not None and best_m != target):

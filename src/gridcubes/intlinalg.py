@@ -2,97 +2,77 @@
 
 Two questions come up in the cube search: is a set of integer vectors
 linearly independent over the rationals, and does it extend to a basis of
-the integer lattice Z^n?  The first is answered by fraction-free Gaussian
-elimination, the second by reducing the rows to lower triangular form with
-unimodular column operations (the system is extendable iff every diagonal
-entry is +-1).  Everything is plain Python integers; no floating point is
-allowed near these decisions.
+the integer lattice Z^n?  One incremental column Euclid answers both.  Rows
+are taken one at a time against the free columns, the columns of a
+unimodular matrix not yet used up, which start as the unit columns: a row's
+free coordinates are its products with them (reduce_against), and
+eliminate subtracts integer multiples of one free column from another until
+one keeps +-gcd of them, then drops it.  Each eliminated row is then zero on
+every free column and lower triangular with a nonzero diagonal on the
+dropped ones.  So a row depends on the rows before it iff its free
+coordinates are all zero, and if the rows before it extend to a basis, it
+keeps that property iff their gcd is 1.  No floating point is allowed near
+these decisions.
 """
 
 from __future__ import annotations
 
 from math import gcd
+from operator import mul
 from typing import Optional, Sequence
 
 IntVector = Sequence[int]
 
 
-def _normalize(v: list[int]) -> tuple[int, ...]:
-    """Divide out the content and make the leading nonzero entry positive."""
-    g = 0
-    for x in v:
-        g = gcd(g, x)
-    if g > 1:
-        v = [x // g for x in v]
-    for x in v:
-        if x > 0:
-            break
-        if x < 0:
-            v = [-x for x in v]
-            break
-    return tuple(v)
+def unit_columns(n: int) -> list[tuple[int, ...]]:
+    """The free columns before any row is eliminated."""
+    return [tuple(int(i == j) for i in range(n)) for j in range(n)]
 
 
-def reduce_against(vec: IntVector, reduced: list[tuple[tuple[int, ...], int]]) -> Optional[tuple[int, ...]]:
-    """Fraction-free reduction of vec against an echelon list of rows.
-
-    `reduced` holds (row, pivot_index) pairs where each row is zero at the
-    pivots of all earlier rows.  Returns the normalized reduced vector, or
-    None when vec is a rational combination of the rows.
-    """
-    v = list(vec)
-    for row, piv in reduced:
-        if v[piv]:
-            a, b = row[piv], v[piv]
-            v = [a * x - b * y for x, y in zip(v, row)]
-    if not any(v):
-        return None
-    return _normalize(v)
+def reduce_against(vec: IntVector, cols: Sequence[IntVector]) -> Optional[tuple[int, ...]]:
+    """vec's coordinates on the free columns, or None when they are all zero
+    (vec is a rational combination of the rows eliminated so far)."""
+    red = tuple(sum(map(mul, vec, c)) for c in cols)
+    return red if any(red) else None
 
 
-def pivot_index(row: Sequence[int]) -> int:
-    for i, x in enumerate(row):
-        if x:
-            return i
-    raise ValueError("zero row has no pivot")
+def eliminate(red: IntVector, cols: Sequence[IntVector]) -> list[tuple[int, ...]]:
+    """The free columns left after eliminating a row with free coordinates
+    red (not all zero).  Neither argument is changed."""
+    red, cols = list(red), list(cols)
+    live = [j for j, x in enumerate(red) if x]
+    while len(live) > 1:
+        p = min(live, key=lambda j: abs(red[j]))
+        for j in live:
+            if j != p:
+                q = red[j] // red[p]
+                red[j] -= q * red[p]
+                cols[j] = tuple(a - q * b for a, b in zip(cols[j], cols[p]))
+        live = [j for j in live if red[j]]
+    del cols[live[0]]
+    return cols
 
 
 def rational_rank(rows: Sequence[IntVector]) -> int:
     """Rank over Q of a list of integer vectors."""
-    reduced: list[tuple[tuple[int, ...], int]] = []
+    cols = unit_columns(len(rows[0])) if rows else []
+    rank = 0
     for row in rows:
-        red = reduce_against(row, reduced)
+        red = reduce_against(row, cols)
         if red is not None:
-            reduced.append((red, pivot_index(red)))
-    return len(reduced)
+            cols = eliminate(red, cols)
+            rank += 1
+    return rank
 
 
 def is_primitive_system(rows: Sequence[IntVector]) -> bool:
-    """True iff the vectors extend to a basis of Z^n.
-
-    Column swaps and subtracting an integer multiple of one column from
-    another keep that property, and keep each row's gcd.  Column Euclid
-    leaves the first row one nonzero entry, which is +-1 iff the row's gcd
-    is 1; the rows then extend iff the rows below do on the other columns,
-    so that column is dropped.  Either every row's gcd is 1 and the rows end
-    lower triangular [L | 0] with a +-1 diagonal, or the answer is False at
-    the first row whose gcd is not 1 (0 when it depends on the rows above,
-    or when there are more rows than columns).  The empty system is True.
-    """
-    a = [list(r) for r in rows]
-    while a:
-        top = a[0]
-        if gcd(*top) != 1:
+    """True iff the vectors extend to a basis of Z^n: each row's free
+    coordinates have gcd 1 (0 when the row depends on the rows before it, or
+    no free column is left).  The empty system is True."""
+    cols = unit_columns(len(rows[0])) if rows else []
+    for row in rows:
+        red = reduce_against(row, cols)
+        if red is None or gcd(*red) != 1:
             return False
-        live = [j for j, x in enumerate(top) if x]
-        while len(live) > 1:
-            p = min(live, key=lambda j: abs(top[j]))
-            for j in live:
-                if j != p:
-                    q = top[j] // top[p]
-                    for r in a:
-                        r[j] -= q * r[p]
-            live = [j for j in live if top[j]]
-        p = live[0]
-        a = [r[:p] + r[p + 1:] for r in a[1:]]
+        cols = eliminate(red, cols)
     return True

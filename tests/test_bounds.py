@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from gridcubes import bounds
 from gridcubes.bounds import (
     BoundParams,
     beta,
@@ -67,6 +68,13 @@ class TestIteratedBound:
             for c in C_GRID:
                 truth = f_exhaustive(2, n, c, CubeNotion.INDEPENDENT_GENERATORS)
                 assert lower_bound_iterated(n, c, 2) <= truth
+
+    def test_refuses_once_c_passes_the_bit_cap(self, monkeypatch):
+        # c's numerator and denominator about double in bits per step
+        monkeypatch.setattr(bounds, "BITS_CAP", 2 ** 10)
+        assert lower_bound_iterated(100, Fraction(1, 3), 2) == 3
+        with pytest.raises(ArithmeticError, match="bits"):
+            lower_bound_iterated(10 ** 12, Fraction(1, 3), 2)
 
 
 class TestClosedForm:
@@ -248,6 +256,24 @@ class TestChooseR:
             p, q = eps.numerator, eps.denominator
             assert 2 ** (2 * q * r) > n ** (2 * q + p)  # strictly above the lower end
             assert 2 ** (q * r) < n ** (q + p)  # strictly below the upper end
+
+    def test_dense_matches_upward_scan(self):
+        """The closed form against the definition: the least r >= 1 with
+        2^(2qr) > n^(2q+p), kept only if 2^(qr) < n^(q+p)."""
+        for n in list(range(2, 70)) + [1000, 2 ** 20, 3 ** 13]:
+            for eps in (Fraction(1, 7), Fraction(1, 2), Fraction(2, 3), 1, Fraction(5, 2), 9):
+                p, q = eps.numerator, eps.denominator
+                r = 1
+                while not 2 ** (2 * q * r) > n ** (2 * q + p):
+                    r += 1
+                expected = r if 2 ** (q * r) < n ** (q + p) else None
+                assert choose_r_dense(n, eps) == expected, (n, eps)
+
+    def test_dense_refuses_past_the_bit_cap(self):
+        with pytest.raises(ArithmeticError, match="bits"):
+            choose_r_dense(4, Fraction(10 ** 400))
+        r = choose_r_dense(24, 10 ** 4)  # inside the cap, with no scan over r
+        assert 4 ** r > 24 ** 10002 >= 4 ** (r - 1) and 2 ** r < 24 ** 10001
 
     def test_sparse_examples(self):
         assert choose_r_sparse(Fraction(1, 10)) == 8

@@ -255,6 +255,9 @@ class TestBadNumericFlags:
             ["construct", "dense", str(10 ** 400), "2", "1"],
             ["fexact", "2", "20000", "1/2"],
             ["construct", "sparse", "20000", "2", "1/2"],
+            # powers past bounds.BITS_CAP, refused before they are built
+            ["construct", "dense", "4", "2", "1e400"],
+            ["construct", "sparse", "2", "2", "1e400"],
         ):
             code, out = run(argv)
             assert code == 2, argv

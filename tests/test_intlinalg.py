@@ -1,10 +1,17 @@
-"""Exact rank and primitivity, cross-checked against a minors-gcd oracle."""
+"""Exact rank and primitivity, and the incremental column Euclid behind
+both, cross-checked against a minors-gcd oracle."""
 
 import random
 from itertools import combinations
 from math import gcd
 
-from gridcubes.intlinalg import is_primitive_system, rational_rank, reduce_against
+from gridcubes.intlinalg import (
+    eliminate,
+    is_primitive_system,
+    rational_rank,
+    reduce_against,
+    unit_columns,
+)
 
 
 def det(rows):
@@ -67,12 +74,14 @@ class TestRank:
         assert rational_rank([(0, 0)]) == 0
 
     def test_reduce_against_detects_dependence(self):
-        reduced = []
-        v1 = reduce_against((2, 4, 6), reduced)
-        assert v1 == (1, 2, 3)  # content divided out
-        reduced.append((v1, 0))
-        assert reduce_against((1, 2, 3), reduced) is None
-        assert reduce_against((0, 1, 0), reduced) is not None
+        cols = unit_columns(3)
+        red = reduce_against((2, 4, 6), cols)
+        assert red == (2, 4, 6)  # coordinates on the unit columns
+        cols = eliminate(red, cols)
+        assert len(cols) == 2
+        assert reduce_against((1, 2, 3), cols) is None
+        assert reduce_against((-4, -8, -12), cols) is None
+        assert reduce_against((0, 1, 0), cols) is not None
 
     def test_random_against_oracle(self):
         rng = random.Random(11)
@@ -100,3 +109,34 @@ class TestPrimitivity:
             m = len(mat)
             expected = len(d) == m and all(x == 1 for x in d)
             assert is_primitive_system(mat) == expected
+
+
+class TestIncrementalEuclid:
+    def test_prefixes_against_oracle(self):
+        """Rows fed one at a time: reduce_against is None iff the rank does
+        not grow, and every gcd so far is 1 iff the prefix is primitive.
+        eliminate changes neither argument (sibling search nodes share the
+        parent's columns)."""
+        rng = random.Random(23)
+        for _ in range(300):
+            mat = random_matrix(rng)
+            cols = unit_columns(len(mat[0])) if mat else []
+            rank = 0
+            primitive = True
+            for i, row in enumerate(mat):
+                prefix = mat[: i + 1]
+                d = minors_gcd_divisors(prefix)
+                red = reduce_against(row, cols)
+                assert (red is None) == (len(d) == rank)
+                primitive = primitive and red is not None and gcd(*red) == 1
+                assert primitive == (len(d) == i + 1 and all(x == 1 for x in d))
+                if red is not None:
+                    red, before = list(red), list(cols)
+                    new = eliminate(red, cols)
+                    assert red == list(reduce_against(row, cols)) and cols == before
+                    assert len(new) == len(cols) - 1
+                    # every row so far is zero on the free columns left
+                    assert all(reduce_against(r, new) is None for r in prefix)
+                    cols = new
+                    rank += 1
+                assert rank == len(d)

@@ -23,3 +23,21 @@ def test_tracer_wraps_and_restores_every_traced_name(monkeypatch):
     finally:
         restored = tracer.uninstall()
     assert restored
+
+
+def test_search_looks_up_reduce_against_through_cubes(monkeypatch):
+    """The search must call reduce_against by its cubes module global, so
+    that the tracer's per-layer counter sees the calls."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+
+    lib = types.SimpleNamespace(cli=cli, construct=construct, cubes=cubes, grid=grid, toric=toric)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(lib)
+        tracer.recording = True
+        cubes.m_value(grid.PointSet.full(grid.GridParams(3, 3)), cubes.CubeNotion.INDEPENDENT_GENERATORS)
+    finally:
+        tracer.recording = False
+        tracer.uninstall()
+    assert tracer.counts["intlinalg.reduce_against.calls"] > 0
