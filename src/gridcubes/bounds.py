@@ -245,7 +245,13 @@ def check_eq_ep(n: int, eps, N: int) -> EqEpReport:
         raise ValueError(f"eps must be positive, got {eps}")
     c_n = c_n_schedule(n, N)
     middle = n * ((1 + float(eps)) * math.log2(n) + 1)
-    power = float(n) ** (1 + float(eps) / 2)
+    try:
+        power = float(n) ** (1 + float(eps) / 2)
+    except OverflowError:
+        raise ValueError(
+            f"eps = {eps} is too large: n^(1+eps/2) = {n}^(1+{eps}/2) of the feasibility "
+            f"check overflows a float"
+        ) from None
     if c_n == 0:
         # log(1/c_n) is +infinity; the inequality holds vacuously.
         return EqEpReport(True, math.inf, math.inf, True, math.inf, math.inf, c_n)

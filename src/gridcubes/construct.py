@@ -45,6 +45,7 @@ from .exactmath import as_fraction, pow_at_least
 from .grid import GridParams, PointSet
 
 DEFAULT_SEED = 1729
+PRINT_DIGITS = 4300  # Python's default limit on the digits of a printed int
 DEFAULT_MAX_ROUNDS = 10 ** 5
 
 
@@ -343,6 +344,12 @@ def construct_sparse_bounded_M(
         raise ValueError(f"eps*n = {eps * n} < 1 gives inclusion probability 1; increase n")
     require_bits(exponent * N.bit_length(), "the inclusion probability N^-floor(eps*n)")
     p = Fraction(1, N ** exponent)
+    # 10^PRINT_DIGITS has more than 3 PRINT_DIGITS bits: most p skip the power
+    if p.denominator.bit_length() > 3 * PRINT_DIGITS and p.denominator >= 10 ** PRINT_DIGITS:
+        raise ValueError(
+            f"eps = {eps} is too large: the inclusion probability {N}^-{exponent} needs "
+            f"over {PRINT_DIGITS} decimal digits, too many for its certificate"
+        )
     config = SamplerConfig(p=p, seed=seed, max_rounds=max_rounds,
                            notion=notion, search_budget=budget)
     outcome = moser_tardos_sample(grid, r, config)

@@ -16,7 +16,8 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import product
+from itertools import islice, product
+from math import comb
 from typing import Optional, Sequence
 
 from .cubes import CubeNotion, DEFAULT_BUDGET, DEFAULT_NOTION, m_value
@@ -24,7 +25,13 @@ from .grid import GridParams, Point, PointSet
 
 BOX_CAP = 10 ** 7  # enumerable bounding-box volume
 BLOCK_CAP = 10 ** 6  # largest torus we evaluate on
-MESSAGE_CAP = 10 ** 7  # exhaustive minimum-distance enumeration
+MESSAGE_CAP = 10 ** 7  # words weighed for one minimum distance
+WORD_LANES = 64  # a word counts once toward MESSAGE_CAP per WORD_LANES lanes
+# Brouwer-Zimmermann prices its choices in words weighed, each about 0.6 us
+# on a 2-core x86-64 VM with Python 3.11:
+SCAN_COST = 4  # one count of the scan's symbols, which weighs q messages
+SET_ENTRIES = 4  # entries reduced per word while a systematic set is built
+PROBE = 16  # the first set is tried when it costs at most 1/PROBE of the scan
 _LANE_FORMAT = {1: "B", 2: "H", 4: "I"}  # struct code per lane width
 
 
@@ -214,6 +221,62 @@ def _eval_monomial(u: Point, t: Point, q: int) -> int:
     return val
 
 
+class _Lanes:
+    """Vectors over F_q of `block` symbols, packed into one int with a lane of
+    `width` bytes per symbol, the first symbol lowest: one byte for
+    q <= 128, else two or four.
+
+    The sum of two packed vectors holds at most 2q - 2 < 2^(8 width) per
+    lane, so it never carries into the next lane.  Adding 2^top - q to every
+    lane (top = 8 width - 1) sets a lane's top bit exactly when it is >= q,
+    which lightest() turns into one branch-free subtraction of q; adding
+    2^top - 1 sets it exactly when the lane is nonzero, which weight()
+    counts.
+    """
+
+    __slots__ = ("q", "block", "width", "fmt", "top", "high", "bias", "nonzero")
+
+    def __init__(self, q: int, block: int):
+        self.q, self.block = q, block
+        self.width = 1 if q <= 128 else 2 if q <= 1 << 15 else 4
+        self.fmt = f"<{block}{_LANE_FORMAT[self.width]}"
+        self.top = 8 * self.width - 1
+        ones = self.pack([1] * block)
+        self.high = ones << self.top
+        self.bias = ones * ((1 << self.top) - q)
+        self.nonzero = ones * ((1 << self.top) - 1)
+
+    def pack(self, vec: Sequence[int]) -> int:
+        return int.from_bytes(struct.pack(self.fmt, *vec), "little")
+
+    def unpack(self, x: int):
+        """The symbols of x: bytes for one-byte lanes, else a tuple."""
+        if self.width == 1:
+            return x.to_bytes(self.block, "little")
+        return struct.unpack(self.fmt, x.to_bytes(self.block * self.width, "little"))
+
+    def add(self, x: int, r: int) -> int:
+        """x + r, reduced lane by lane."""
+        x += r
+        return x - (((x + self.bias) & self.high) >> self.top) * self.q
+
+    def lightest(self, x: int, r: int, count: int, weigh, least: int) -> int:
+        """min(least, weigh(x + c r) for c = 1..count), each word one add()
+        after the last; weigh may weigh a whole subtree."""
+        q, top, high, bias = self.q, self.top, self.high, self.bias
+        for _ in range(count):
+            x += r  # add(), inlined: this loop runs once per word
+            x -= (((x + bias) & high) >> top) * q
+            w = weigh(x)
+            if w < least:
+                least = w
+        return least
+
+    def weight(self, x: int) -> int:
+        """Number of nonzero lanes."""
+        return ((x + self.nonzero) & self.high).bit_count()
+
+
 def _min_weight_scan(matrix, q: int, prefixes: Sequence[tuple[int, ...]]) -> int:
     """Minimum Hamming weight over the projective messages (first nonzero
     symbol 1) whose leading symbols are one of prefixes.
@@ -225,111 +288,303 @@ def _min_weight_scan(matrix, q: int, prefixes: Sequence[tuple[int, ...]]) -> int
     P[j] = m, and at a column with R[j] = 0 exactly when P[j] = 0, so one
     count of the symbols of P weighs all q of them.
 
-    P is packed into one int, a lane of `width` bytes per column with the
-    live columns (R[j] != 0) first: one byte for q <= 128, else two or four.
-    Adding a row is one int addition and one branch-free reduction: a lane
-    then holds at most 2q - 2 < 2^(8 width), so it never carries into the
-    next lane, and adding 2^top - q to every lane (top = 8 width - 1) sets a
-    lane's top bit exactly when it is >= q.  A leaf is weighed from P's
-    bytes by C-level counts, one per symbol; wider lanes, which only q > 128
-    and so k <= 3 reach, use a Counter.
+    P is packed on _Lanes with the live columns (R[j] != 0) first, so adding
+    a row is one int addition and one branch-free reduction.  A leaf is
+    weighed from P's bytes by C-level counts, one per symbol; wider lanes,
+    which only q > 128 and so k <= 3 reach, use a Counter.
     """
     *head, last = matrix
     block = len(last)
     cols = sorted(range(block), key=lambda j: not last[j])  # R[j] != 0 first
     live = block - last.count(0)
     scale = [pow(-last[j], q - 2, q) if last[j] else 1 for j in cols]
-    width = 1 if q <= 128 else 2 if q <= 1 << 15 else 4
-    fmt = f"<{block}{_LANE_FORMAT[width]}"
-    size = block * width
-
-    def pack(vec):
-        return int.from_bytes(struct.pack(fmt, *vec), "little")
-
-    top = 8 * width - 1
-    ones = pack([1] * block)
-    high, bias = ones << top, ones * ((1 << top) - q)
-    rows = [pack([row[j] * c % q for j, c in zip(cols, scale)]) for row in head]
+    lanes = _Lanes(q, block)
+    rows = [lanes.pack([row[j] * c % q for j, c in zip(cols, scale)]) for row in head]
+    lightest, unpack, narrow = lanes.lightest, lanes.unpack, lanes.width == 1
     syms = range(q)
 
-    def add(x, r):
-        x += r
-        return x - (((x + bias) & high) >> top) * q
-
-    def weigh(x, started):
-        if width == 1:
-            v = x.to_bytes(size, "little")
+    def weigh(x, started=True):
+        v = unpack(x)
+        if narrow:
             p = v[:live]
             most = max(map(p.count, syms)) if started else p.count(1)
             return block - v.count(0, live) - most
-        v = struct.unpack(fmt, x.to_bytes(size, "little"))
         cnt = Counter(v[:live])
         most = max(cnt.values(), default=0) if started else cnt[1]
         return block - v[live:].count(0) - most
 
-    best = block + 1
-
     def rec(i, x, started):
-        # rows i.. are still free; until a symbol is nonzero they take (0, 1)
-        nonlocal best
+        # the least weight once rows i.. are chosen too; until a symbol is
+        # nonzero they take (0, 1)
         if i == len(rows):
-            best = min(best, weigh(x, started))
-            return
-        r = rows[i]
-        if i + 1 < len(rows):
-            rec(i + 1, x, started)
-            for _ in range(q - 1 if started else 1):
-                x = add(x, r)
-                rec(i + 1, x, True)
-            return
-        # the last head row: its q leaves are weighed in this frame, with
-        # add() inlined, which saves two calls per leaf
-        w = weigh(x, started)
-        for _ in range(q - 1 if started else 1):
-            x += r
-            x -= (((x + bias) & high) >> top) * q
-            w_m = weigh(x, True)
-            if w_m < w:
-                w = w_m
-        best = min(best, w)
+            return weigh(x, started)
+        count = q - 1 if started else 1
+        if i + 1 == len(rows):  # the last head row: its q leaves in one frame
+            return lightest(x, rows[i], count, weigh, weigh(x, started))
+        return lightest(x, rows[i], count, lambda y: rec(i + 1, y, True), rec(i + 1, x, started))
 
+    best = block + 1
     for prefix in prefixes:
         x = 0
         for m_i, r in zip(prefix, rows):
             for _ in range(m_i):
-                x = add(x, r)
-        rec(len(prefix), x, any(prefix))
+                x = lanes.add(x, r)
+        best = min(best, rec(len(prefix), x, any(prefix)))
     return best
 
 
-def minimum_distance(code: ToricCode, threads: int = 1) -> int:
-    """Exhaustive minimum Hamming distance of the code.
+def _systematic(matrix, q: int, order: Sequence[int]) -> tuple[list[list[int]], list[Optional[int]]]:
+    """Gauss-Jordan reduction of matrix (entries in [0, q)) over F_q,
+    pivoting on the columns of order in turn until every row has a pivot:
+    the reduced rows and each row's pivot column (None where the columns of
+    order ran out first)."""
+    k = len(matrix)
+    rows = [list(row) for row in matrix]
+    pivot: list[Optional[int]] = [None] * k
+    left = k
+    for c in order:
+        i = next((i for i in range(k) if pivot[i] is None and rows[i][c]), None)
+        if i is None:
+            continue
+        inv = pow(rows[i][c], q - 2, q)
+        ri = rows[i] = [v * inv % q for v in rows[i]]
+        for h, rh in enumerate(rows):
+            f = rh[c]
+            if f and h != i:
+                rows[h] = [(a - f * b) % q for a, b in zip(rh, ri)]
+        pivot[i] = c
+        left -= 1
+        if not left:
+            break
+    return rows, pivot
 
-    Scalar multiples have equal weight, so only the (q^k - 1)/(q - 1)
-    messages whose first nonzero symbol is 1 are weighed, q at a time, on
-    partial codewords packed into byte lanes of one int (see
-    _min_weight_scan); the cap still applies to the whole space q^k.  The
-    work splits by the projective prefixes of the first min(2, k - 1)
-    symbols, up to q + 2 of them, dealt round-robin to at most
-    min(threads, CPU count) worker processes; a single worker scans
-    in-process.  The minimum does not depend on the split.  This scan is the
-    only work that --threads splits: the cube search runs in one process.
+
+def _information_sets(matrix, q: int):
+    """Yield greedy systematic forms of matrix on pairwise disjoint column
+    sets, as (r, rows); nothing when matrix has rank < k.
+
+    Each set pivots first on the columns no earlier set took, in column
+    order.  While those reach rank k it is an information set; once they
+    reach only r < k, the set is its r own pivots, completed to a basis by
+    columns of earlier sets.  rows are the systematic rows restricted to the
+    columns off the set's k pivots, so a message of weight w weighs w plus
+    the weight of its word there.
     """
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
-    q = code.field.q
-    k = code.dimension
-    if q ** k > MESSAGE_CAP:
-        raise ValueError(f"message space {q}^{k} exceeds cap {MESSAGE_CAP}")
+    k, n = len(matrix), len(matrix[0])
+    used = bytearray(n)  # 1 where an earlier set took the column
+    while True:
+        order = [c for c in range(n) if not used[c]] + [c for c in range(n) if used[c]]
+        rows, pivot = _systematic(matrix, q, order)
+        own = [c for c in pivot if c is not None and not used[c]]
+        if None in pivot or not own:
+            return
+        pivots = set(pivot)
+        rest = [c for c in range(n) if c not in pivots]
+        yield len(own), [[row[c] for c in rest] for row in rows]
+        for c in own:
+            used[c] = 1
+
+
+def _level_words(q: int, k: int, w: int) -> int:
+    """Projective messages of weight w: C(k, w) (q - 1)^(w - 1)."""
+    return comb(k, w) * (q - 1) ** (w - 1)
+
+
+def _gain(k: int, r: int, w: int) -> int:
+    """Lower bound on the weight, on the own pivots of a set of rank r, of a
+    codeword whose messages of weight <= w on that set were all weighed and
+    missed it: max(0, w + 1 - (k - r))."""
+    return max(0, w + 1 - (k - r))
+
+
+def _plan(q: int, k: int, full: int, partial: Sequence[int], done: int, bound: int,
+          w: int, setup: int = 0) -> tuple[int, int]:
+    """The cheapest way to finish Brouwer-Zimmermann from level w, as (price
+    in words, sets kept).
+
+    Levels 1..w-1 are done on `full` information sets and on sets of the
+    ranks `partial` (decreasing), with lower bound `done`.  Keeping the
+    first i sets, a run that stops after level s < k needs the least i
+    whose lower bound reaches `bound` there; s = k needs one set, which
+    sees every message.  A set dropped keeps the bound it earned.  With
+    setup > 0 no set past the first is built yet: each is priced at setup,
+    done must be 0, and a set not kept earns nothing.
+    """
+    earned = 0 if setup else w  # what a kept information set has earned
+    best = None
+    words = 0
+    for s in range(w, k + 1):
+        words += _level_words(q, k, s)
+        if best is not None and words >= best[0]:
+            break  # a later level costs more on any number of sets
+        if s == k:
+            return words, 1
+        need = bound - done
+        i = min(full, -(-need // (s + 1 - earned)))
+        need -= i * (s + 1 - earned)
+        for r in partial:
+            if need <= 0:
+                break
+            need -= _gain(k, r, s) - (0 if setup else _gain(k, r, w - 1))
+            i += 1
+        i = max(i, 1)
+        cost = i * words + (i - 1) * setup
+        if need <= 0 and (best is None or cost < best[0]):
+            best = (cost, i)
+    return best
+
+
+def _weigh_level(lanes: _Lanes, rows: Sequence[int], w: int) -> int:
+    """Least weight, off the pivots, over the projective messages of weight
+    w on one systematic set of packed rows."""
+    k, q, lightest, weight = len(rows), lanes.q, lanes.lightest, lanes.weight
+
+    def rec(start, x, left):
+        # the least weight once `left` more rows of rows[start:] are added,
+        # each with a nonzero coefficient
+        least = lanes.block + 1
+        if left == 1:
+            for r in rows[start:]:
+                least = lightest(x, r, q - 1, weight, least)
+            return least
+        for i in range(start, k - left + 1):
+            least = lightest(x, rows[i], q - 1, lambda y: rec(i + 1, y, left - 1), least)
+        return least
+
+    if w == 1:
+        return min(map(weight, rows))
+    return min(rec(i + 1, rows[i], w - 1) for i in range(k - w + 1))
+
+
+def _scan(matrix, q: int, k: int, threads: int) -> int:
+    """_min_weight_scan over every projective message, split by the
+    projective prefixes of the first min(2, k - 1) symbols, up to q + 2 of
+    them, dealt round-robin to at most min(threads, CPU count) worker
+    processes; a single worker scans in-process."""
     prefixes = [()]
     for _ in range(min(2, k - 1)):
         prefixes = [p + (v,) for p in prefixes for v in (range(q) if any(p) else (0, 1))]
-    scan = partial(_min_weight_scan, code.matrix, q)
+    scan = partial(_min_weight_scan, matrix, q)
     workers = min(threads, os.cpu_count() or 1, len(prefixes))
     if workers == 1:
         return scan(prefixes)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return min(pool.map(scan, [prefixes[i::workers] for i in range(workers)]))
+
+
+def _brouwer_zimmermann(matrix, q: int, scan_cost: Optional[int]) -> Optional[int]:
+    """Minimum weight of the code of matrix by Brouwer-Zimmermann (K.-H.
+    Zimmermann 1996; M. Grassl 2006), or None as soon as the scan, priced
+    at scan_cost words, is the cheaper way to finish; scan_cost is None
+    where the scan is past the cap.
+
+    The matrix is put in systematic form on greedily chosen disjoint column
+    sets (_information_sets); a rank-deficient matrix answers 0 at once.  At
+    level w = 1, 2, ... the projective messages of weight w are weighed on
+    every set, each word one lane addition away from its parent (_Lanes).  A
+    codeword not yet seen then has message weight >= w + 1 on every set, so
+    weight >= w + 1 on an information set's columns and >= w + 1 - (k - r)
+    on the own columns of a set of rank r < k.  The run stops once that
+    lower bound reaches the least weight found (at first the Singleton
+    bound n - k + 1), or after level k.
+
+    Prices are in words weighed; building a set costs one word per
+    SET_ENTRIES entries reduced, k n per pivot.  Before any set is built,
+    BZ goes ahead if it would beat the scan even with d at the Singleton
+    bound, or if the first set and its k rows cost at most 1/PROBE of the
+    scan: those rows then give a real upper bound.  After the first set,
+    _plan prices the rest against the least weight found, picks how many
+    sets to build, and before each later level drops the sets it no longer
+    needs.  Words weighed, each counted once per WORD_LANES lanes, may not
+    pass MESSAGE_CAP; where they would, and the scan cannot take over,
+    ValueError names the cap and the bounds found.
+    """
+    k, n = len(matrix), len(matrix[0])
+    setup = k * k * n // SET_ENTRIES
+    unit = max(1, -(-(n - k) // WORD_LANES))  # what one word counts toward the cap
+    best = n - k + 1
+    spare = (n % k,) if n % k else ()  # what the columns past n // k sets might give
+    if scan_cost is not None:
+        sure = _plan(q, k, n // k, spare, 0, best, 1, setup)[0] + setup
+        if scan_cost <= min(sure, PROBE * (setup + k)):
+            return None
+    found = _information_sets(matrix, q)
+    first = next(found, None)
+    if first is None:
+        return 0
+    lanes = _Lanes(q, n - k)
+    ranks, packed = [], []
+    low = weighed = 0  # the lower bound; the words weighed, as the cap counts them
+
+    def admit(words):
+        # whether `words` more words may be weighed; False hands over to the scan
+        if weighed + words * unit <= MESSAGE_CAP:
+            return True
+        if scan_cost is None:
+            raise ValueError(
+                f"minimum distance past the cap of {MESSAGE_CAP} words weighed: "
+                f"{low} <= d <= {best}"
+            )
+        return False
+
+    def take(r, rows):
+        # a new set, and its level 1: its k rows
+        nonlocal best, low, weighed
+        ranks.append(r)
+        packed.append([lanes.pack(row) for row in rows])
+        best = min(best, 1 + _weigh_level(lanes, packed[-1], 1))
+        weighed += k * unit
+        low += _gain(k, r, 1)
+
+    if not admit(k):
+        return None
+    take(*first)
+    if k == 1 or low >= best:
+        return best  # at k = 1 one set at level 1 has seen every message
+    # price the rest, with the sets not built yet taken as information sets
+    words, count = _plan(q, k, n // k, spare, 0, best, 2, setup)
+    if scan_cost is not None and scan_cost < words:
+        return None
+    for r, rows in islice(found, count - 1):
+        if not admit(k):
+            return None
+        take(r, rows)
+        if low >= best:
+            return best
+    for w in range(2, k + 1):
+        full = ranks.count(k)
+        words, count = _plan(q, k, full, ranks[full:], low, best, w)
+        if (scan_cost is not None and scan_cost < words) or not admit(count * _level_words(q, k, w)):
+            return None
+        del ranks[count:], packed[count:]  # a dropped set keeps its part of low
+        for r, rows in zip(ranks, packed):
+            best = min(best, w + _weigh_level(lanes, rows, w))
+            weighed += _level_words(q, k, w) * unit
+            # this set has weighed level w; at w = k it has seen every message
+            low += _gain(k, r, w) - _gain(k, r, w - 1)
+            if w == k or low >= best:
+                return best
+    return best
+
+
+def minimum_distance(code: ToricCode, threads: int = 1) -> int:
+    """Exact minimum Hamming distance of the code: Brouwer-Zimmermann
+    (_brouwer_zimmermann), which hands over to the projective scan (_scan)
+    wherever its cost rule finds the scan cheaper.
+
+    The scan is priced at its (q^k - 1)/(q - 1) messages, weighed q at a
+    time at SCAN_COST words, and may run only while q^k <= MESSAGE_CAP.
+    Which path runs depends only on q, k, n, the sets found and the running
+    bounds, never on threads, which splits only the scan: BZ and the cube
+    search run in one process.  When neither path fits the cap, ValueError
+    names the cap and the bounds found so far.
+    """
+    if threads < 1:
+        raise ValueError(f"thread count must be >= 1, got {threads}")
+    q, k = code.field.q, code.dimension
+    scan_cost = (q ** k - 1) // (q - 1) * SCAN_COST // q if q ** k <= MESSAGE_CAP else None
+    d = _brouwer_zimmermann(code.matrix, q, scan_cost)
+    return _scan(code.matrix, q, k, threads) if d is None else d
 
 
 @dataclass(frozen=True)

@@ -199,6 +199,16 @@ class TestToric:
         assert code == 3 and result_of(out)["status"] == "inconclusive"
 
 
+    def test_square_past_the_old_cap(self, tmp_path):
+        # [0,2]^2 over F_7: k = 9 and 7^9 > 10^7, which the scan alone
+        # refused; d = 4 * 4, the distance of RS[6,3] (x) RS[6,3]
+        p = tmp_path / "square.poly"
+        p.write_text("7 2\n0 0\n2 0\n0 2\n2 2\n")
+        outs = [run(["--threads", t, "toric", str(p)]) for t in ("1", "2")]
+        assert outs[0][0] == 0 and outs[1] == outs[0]
+        assert result_of(outs[0][1])["min_distance"] == 16
+
+
 class TestVerify:
     def test_lemma_suite_passes(self):
         code, out = run(["verify", "intersection", "--count", "60"])
@@ -258,11 +268,17 @@ class TestBadNumericFlags:
             # powers past bounds.BITS_CAP, refused before they are built
             ["construct", "dense", "4", "2", "1e400"],
             ["construct", "sparse", "2", "2", "1e400"],
+            # n^(1+eps/2) past a float, and p = 2^-20000 past 4300 printed digits
+            ["construct", "dense", "24", "2", "10000"],
+            ["construct", "sparse", "20", "2", "1000"],
         ):
             code, out = run(argv)
             assert code == 2, argv
             assert out.count("\n") == 1 and "error" in json.loads(out)
-            assert "4300 digits" not in out, argv
+            assert "4300 digits" not in out and "out of range" not in out, argv
+        for argv in (["construct", "dense", "24", "2", "10000"],
+                     ["construct", "sparse", "20", "2", "1000"]):
+            assert json.loads(run(argv)[1])["error"].startswith("eps = "), argv
 
 
 class TestDeterminismAndManifest:

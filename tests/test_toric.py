@@ -242,30 +242,29 @@ class TestMinimumDistance:
             assert minimum_distance(code) == naive_min_distance(code.matrix, q)
             done += 1
 
-    def test_hand_built_matrices_against_flat_enumeration(self, inline_pool):
+    def test_hand_built_matrices_against_flat_enumeration(self, hand_built, inline_pool, monkeypatch):
         # k = 1 (no head row), 2, 3 give prefix depths 0, 1, 2 and k = 4 one
         # free row below them; a last row with zero entries (never built from
         # a polytope) reaches the R[j] = 0 columns, and random rows may be
         # dependent, so distance 0 is covered too.  q = 127 is the largest
         # prime on 1-byte lanes and q = 131 takes 2-byte lanes; blocks of 9 or
         # more columns pack into ints of several machine words (up to 16 for
-        # the large fields, whose flat enumeration is slow).
-        rng = random.Random(505)
-        for q in (2, 3, 5, 7, 127, 131):
-            for k in (1, 2, 3, 4) if q < 127 else (1, 2):
-                for rep in range(4):
-                    block = rng.randint(1, 7) if rep < 2 else rng.randint(9, 70 if q < 127 else 16)
-                    matrix = [[rng.randrange(q) for _ in range(block)] for _ in range(k)]
-                    matrix[-1][rng.randrange(block)] = 0
-                    code = ToricCode(PrimeField(q), segment(0), ((0,),) * k,
-                                     tuple(map(tuple, matrix)), block)
-                    want = naive_min_distance(code.matrix, q)
-                    pieces = {1: 1, 2: 2}.get(k, q + 2)
-                    for threads in (1, 2, 3, 5):
-                        inline_pool.clear()
-                        assert minimum_distance(code, threads=threads) == want
-                        workers = min(threads, 3, pieces)
-                        assert inline_pool == ([workers] if workers > 1 else [])
+        # the large fields, whose flat enumeration is slow).  Where the scan
+        # runs, seen by wrapping _min_weight_scan, its pool gets the workers
+        # asked for; Brouwer-Zimmermann runs in-process.
+        scans = []
+        scan = toric._min_weight_scan
+        monkeypatch.setattr(toric, "_min_weight_scan", lambda *a: scans.append(1) or scan(*a))
+        for q, k, matrix, want in hand_built:
+            code = ToricCode(PrimeField(q), segment(0), ((0,),) * k,
+                             tuple(map(tuple, matrix)), len(matrix[0]))
+            pieces = {1: 1, 2: 2}.get(k, q + 2)
+            for threads in (1, 2, 3, 5):
+                inline_pool.clear()
+                scans.clear()
+                assert minimum_distance(code, threads=threads) == want
+                workers = min(threads, 3, pieces)
+                assert inline_pool == ([workers] if scans and workers > 1 else [])
 
     def test_lane_reduction_against_flat_weights(self):
         # at k <= 2 a row is added at most once, so the lane reduction first
@@ -292,11 +291,101 @@ class TestMinimumDistance:
                 assert toric._min_weight_scan(matrix[2:], q, [()]) == block - matrix[2].count(0)
 
     def test_message_cap(self):
-        code = build_code(segment(2), 5)
-        big = code.__class__(code.field, code.polytope, code.monomials * 12,
-                             code.matrix * 12, code.block_length)
+        # a full-rank [12, 6] code over F_1009: the scan is past the cap
+        # (1009^6 > 10^7), and Brouwer-Zimmermann's level 3 on its two
+        # information sets needs 2 C(6, 3) 1008^2 > 10^7 words
+        rng = random.Random(94)
+        matrix = tuple(tuple(rng.randrange(1009) for _ in range(12)) for _ in range(6))
+        code = ToricCode(PrimeField(1009), segment(0), ((0,),) * 6, matrix, 12)
+        assert _gf_rank(matrix, 1009) == 6
+        with pytest.raises(ValueError, match=r"cap.* \d+ <= d <= \d+$"):
+            minimum_distance(code)
+
+    def test_small_cap_refuses_before_weighing_past_it(self, monkeypatch):
+        # the square [0,2]^2 over F_7 (k = 9, n = 36: words of 27 lanes,
+        # each counted once) with a cap of 2,000 words: levels 1 and 2 on four
+        # information sets take 4 (9 + 216) = 900, level 3 would take 12,096
+        # more, and 7^9 > 2,000 leaves no scan.  Each word weighed is one call
+        # of _Lanes.weight.
+        code = build_code(LatticePolytope([(0, 0), (2, 0), (0, 2), (2, 2)]), 7)
+        weight = toric._Lanes.weight
+        words = []
+        monkeypatch.setattr(toric._Lanes, "weight", lambda lanes, x: words.append(1) or weight(lanes, x))
+        monkeypatch.setattr(toric, "MESSAGE_CAP", 2000)
         with pytest.raises(ValueError, match="cap"):
-            minimum_distance(big)
+            minimum_distance(code)
+        assert 0 < len(words) <= 2000
+
+
+@pytest.fixture(scope="module")
+def hand_built():
+    """(q, k, matrix, flat minimum weight) for hand-built matrices: seeded
+    random ones, and ones made of several information sets, columns from a
+    subspace of lower rank and zero columns, in some with a last row that
+    is a combination of the others, so that d = 0."""
+    cases = []
+    rng = random.Random(505)
+    for q in (2, 3, 5, 7, 127, 131):
+        for k in (1, 2, 3, 4) if q < 127 else (1, 2):
+            for rep in range(4):
+                block = rng.randint(1, 7) if rep < 2 else rng.randint(9, 70 if q < 127 else 16)
+                matrix = [[rng.randrange(q) for _ in range(block)] for _ in range(k)]
+                matrix[-1][rng.randrange(block)] = 0
+                cases.append((q, k, matrix))
+    rng = random.Random(506)
+    for q in (2, 3, 5, 7, 127, 131):
+        for k in (2, 3, 4) if q < 127 else (2,):
+            for rep in range(3 if q < 127 else 1):
+                basis = [[rng.randrange(q) for _ in range(k)] for _ in range(rng.randint(1, k - 1))]
+                cols = [[rng.randrange(q) for _ in range(k)] for _ in range(rng.randint(1, 3) * k)]
+                cols += [[sum(rng.randrange(q) * b[i] for b in basis) % q for i in range(k)]
+                         for _ in range(rng.randint(1, k + 2))]
+                cols += [[0] * k] * rng.randint(0, 2)
+                rng.shuffle(cols)
+                matrix = [list(row) for row in zip(*cols)]
+                if rep == 1:  # the last row a combination of the others
+                    coef = [rng.randrange(q) for _ in range(k - 1)]
+                    matrix[-1] = [sum(c * x for c, x in zip(coef, col)) % q
+                                  for col in zip(*matrix[:-1])]
+                cases.append((q, k, matrix))
+    return [(q, k, m, naive_min_distance(m, q)) for q, k, m in cases]
+
+
+class TestBrouwerZimmermann:
+    """_brouwer_zimmermann with no scan to hand over to, against independent
+    answers."""
+
+    def test_hand_built_against_flat_enumeration(self, hand_built):
+        for q, k, matrix, want in hand_built:
+            assert toric._brouwer_zimmermann(matrix, q, None) == want, (q, matrix)
+
+    def test_seeded_polytopes_against_scan(self):
+        # 200 distinct codes of polytopes of dimension 1-3 with q^k <= 10^5,
+        # against the scan over every projective message
+        rng = random.Random(1301)
+        seen = set()
+        while len(seen) < 200:
+            dim = rng.choice([1, 2, 2, 3])
+            q = rng.choice([3, 5] if dim == 3 else [3, 5, 7] if dim == 2 else [5, 7, 11, 13])
+            top = min(q - 2, (q, 3, 2)[dim - 1])
+            poly = LatticePolytope([tuple(rng.randint(0, top) for _ in range(dim))
+                                    for _ in range(rng.randint(1, 4))])
+            pts = poly.lattice_points()
+            if q ** len(pts) > 10 ** 5 or (q, pts) in seen:
+                continue
+            seen.add((q, pts))
+            code = build_code(poly, q)
+            prefixes = [()] if code.dimension == 1 else [(0,), (1,)]
+            want = toric._min_weight_scan(code.matrix, q, prefixes)
+            assert toric._brouwer_zimmermann(code.matrix, q, None) == want, (q, poly.vertices)
+
+    def test_boxes_past_the_old_cap(self):
+        # the box [0,a] x [0,b] gives RS[q-1, a+1] (x) RS[q-1, b+1], whose
+        # distance is (q-1-a)(q-1-b); each has q^k > 10^7
+        for a, b, q in ((2, 2, 7), (1, 4, 7), (2, 3, 7), (2, 4, 7), (3, 2, 5)):
+            code = build_code(LatticePolytope([(0, 0), (a, 0), (0, b), (a, b)]), q)
+            assert q ** code.dimension > 10 ** 7
+            assert minimum_distance(code) == (q - 1 - a) * (q - 1 - b), (a, b, q)
 
 
 class TestCodeStats:
@@ -336,6 +425,14 @@ class TestReedSolomonFamily:
                 code = build_code(segment(k), q)
                 dmin = minimum_distance(code)
                 assert (code.block_length, code.dimension, dmin) == (q - 1, k + 1, q - 1 - k)
+
+    def test_segments_past_the_old_cap(self):
+        # q^(k+1) > 10^7: the scan may not run, and Brouwer-Zimmermann must
+        # still give the Reed-Solomon distance q - 1 - k
+        for q in (11, 13):
+            for k in range(q - 1):
+                if q ** (k + 1) > 10 ** 7:
+                    assert minimum_distance(build_code(segment(k), q)) == q - 1 - k, (q, k)
 
 
 class TestMonotonicity:
