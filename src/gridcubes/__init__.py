@@ -58,6 +58,7 @@ from .grid import (
 from .toric import (
     CodeStats,
     LatticePolytope,
+    MessageCapExceeded,
     PrimeField,
     ToricCode,
     build_code,

@@ -4,7 +4,7 @@ A polytope P inside [0, q-2]^n defines a code of block length (q-1)^n: each
 lattice point u of P contributes the row (t^u for t in the torus), where the
 torus is all points with nonzero coordinates and t^u is the monomial product
 t_1^{u_1} ... t_n^{u_n} mod q.  Geometry is exact: hull membership is decided
-by rational phase-1 simplex pivoting, never floats.
+by phase-1 simplex pivoting in integers (fraction-free), never floats.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
 from itertools import islice, product
-from math import comb
+from math import comb, prod
 from typing import Optional, Sequence
 
 from .cubes import CubeNotion, DEFAULT_BUDGET, DEFAULT_NOTION, m_value
@@ -50,6 +50,15 @@ def is_prime(q: int) -> bool:
     return True
 
 
+class MessageCapExceeded(ValueError):
+    """Minimum distance stopped by MESSAGE_CAP, inconclusive: lower <= d <= upper."""
+
+    def __init__(self, lower: int, upper: int):
+        super().__init__(f"minimum distance past the cap of {MESSAGE_CAP} words weighed: "
+                         f"{lower} <= d <= {upper}")
+        self.lower, self.upper = lower, upper
+
+
 @dataclass(frozen=True)
 class PrimeField:
     """A prime modulus q; the code layer does its arithmetic with % q."""
@@ -64,48 +73,48 @@ class PrimeField:
 def _in_hull(x: Sequence[int], vertices: Sequence[Point]) -> bool:
     """Exact feasibility of x = sum(lam_i v_i), sum(lam_i) = 1, lam >= 0.
 
-    Phase-1 simplex over Fractions with Bland's rule (no cycling); the point
-    is in the hull iff the artificial objective reaches zero.
+    Phase-1 simplex with Bland's rule (no cycling), pivoted fraction-free
+    (J. Edmonds 1967; E. H. Bareiss 1968): each entry is the rational
+    tableau's times D > 0, the last pivot, and a pivot on p maps an entry a
+    to (a p - f b) // D exactly, f and b the entries of a's row in the
+    entering column and of the pivot row in a's column.  Signs and ratios,
+    compared by cross-products, are the rational ones, so is every pivot.
+    The point is in the hull iff the artificial objective reaches zero.
     """
-    k = len(vertices)
-    m = len(x) + 1
-    rows: list[list[Fraction]] = []
-    for i in range(len(x)):
-        rows.append([Fraction(v[i]) for v in vertices] + [Fraction(0)] * m + [Fraction(x[i])])
-    rows.append([Fraction(1)] * k + [Fraction(0)] * m + [Fraction(1)])
-    for i in range(m):
-        if rows[i][-1] < 0:
-            rows[i] = [-v for v in rows[i]]
-        rows[i][k + i] = Fraction(1)
+    k, m = len(vertices), len(x) + 1
+    rows = [list(c) + [0] * m + [xi] for c, xi in zip(zip(*vertices), x)]
+    rows.append([1] * k + [0] * m + [1])  # sum(lam_i) = 1
+    for i, row in enumerate(rows):
+        if row[-1] < 0:
+            rows[i] = row = [-v for v in row]
+        row[k + i] = 1
     basis = list(range(k, k + m))
-    cost = [Fraction(0)] * k + [Fraction(1)] * m
-    # Reduced costs for the artificial basis: z_j = sum_i rows[i][j] - cost_j.
-    z = [sum(rows[i][j] for i in range(m)) - cost[j] for j in range(k + m)]
-    obj = sum(rows[i][-1] for i in range(m))
+    # reduced costs sum_i rows[i][j] - cost_j (1 on the artificials), objective last
+    z = [sum(col) - (k <= j < k + m) for j, col in enumerate(zip(*rows))]
+    d = 1
     while True:
         enter = next((j for j in range(k + m) if z[j] > 0), None)  # Bland
         if enter is None:
             break
         leave = None
-        best: Optional[Fraction] = None
         for i in range(m):
-            if rows[i][enter] > 0:
-                ratio = rows[i][-1] / rows[i][enter]
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
-                    best, leave = ratio, i
+            a = rows[i][enter]
+            if a > 0:  # c: the sign of rhs_i / a - rhs_leave / a_leave
+                c = -1 if leave is None else rows[i][-1] * rows[leave][enter] - rows[leave][-1] * a
+                if c < 0 or (c == 0 and basis[i] < basis[leave]):
+                    leave = i
         if leave is None:
             break  # cannot happen: phase-1 objective is bounded below
-        piv = rows[leave][enter]
-        rows[leave] = [v / piv for v in rows[leave]]
-        for i in range(m):
-            if i != leave and rows[i][enter]:
-                f = rows[i][enter]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[leave])]
+        b, p = rows[leave], rows[leave][enter]
+        for i, row in enumerate(rows):
+            if i != leave:
+                f = row[enter]
+                rows[i] = [(a * p - f * c) // d for a, c in zip(row, b)]
         f = z[enter]
-        z = [a - f * b for a, b in zip(z, rows[leave][:-1])]
-        obj -= f * rows[leave][-1]
+        z = [(a * p - f * c) // d for a, c in zip(z, b)]
         basis[leave] = enter
-    return obj == 0
+        d = p
+    return z[-1] == 0
 
 
 class LatticePolytope:
@@ -137,17 +146,12 @@ class LatticePolytope:
     def lattice_points(self) -> tuple[Point, ...]:
         if self._points is None:
             box = self.bounding_box()
-            volume = 1
-            for lo, hi in box:
-                volume *= hi - lo + 1
+            volume = prod(hi - lo + 1 for lo, hi in box)
             if volume > BOX_CAP:
                 raise ValueError(f"bounding box volume {volume} exceeds cap {BOX_CAP}")
-            vset = set(self.vertices)
-            pts = []
-            for p in product(*(range(lo, hi + 1) for lo, hi in box)):
-                if p in vset or _in_hull(p, self.vertices):
-                    pts.append(p)
-            self._points = tuple(sorted(pts))
+            vset = set(self.vertices)  # product() runs in lex order
+            self._points = tuple(p for p in product(*(range(lo, hi + 1) for lo, hi in box))
+                                 if p in vset or _in_hull(p, self.vertices))
         return self._points
 
 
@@ -191,34 +195,28 @@ def build_code(p: LatticePolytope, q: int) -> ToricCode:
 
     Rows follow the lex-sorted lattice points of P; columns follow the
     lex-sorted torus points of [1, q-1]^n, so the matrix is reproducible.
-    The lattice box and the block-length cap are checked before q is
-    tested for primality, so for n >= 1 trial division never runs past
-    q = BLOCK_CAP + 1.
+    The row of u is the Kronecker product r_{u_1} (x) ... (x) r_{u_n}, with
+    r_a = (t^a mod q for t = 1..q-1) built only for the a that occur.  The
+    vertices' box and the block-length cap are checked before q is tested
+    for primality (so trial division never passes q = BLOCK_CAP + 1 at
+    n >= 1), and all three before the lattice points are enumerated.
     """
     n = p.dim
-    pts = p.lattice_points()
-    for u in pts:
-        if any(not 0 <= x <= q - 2 for x in u):
-            raise ValueError(f"lattice point {u} outside the box [0, {q - 2}]^{n}")
+    for v in p.vertices:
+        if any(not 0 <= x <= q - 2 for x in v):
+            raise ValueError(f"vertex {v} outside the box [0, {q - 2}]^{n}")
     if (n and q - 1 > BLOCK_CAP) or (q - 1) ** n > BLOCK_CAP:
         raise ValueError(f"block length {q - 1}^{n} exceeds cap {BLOCK_CAP}")
     field = PrimeField(q)
-    block = (q - 1) ** n
-    torus = list(product(range(1, q), repeat=n))
-    matrix = tuple(
-        tuple(_eval_monomial(u, t, q) for t in torus)
-        for u in pts
-    )
+    pts = p.lattice_points()
+    power = {a: [pow(t, a, q) for t in range(1, q)] for a in {a for u in pts for a in u}}
+    rows = {(): [1]}  # Kronecker products of the points and their prefixes
+    for u in sorted({u[:i] for u in pts for i in range(1, n + 1)}, key=len):
+        rows[u] = [x * y % q for x in rows[u[:-1]] for y in power[u[-1]]]
+    matrix = tuple(tuple(rows[u]) for u in pts)
     if _gf_rank(matrix, q) != len(pts):
         raise ArithmeticError("evaluation matrix lost rank; polytope/field mismatch")
-    return ToricCode(field, p, tuple(pts), matrix, block)
-
-
-def _eval_monomial(u: Point, t: Point, q: int) -> int:
-    val = 1
-    for ui, ti in zip(u, t):
-        val = (val * pow(ti, ui, q)) % q
-    return val
+    return ToricCode(field, p, tuple(pts), matrix, (q - 1) ** n)
 
 
 class _Lanes:
@@ -497,7 +495,7 @@ def _brouwer_zimmermann(matrix, q: int, scan_cost: Optional[int]) -> Optional[in
     sets to build, and before each later level drops the sets it no longer
     needs.  Words weighed, each counted once per WORD_LANES lanes, may not
     pass MESSAGE_CAP; where they would, and the scan cannot take over,
-    ValueError names the cap and the bounds found.
+    MessageCapExceeded carries the bounds found.
     """
     k, n = len(matrix), len(matrix[0])
     setup = k * k * n // SET_ENTRIES
@@ -521,10 +519,7 @@ def _brouwer_zimmermann(matrix, q: int, scan_cost: Optional[int]) -> Optional[in
         if weighed + words * unit <= MESSAGE_CAP:
             return True
         if scan_cost is None:
-            raise ValueError(
-                f"minimum distance past the cap of {MESSAGE_CAP} words weighed: "
-                f"{low} <= d <= {best}"
-            )
+            raise MessageCapExceeded(low, best)
         return False
 
     def take(r, rows):
@@ -576,8 +571,8 @@ def minimum_distance(code: ToricCode, threads: int = 1) -> int:
     time at SCAN_COST words, and may run only while q^k <= MESSAGE_CAP.
     Which path runs depends only on q, k, n, the sets found and the running
     bounds, never on threads, which splits only the scan: BZ and the cube
-    search run in one process.  When neither path fits the cap, ValueError
-    names the cap and the bounds found so far.
+    search run in one process.  When neither path fits the cap,
+    MessageCapExceeded carries the bounds found so far.
     """
     if threads < 1:
         raise ValueError(f"thread count must be >= 1, got {threads}")

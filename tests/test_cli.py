@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import gridcubes
+from gridcubes import toric
 from gridcubes.cli import run, run_from_manifest
 from gridcubes.construct import DEFAULT_SEED
 from gridcubes.cubes import DEFAULT_BUDGET, DEFAULT_NOTION, _box_of, _run_box_search
@@ -198,6 +199,19 @@ class TestToric:
         code, out = run(["--budget", "1", "toric", str(p)])
         assert code == 3 and result_of(out)["status"] == "inconclusive"
 
+
+    def test_message_cap_exits_3_with_bounds(self, tmp_path, monkeypatch):
+        # [0,2]^2 over F_7 (d = 16, 7^9 > 2,000 leaves no scan) with a cap
+        # of 2,000 words stops Brouwer-Zimmermann after level 2: inconclusive,
+        # with the bounds it proved, not an input error
+        monkeypatch.setattr(toric, "MESSAGE_CAP", 2000)
+        p = tmp_path / "square.poly"
+        p.write_text("7 2\n0 0\n2 0\n0 2\n2 2\n")
+        code, out = run(["toric", str(p)])
+        res = result_of(out)
+        assert code == 3 and res["status"] == "inconclusive"
+        assert set(res) == {"status", "min_distance_lower", "min_distance_upper"}
+        assert res["min_distance_lower"] <= 16 <= res["min_distance_upper"]
 
     def test_square_past_the_old_cap(self, tmp_path):
         # [0,2]^2 over F_7: k = 9 and 7^9 > 10^7, which the scan alone

@@ -2,8 +2,10 @@
 
 import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
+from math import prod
 
 import pytest
 
@@ -39,6 +41,14 @@ def naive_min_distance(matrix, q):
         )
         best = w if best is None else min(best, w)
     return best
+
+
+def _monomial(u, t, q):
+    """t^u = prod(t_i^u_i) mod q, one entry at a time."""
+    val = 1
+    for ui, ti in zip(u, t):
+        val = val * pow(ti, ui, q) % q
+    return val
 
 
 @pytest.fixture
@@ -104,6 +114,84 @@ def _in_hull_2d_oracle(x, verts):
     return False
 
 
+def _in_hull_fraction(x, vertices, seen=None):
+    """The phase-1 simplex over Fractions with Bland's rule, pivoting on the
+    rational tableau itself.  seen, a Counter, records the rows flipped for
+    a negative right side and the ratio ties that Bland's rule broke."""
+    k = len(vertices)
+    m = len(x) + 1
+    rows = []
+    for i in range(len(x)):
+        rows.append([Fraction(v[i]) for v in vertices] + [Fraction(0)] * m + [Fraction(x[i])])
+    rows.append([Fraction(1)] * k + [Fraction(0)] * m + [Fraction(1)])
+    for i in range(m):
+        if rows[i][-1] < 0:
+            rows[i] = [-v for v in rows[i]]
+            if seen is not None:
+                seen["flip"] += 1
+        rows[i][k + i] = Fraction(1)
+    basis = list(range(k, k + m))
+    cost = [Fraction(0)] * k + [Fraction(1)] * m
+    z = [sum(rows[i][j] for i in range(m)) - cost[j] for j in range(k + m)]
+    obj = sum(rows[i][-1] for i in range(m))
+    while True:
+        enter = next((j for j in range(k + m) if z[j] > 0), None)
+        if enter is None:
+            break
+        leave = None
+        best = None
+        for i in range(m):
+            if rows[i][enter] > 0:
+                ratio = rows[i][-1] / rows[i][enter]
+                if ratio == best and seen is not None:
+                    seen["tie"] += 1
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[leave]):
+                    best, leave = ratio, i
+        if leave is None:
+            break
+        piv = rows[leave][enter]
+        rows[leave] = [v / piv for v in rows[leave]]
+        for i in range(m):
+            if i != leave and rows[i][enter]:
+                f = rows[i][enter]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[leave])]
+        f = z[enter]
+        z = [a - f * b for a, b in zip(z, rows[leave][:-1])]
+        obj -= f * rows[leave][-1]
+        basis[leave] = enter
+    return obj == 0
+
+
+def _seeded_vertex_lists(rng, count):
+    """(dim, vertices) of seeded polytopes in dimensions 1-4 with small
+    coordinates, negative ones among them: full-dimensional ones, images of
+    lower-dimensional ones (a segment or a polygon placed in 3 or 4
+    dimensions), and lists made redundant by repeated vertices and by points
+    of the hull listed as vertices."""
+    out = []
+    for j in range(count):
+        dim = rng.randint(1, 4)
+        kind = j % 3
+        if kind == 1 and dim > 1:  # an affine image of a lower-dimensional set
+            r = rng.randint(1, dim - 1)
+            base = [rng.randint(-2, 2) for _ in range(dim)]
+            gens = [[rng.randint(-2, 2) for _ in range(dim)] for _ in range(r)]
+            verts = []
+            for _ in range(rng.randint(1, 5)):
+                w = [rng.randint(-1, 2) for _ in range(r)]
+                verts.append(tuple(b + sum(wi * g[i] for wi, g in zip(w, gens))
+                                   for i, b in enumerate(base)))
+        else:
+            verts = [tuple(rng.randint(-3, 3) for _ in range(dim))
+                     for _ in range(rng.randint(1, dim + 3))]
+        if kind == 2:  # redundant: a repeated vertex and the midpoints that are integral
+            verts.append(rng.choice(verts))
+            verts += [tuple((a + b) // 2 for a, b in zip(u, v)) for u in verts for v in verts
+                      if all((a + b) % 2 == 0 for a, b in zip(u, v))][:3]
+        out.append((dim, verts))
+    return out
+
+
 class TestHull:
     def test_triangle_membership(self):
         verts = ((0, 0), (2, 0), (0, 2))
@@ -144,6 +232,26 @@ class TestHull:
             assert _in_hull(x, verts) == (lo <= x[0] <= hi)
 
 
+    def test_against_fraction_simplex(self):
+        # the integer pivots against the rational ones, on 4,000 queries in
+        # dimensions 1-4: points of the hull (vertices and integral
+        # midpoints), near it and outside its box; the seeded mix must flip
+        # rows and break ratio ties
+        rng = random.Random(1401)
+        seen = Counter()
+        for dim, verts in _seeded_vertex_lists(rng, 500):
+            for _ in range(8):
+                if rng.random() < 0.25:
+                    u, v = rng.choice(verts), rng.choice(verts)
+                    x = tuple((a + b) // 2 for a, b in zip(u, v))
+                else:
+                    x = tuple(rng.randint(-4, 4) for _ in range(dim))
+                want = _in_hull_fraction(x, verts, seen)
+                seen[want] += 1
+                assert _in_hull(x, verts) == want, (x, verts)
+        assert min(seen[True], seen[False], seen["flip"], seen["tie"]) >= 100, seen
+
+
 class TestLatticePoints:
     def test_segment(self):
         assert segment(2).lattice_points() == ((0,), (1,), (2,))
@@ -163,6 +271,19 @@ class TestLatticePoints:
     def test_box_cap(self):
         with pytest.raises(ValueError, match="cap"):
             LatticePolytope([(0, 0, 0), (300, 300, 300)]).lattice_points()
+
+
+    def test_against_fraction_simplex(self):
+        # every box point tested by the rational simplex, on the seeded
+        # vertex lists in dimensions 1-4 whose boxes hold at most 200 points
+        rng = random.Random(1402)
+        for dim, verts in _seeded_vertex_lists(rng, 150):
+            box = [range(min(v[i] for v in verts), max(v[i] for v in verts) + 1)
+                   for i in range(dim)]
+            if prod(map(len, box)) > 200:
+                continue
+            want = tuple(x for x in iproduct(*box) if _in_hull_fraction(x, verts))
+            assert LatticePolytope(verts).lattice_points() == want, verts
 
 
 class TestBuildCode:
@@ -204,6 +325,54 @@ class TestBuildCode:
         monkeypatch.setattr(toric, "is_prime", refuse)
         with pytest.raises(ValueError, match="block length"):
             build_code(LatticePolytope([(0,)]), 2 ** 89 - 1)
+
+
+    def test_box_checked_before_lattice_points(self, monkeypatch):
+        # enumerating these hulls would take seconds to minutes before the
+        # box refused them; the vertices share the hull's bounding box
+        def refuse(self):
+            raise AssertionError("lattice points enumerated before the box check")
+
+        monkeypatch.setattr(LatticePolytope, "lattice_points", refuse)
+        tetra = LatticePolytope([(0, 0, 0), (40, 0, 0), (0, 40, 0), (0, 0, 40)])
+        with pytest.raises(ValueError, match=r"vertex \(40, 0, 0\) outside the box \[0, 3\]\^3"):
+            build_code(tetra, 5)
+        with pytest.raises(ValueError, match=r"vertex \(3000, 0\) outside"):
+            build_code(LatticePolytope([(0, 0), (3000, 0), (0, 3000)]), 5)
+        with pytest.raises(ValueError, match="block length"):
+            build_code(LatticePolytope([(0, 0), (1, 1)]), 1009)
+        with pytest.raises(ValueError, match="not prime"):
+            build_code(LatticePolytope([(0,), (2,)]), 9)
+
+    def test_matrix_against_monomial_definition(self):
+        # entry (u, t) is prod(t_i^u_i mod q), rows in the lex order of the
+        # lattice points and columns in that of the torus [1, q-1]^n
+        rng = random.Random(1403)
+        for q in (3, 5, 7, 11, 13):
+            for dim in (1, 2, 3):
+                for _ in range(3 if dim < 3 else 1):
+                    width = min(q - 2, (q - 2, 3, 1)[dim - 1])
+                    low = [rng.randint(0, q - 2 - width) for _ in range(dim)]
+                    poly = LatticePolytope([tuple(lo + rng.randint(0, width) for lo in low)
+                                            for _ in range(rng.randint(1, 4))])
+                    code = build_code(poly, q)
+                    torus = list(iproduct(range(1, q), repeat=dim))
+                    want = tuple(tuple(_monomial(u, t, q) for t in torus)
+                                 for u in poly.lattice_points())
+                    assert code.monomials == poly.lattice_points()
+                    assert code.matrix == want, (q, poly.vertices)
+
+    def test_large_prime_builds_only_the_used_power_rows(self, monkeypatch):
+        # the segment [5000, 5002] over F_10007: three power rows of q - 1
+        # entries, one pow call each, and one more per pivot of the rank
+        # check; every power row would take (q - 1)^2 = 10^8 calls
+        q = 10007
+        want = tuple(tuple(pow(t, a, q) for t in range(1, q)) for a in (5000, 5001, 5002))
+        calls = []
+        monkeypatch.setattr(toric, "pow", lambda *a: calls.append(1) or pow(*a), raising=False)
+        code = build_code(LatticePolytope([(5000,), (5002,)]), q)
+        assert code.matrix == want
+        assert len(calls) <= 3 * (q - 1) + 3
 
 
 class TestMinimumDistance:

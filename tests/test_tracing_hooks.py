@@ -41,3 +41,22 @@ def test_search_looks_up_reduce_against_through_cubes(monkeypatch):
         tracer.recording = False
         tracer.uninstall()
     assert tracer.counts["intlinalg.reduce_against.calls"] > 0
+
+
+def test_traced_code_stats_records_lattice_points(monkeypatch):
+    """code_stats enumerates the lattice points through the method that the
+    tracer wraps, so toric.lattice_points_s measures the enumeration."""
+    monkeypatch.syspath_prepend(str(BENCHMARKS))
+    import tracing
+
+    lib = types.SimpleNamespace(cli=cli, construct=construct, cubes=cubes, grid=grid, toric=toric)
+    tracer = tracing.Tracer()
+    try:
+        tracer.install(lib)
+        tracer.recording = True
+        toric.code_stats(toric.LatticePolytope([(0, 0), (2, 0), (0, 2)]), 5)
+    finally:
+        tracer.recording = False
+        tracer.uninstall()
+    metrics = tracing.layer_metrics(tracer)
+    assert metrics["toric.lattice_points_s"][0] > 0
