@@ -197,10 +197,6 @@ class ConstructionResult:
     certificate: Optional[dict]
     detail: str = ""
 
-    @property
-    def ok(self) -> bool:
-        return self.status is ConstructStatus.VERIFIED
-
 
 def certificate_dict(
     grid: GridParams,

@@ -25,6 +25,7 @@ from .grid import GridParams, Point, PointSet
 
 BOX_CAP = 10 ** 7  # enumerable bounding-box volume
 BLOCK_CAP = 10 ** 6  # largest torus we evaluate on
+ENTRY_CAP = 4 * 10 ** 6  # largest generator matrix, k (q-1)^n entries
 MESSAGE_CAP = 10 ** 7  # words weighed for one minimum distance
 WORD_LANES = 64  # a word counts once toward MESSAGE_CAP per WORD_LANES lanes
 # Brouwer-Zimmermann prices its choices in words weighed, each about 0.6 us
@@ -155,28 +156,6 @@ class LatticePolytope:
         return self._points
 
 
-def _gf_rank(matrix: Sequence[Sequence[int]], q: int) -> int:
-    rows = [list(r) for r in matrix]
-    ncols = len(rows[0]) if rows else 0
-    rank = 0
-    col = 0
-    while rank < len(rows) and col < ncols:
-        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % q), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = pow(rows[rank][col], q - 2, q)
-        rows[rank] = [(x * inv) % q for x in rows[rank]]
-        for i in range(len(rows)):
-            if i != rank and rows[i][col] % q:
-                f = rows[i][col]
-                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-        col += 1
-    return rank
-
-
 @dataclass(frozen=True)
 class ToricCode:
     field: PrimeField
@@ -199,7 +178,15 @@ def build_code(p: LatticePolytope, q: int) -> ToricCode:
     r_a = (t^a mod q for t = 1..q-1) built only for the a that occur.  The
     vertices' box and the block-length cap are checked before q is tested
     for primality (so trial division never passes q = BLOCK_CAP + 1 at
-    n >= 1), and all three before the lattice points are enumerated.
+    n >= 1), and all three before the lattice points are enumerated; the
+    k (q-1)^n entries are checked against ENTRY_CAP before any row is built.
+
+    The k rows have rank k, so no elimination checks it (J. P. Hansen 2000;
+    J. Little and H. Schenck 2006).  Past the box check every lattice point
+    lies in [0, q-2]^n, so points u != u' differ mod q - 1 in some
+    coordinate i, and t = (1, .., g, .., 1), g a generator of F_q^* in
+    coordinate i, separates the torus characters t -> t^u and t -> t^u'.
+    Distinct characters are linearly independent over F_q (Dedekind).
     """
     n = p.dim
     for v in p.vertices:
@@ -209,14 +196,15 @@ def build_code(p: LatticePolytope, q: int) -> ToricCode:
         raise ValueError(f"block length {q - 1}^{n} exceeds cap {BLOCK_CAP}")
     field = PrimeField(q)
     pts = p.lattice_points()
+    block = (q - 1) ** n
+    if len(pts) * block > ENTRY_CAP:
+        raise ValueError(f"generator matrix {len(pts)} x {block} = {len(pts) * block} entries "
+                         f"exceeds cap {ENTRY_CAP}")
     power = {a: [pow(t, a, q) for t in range(1, q)] for a in {a for u in pts for a in u}}
     rows = {(): [1]}  # Kronecker products of the points and their prefixes
     for u in sorted({u[:i] for u in pts for i in range(1, n + 1)}, key=len):
         rows[u] = [x * y % q for x in rows[u[:-1]] for y in power[u[-1]]]
-    matrix = tuple(tuple(rows[u]) for u in pts)
-    if _gf_rank(matrix, q) != len(pts):
-        raise ArithmeticError("evaluation matrix lost rank; polytope/field mismatch")
-    return ToricCode(field, p, tuple(pts), matrix, (q - 1) ** n)
+    return ToricCode(field, p, tuple(pts), tuple(tuple(rows[u]) for u in pts), block)
 
 
 class _Lanes:

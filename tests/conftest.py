@@ -1,0 +1,34 @@
+"""Oracles shared by the test modules."""
+
+from typing import Sequence
+
+import pytest
+
+
+def _gf_rank(matrix: Sequence[Sequence[int]], q: int) -> int:
+    rows = [list(r) for r in matrix]
+    ncols = len(rows[0]) if rows else 0
+    rank = 0
+    col = 0
+    while rank < len(rows) and col < ncols:
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col] % q), None)
+        if piv is None:
+            col += 1
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], q - 2, q)
+        rows[rank] = [(x * inv) % q for x in rows[rank]]
+        for i in range(len(rows)):
+            if i != rank and rows[i][col] % q:
+                f = rows[i][col]
+                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+        col += 1
+    return rank
+
+
+@pytest.fixture
+def gf_rank():
+    """Rank over F_q by a Gauss-Jordan elimination of its own, independent
+    of toric._systematic."""
+    return _gf_rank

@@ -162,15 +162,15 @@ def test_criterion_6_sparse_golden_run():
     )
 
 
-def test_criterion_7_toric_cross_check():
-    from gridcubes.toric import LatticePolytope, build_code, code_stats, minimum_distance, _gf_rank
+def test_criterion_7_toric_cross_check(gf_rank):
+    from gridcubes.toric import LatticePolytope, build_code, code_stats, minimum_distance
 
     start = time.time()
     stats = code_stats(LatticePolytope([(0,), (2,)]), 5)
     code = build_code(LatticePolytope([(0,), (2,)]), 5)
     ok = (
         (stats.block_length, stats.dimension, stats.min_distance) == (4, 3, 2)
-        and _gf_rank(code.matrix, 5) == 3
+        and gf_rank(code.matrix, 5) == 3
         and stats.relative_min_distance == Fraction(1, 2)
         and stats.information_rate == Fraction(3, 4)
     )

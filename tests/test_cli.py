@@ -260,6 +260,9 @@ class TestBadNumericFlags:
         # trial division to sqrt(q) starts
         big_q = tmp_path / "big_q.poly"
         big_q.write_text("10000000000000061 1\n0\n")
+        # k = n = 10006: 10^8 entries, refused before the matrix is built
+        big_matrix = tmp_path / "big_matrix.poly"
+        big_matrix.write_text("10007 1\n0\n10005\n")
         for argv in (
             ["--threads", "0", "mvalue", seg_path],
             ["--threads", "-3", "mvalue", seg_path],
@@ -275,6 +278,7 @@ class TestBadNumericFlags:
             # alpha = 2 + eps/3 overflows a float: an ArithmeticError, not exit 1
             ["bound", "--N", "2", "--n", "10", "--c", "1/3", "--eps", "1e400"],
             ["toric", str(big_q)],
+            ["toric", str(big_matrix)],
             # grids past 2^24 cells, refused before N^n is built or printed
             ["construct", "dense", str(10 ** 400), "2", "1"],
             ["fexact", "2", "20000", "1/2"],

@@ -14,7 +14,6 @@ from gridcubes.toric import (
     LatticePolytope,
     PrimeField,
     ToricCode,
-    _gf_rank,
     _in_hull,
     build_code,
     code_stats,
@@ -301,14 +300,32 @@ class TestBuildCode:
             (1, 4, 4, 1),  # squares mod 5 at t = 1,2,3,4
         )
 
-    def test_rank_equals_lattice_points(self):
-        for (poly, q) in [
+    def test_rank_equals_lattice_points(self, gf_rank):
+        # build_code checks no rank: distinct points of [0, q-2]^n give
+        # distinct torus characters, independent over F_q.  The argument is
+        # tight on the faces x_i = q - 2, where u_i = q - 2 and u'_i = 0 lie
+        # one step apart mod q - 1, so every seeded polytope has a vertex there
+        cases = [
             (segment(3), 7),
             (LatticePolytope([(0, 0), (1, 0), (0, 1)]), 3),
             (LatticePolytope([(0, 0), (2, 0), (0, 2)]), 5),
-        ]:
+        ]
+        rng = random.Random(1500)
+        for q in (3, 5, 7, 11, 13):
+            for dim in (1, 2, 3):
+                cases.append((LatticePolytope([tuple(rng.randint(0, q - 2) for _ in range(dim))]), q))
+                if (q - 1) ** dim <= 64:  # the full box [0, q-2]^n
+                    cases.append((LatticePolytope(list(iproduct((0, q - 2), repeat=dim))), q))
+                for _ in range(3 if dim < 3 else 1):
+                    width = min(q - 2, (q - 2, 3, 1)[dim - 1])
+                    verts = [[q - 2 - rng.randint(0, width) for _ in range(dim)]
+                             for _ in range(rng.randint(1, 4))]
+                    verts[0][rng.randrange(dim)] = q - 2
+                    cases.append((LatticePolytope(verts), q))
+        for poly, q in cases:
             code = build_code(poly, q)
-            assert _gf_rank(code.matrix, q) == len(poly.lattice_points())
+            assert code.dimension == len(poly.lattice_points())
+            assert gf_rank(code.matrix, q) == code.dimension, (q, poly.vertices)
 
     def test_out_of_box_rejected(self):
         with pytest.raises(ValueError, match="outside"):
@@ -326,6 +343,17 @@ class TestBuildCode:
         with pytest.raises(ValueError, match="block length"):
             build_code(LatticePolytope([(0,)]), 2 ** 89 - 1)
 
+    def test_entry_cap_before_power_rows(self, monkeypatch):
+        # the segment [0, 10005] over F_10007 would hold 10006^2 = 10^8
+        # entries, so the entry cap must refuse it before a power row is built
+        def refuse(*args):
+            raise AssertionError("power rows built before the entry cap")
+
+        monkeypatch.setattr(toric, "pow", refuse, raising=False)
+        with pytest.raises(ValueError, match=r"10006 x 10006 = 100120036 entries exceeds cap 4000000"):
+            build_code(segment(10005), 10007)
+        with pytest.raises(ValueError, match=r"5 x 999982 = 4999910 entries exceeds cap"):
+            build_code(segment(4), 999983)
 
     def test_box_checked_before_lattice_points(self, monkeypatch):
         # enumerating these hulls would take seconds to minutes before the
@@ -364,15 +392,15 @@ class TestBuildCode:
 
     def test_large_prime_builds_only_the_used_power_rows(self, monkeypatch):
         # the segment [5000, 5002] over F_10007: three power rows of q - 1
-        # entries, one pow call each, and one more per pivot of the rank
-        # check; every power row would take (q - 1)^2 = 10^8 calls
+        # entries, one pow call each; every power row would take
+        # (q - 1)^2 = 10^8 calls
         q = 10007
         want = tuple(tuple(pow(t, a, q) for t in range(1, q)) for a in (5000, 5001, 5002))
         calls = []
         monkeypatch.setattr(toric, "pow", lambda *a: calls.append(1) or pow(*a), raising=False)
         code = build_code(LatticePolytope([(5000,), (5002,)]), q)
         assert code.matrix == want
-        assert len(calls) <= 3 * (q - 1) + 3
+        assert len(calls) == 3 * (q - 1)
 
 
 class TestMinimumDistance:
@@ -459,14 +487,14 @@ class TestMinimumDistance:
                     assert toric._min_weight_scan(matrix, q, [(1,)]) == min(flat.values())
                 assert toric._min_weight_scan(matrix[2:], q, [()]) == block - matrix[2].count(0)
 
-    def test_message_cap(self):
+    def test_message_cap(self, gf_rank):
         # a full-rank [12, 6] code over F_1009: the scan is past the cap
         # (1009^6 > 10^7), and Brouwer-Zimmermann's level 3 on its two
         # information sets needs 2 C(6, 3) 1008^2 > 10^7 words
         rng = random.Random(94)
         matrix = tuple(tuple(rng.randrange(1009) for _ in range(12)) for _ in range(6))
         code = ToricCode(PrimeField(1009), segment(0), ((0,),) * 6, matrix, 12)
-        assert _gf_rank(matrix, 1009) == 6
+        assert gf_rank(matrix, 1009) == 6
         with pytest.raises(ValueError, match=r"cap.* \d+ <= d <= \d+$"):
             minimum_distance(code)
 
@@ -622,14 +650,14 @@ class TestMonotonicity:
 
 
 class TestColumnOrderIndependence:
-    def test_shuffled_columns(self):
+    def test_shuffled_columns(self, gf_rank):
         code = build_code(LatticePolytope([(0, 0), (1, 0), (0, 1)]), 3)
         rng = random.Random(3)
         cols = list(range(code.block_length))
         for _ in range(5):
             rng.shuffle(cols)
             shuffled = tuple(tuple(row[j] for j in cols) for row in code.matrix)
-            assert _gf_rank(shuffled, 3) == code.dimension
+            assert gf_rank(shuffled, 3) == code.dimension
             shuffled_code = dataclasses.replace(code, matrix=shuffled)
             assert minimum_distance(shuffled_code) == minimum_distance(code)
 
