@@ -6,7 +6,9 @@ its iteration and closed form, the feasibility inequalities behind the
 probabilistic constructions, and the density/dimension schedules those
 constructions use.  All logarithms are base N unless a base is written
 explicitly; every floor/ceil that decides a branch is settled by exact
-rational comparisons, never by a bare float.
+rational comparisons, never by a bare float.  Each comparison of a rational
+with a rational power goes through exactmath.pow_at_least, and every big
+integer built here is first checked against exactmath.BITS_CAP.
 """
 
 from __future__ import annotations
@@ -16,18 +18,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .exactmath import as_fraction, ceil_log, floor_log, floor_log_log, log_float
-
-# Bit cap on the big integers of bounds and the constructions: on a 2-core
-# VM (Python 3.11) a power of 3 of 2^23 bits took 1.5 s to build and 3.4 s
-# to square, one of 2^25 bits 14 s and 30 s.  Past it a command exits 2.
-BITS_CAP = 2 ** 23
-
-
-def require_bits(bits: int, what: str) -> None:
-    """Refuse, before it is built, an integer of more than BITS_CAP bits."""
-    if bits > BITS_CAP:
-        raise ArithmeticError(f"{what} needs more than {BITS_CAP} bits")
+from .exactmath import (
+    as_fraction,
+    ceil_log,
+    floor_log,
+    floor_log_log,
+    log_float,
+    pow_at_least,
+    require_bits,
+)
 
 
 @dataclass(frozen=True)
@@ -93,24 +92,15 @@ class ClosedFormBound:
     initial_step: bool  # one inductive step was taken first (c > 1/2)
 
 
-def _c_is_power_of_n(c: Fraction, N: int) -> Optional[int]:
-    e = floor_log(c, N)
-    return e if Fraction(N) ** e == c else None
-
-
 def _alpha_pow_le_x(k: int, n: int, c: Fraction, N: int, alpha: Fraction) -> bool:
     """Exact test alpha^k <= x for x = 1 + (1-n)(alpha-1)/log_N(c).
 
-    For k >= 1 this reduces to c^v >= N^u with u/v = (1-n)(alpha-1)/(alpha^k - 1)
-    (the sign flip absorbs log_N(c) < 0), which is a big-integer comparison.
+    For k >= 1 this is c >= N^((1-n)(alpha-1)/(alpha^k - 1)): multiplying
+    by log_N(c) < 0 flips the inequality.
     """
     if k <= 0:
         return True  # x >= 1 always
-    ratio = ((1 - n) * (alpha - 1)) / (alpha ** k - 1)  # = u/v, exact
-    u, v = ratio.numerator, ratio.denominator
-    bits = v * max(c.numerator.bit_length(), c.denominator.bit_length()) + abs(u) * N.bit_length()
-    require_bits(bits, "the exact fallback of a closed-form floor within float noise of a boundary")
-    return c.numerator ** v * N ** max(0, -u) >= c.denominator ** v * N ** max(0, u)
+    return pow_at_least(c, (1 - n) * (alpha - 1) / (alpha ** k - 1), N)
 
 
 def lower_bound_closed_form(n: int, c, N: int, alpha) -> ClosedFormBound:
@@ -143,24 +133,19 @@ def lower_bound_closed_form(n: int, c, N: int, alpha) -> ClosedFormBound:
         if n < 2:
             return ClosedFormBound(bonus, bonus, False, alpha, True)
 
-    e = _c_is_power_of_n(c, N)
-    if e is not None:
-        x = 1 + Fraction(1 - n, e) * (alpha - 1)
-        k = floor_log(x, alpha)
-    else:
-        log_c = log_float(c) / math.log(N)
-        x_f = 1.0 + (1 - n) * (float(alpha) - 1.0) / log_c
-        y = math.log(x_f) / log_float(alpha)
-        k = math.floor(y)
-        # Trust the float only away from integer boundaries; candidates on
-        # either side of a near-integer y are settled exactly.
-        tol = 1e-9 * max(1.0, abs(y))
-        if y - k < tol:
-            if not _alpha_pow_le_x(k, n, c, N, alpha):
-                k -= 1
-        elif y - k > 1 - tol:
-            if _alpha_pow_le_x(k + 1, n, c, N, alpha):
-                k += 1
+    log_c = log_float(c) / math.log(N)
+    x_f = 1.0 + (1 - n) * (float(alpha) - 1.0) / log_c
+    y = math.log(x_f) / log_float(alpha)
+    k = math.floor(y)
+    # Trust the float only away from integer boundaries; candidates on
+    # either side of a near-integer y are settled exactly.
+    tol = 1e-9 * max(1.0, abs(y))
+    if y - k < tol:
+        if not _alpha_pow_le_x(k, n, c, N, alpha):
+            k -= 1
+    elif y - k > 1 - tol:
+        if _alpha_pow_le_x(k + 1, n, c, N, alpha):
+            k += 1
     raw = k - 1 + bonus
     return ClosedFormBound(max(0, raw), raw, raw < 0, alpha, initial_step)
 
@@ -189,9 +174,9 @@ class EpsilonCheck:
 def epsilon_small_check(eps) -> EpsilonCheck:
     """Exact decision of 1/(1 + log2(1 + eps/6)) >= 1 - eps/2.
 
-    For eps < 2 this is equivalent to (1 + eps/6)^v <= 2^u where u/v =
-    eps/(2 - eps), an exact power comparison; for eps >= 2 the right side is
-    nonpositive and the inequality is immediate.
+    For eps < 2 this is equivalent to 1 + eps/6 <= 2^(eps/(2 - eps)), an
+    exact power comparison; for eps >= 2 the right side is nonpositive and
+    the inequality is immediate.
     """
     eps = as_fraction(eps)
     if eps <= 0:
@@ -199,11 +184,8 @@ def epsilon_small_check(eps) -> EpsilonCheck:
     t = 1 + eps / 6
     lhs = 1.0 / (1.0 + math.log2(float(t)))
     rhs = 1.0 - float(eps) / 2.0
-    if eps >= 2:
-        return EpsilonCheck(True, lhs, rhs, lhs - rhs)
-    bound = eps / (2 - eps)
-    u, v = bound.numerator, bound.denominator
-    holds = t.numerator ** v * 2 ** max(0, -u) <= t.denominator ** v * 2 ** max(0, u)
+    # t <= 2^(eps/(2-eps)) iff 1/t >= 2^(-eps/(2-eps))
+    holds = eps >= 2 or pow_at_least(1 / t, -eps / (2 - eps), 2)
     return EpsilonCheck(holds, lhs, rhs, lhs - rhs)
 
 

@@ -29,7 +29,6 @@ from .bounds import (
     choose_r_sparse,
     count_affine_maps_bound,
     lll_condition,
-    require_bits,
 )
 from .cubes import (
     AffineCube,
@@ -41,7 +40,7 @@ from .cubes import (
     find_cube,
     find_cube_in_box,
 )
-from .exactmath import as_fraction, pow_at_least
+from .exactmath import as_fraction, pow_at_least, require_bits
 from .grid import GridParams, PointSet
 
 DEFAULT_SEED = 1729

@@ -10,11 +10,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
-from typing import Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .exactmath import as_fraction
 
 Point = tuple[int, ...]
+T = TypeVar("T")
 
 # Largest grid an operation may materialize cell-by-cell (full grids,
 # exhaustive subset scans, samplers).  The types themselves carry no cap.
@@ -187,42 +188,58 @@ def max_pair_intersection(family: Sequence[PointSet]) -> tuple[int, int, Fractio
     return best
 
 
+def read_rows(text: str, kind: str, header: str, row: str, make: Callable[[int, int], T]
+              ) -> tuple[T, list[Point]]:
+    """Read the row format: a header of two integers a n, then one row of n
+    integers per line; blank lines are skipped and a repeated row is refused.
+
+    Returns make(a, n), called before any row is read, and the rows in file
+    order.  kind, header and row name the file, its header and a row in the
+    error messages.
+    """
+    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
+    if not lines:
+        raise ValueError(f"empty {kind} file")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise ValueError(f"header must be '{header}', got {lines[0]!r}")
+    try:
+        a, n = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise ValueError(f"header must be two integers, got {lines[0]!r}") from exc
+    made = make(a, n)
+    rows: dict[Point, None] = {}  # in file order
+    for ln in lines[1:]:
+        parts = ln.split()
+        if len(parts) != n:
+            raise ValueError(f"expected {n} coordinates, got {ln!r}")
+        try:
+            p = tuple(int(x) for x in parts)
+        except ValueError as exc:
+            raise ValueError(f"non-integer coordinate in {ln!r}") from exc
+        if p in rows:
+            raise ValueError(f"duplicate {row} line {ln!r}")
+        rows[p] = None
+    return made, list(rows)
+
+
+def format_rows(a: int, n: int, rows: Iterable[Sequence[int]]) -> str:
+    """Write the row format read by read_rows: header "a n", then the rows."""
+    lines = [f"{a} {n}"]
+    lines.extend(" ".join(str(x) for x in p) for p in rows)
+    return "\n".join(lines) + "\n"
+
+
 def parse_point_set(text: str) -> PointSet:
     """Parse the point-set text format: header "N n", one point per line.
 
     Duplicate point lines are rejected; the format round-trips through
     format_point_set losslessly.
     """
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty point-set file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"header must be 'N n', got {lines[0]!r}")
-    try:
-        base, dim = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ValueError(f"header must be two integers, got {lines[0]!r}") from exc
-    grid = GridParams(base, dim)
-    seen: set[Point] = set()
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != dim:
-            raise ValueError(f"expected {dim} coordinates, got {ln!r}")
-        try:
-            p = tuple(int(x) for x in parts)
-        except ValueError as exc:
-            raise ValueError(f"non-integer coordinate in {ln!r}") from exc
-        if p in seen:
-            raise ValueError(f"duplicate point line {ln!r}")
-        if not grid.contains(p):
-            raise ValueError(f"point {p} outside grid [{base}]^{dim}")
-        seen.add(p)
-    return PointSet(grid, seen)
+    grid, rows = read_rows(text, "point-set", "N n", "point", GridParams)
+    return PointSet(grid, rows)
 
 
 def format_point_set(s: PointSet) -> str:
     """Serialize in the text format, points in lexicographic order."""
-    lines = [f"{s.grid.base} {s.grid.dim}"]
-    lines.extend(" ".join(str(x) for x in p) for p in s.points())
-    return "\n".join(lines) + "\n"
+    return format_rows(s.grid.base, s.grid.dim, s.points())

@@ -21,7 +21,7 @@ from math import comb, prod
 from typing import Optional, Sequence
 
 from .cubes import CubeNotion, DEFAULT_BUDGET, DEFAULT_NOTION, m_value
-from .grid import GridParams, Point, PointSet
+from .grid import GridParams, Point, PointSet, format_rows, read_rows
 
 BOX_CAP = 10 ** 7  # enumerable bounding-box volume
 BLOCK_CAP = 10 ** 6  # largest torus we evaluate on
@@ -547,7 +547,6 @@ def _brouwer_zimmermann(matrix, q: int, scan_cost: Optional[int]) -> Optional[in
             low += _gain(k, r, w) - _gain(k, r, w - 1)
             if w == k or low >= best:
                 return best
-    return best
 
 
 def minimum_distance(code: ToricCode, threads: int = 1) -> int:
@@ -598,7 +597,9 @@ def code_stats(
             f"taken in the grid [q-1]^n, whose base q-1 must be at least 2"
         )
     code = build_code(p, q)
-    dmin = minimum_distance(code, threads=threads)
+    # build_code guarantees rank k, so at k = n every nonzero word meets the
+    # Singleton bound n - k + 1 = 1
+    dmin = 1 if code.dimension == code.block_length else minimum_distance(code, threads=threads)
     pts = PointSet(GridParams(q - 1, p.dim), p.lattice_points())
     m, _ = m_value(pts, notion, budget=budget)
     return CodeStats(
@@ -613,36 +614,11 @@ def code_stats(
 
 def parse_polytope(text: str) -> tuple[int, LatticePolytope]:
     """Parse the polytope text format: header "q n", one vertex per line."""
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise ValueError("empty polytope file")
-    header = lines[0].split()
-    if len(header) != 2:
-        raise ValueError(f"header must be 'q n', got {lines[0]!r}")
-    try:
-        q, n = int(header[0]), int(header[1])
-    except ValueError as exc:
-        raise ValueError(f"header must be two integers, got {lines[0]!r}") from exc
-    if len(lines) < 2:
+    q, verts = read_rows(text, "polytope", "q n", "vertex", lambda q, n: q)
+    if not verts:
         raise ValueError("polytope file lists no vertices")
-    seen = set()
-    verts = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != n:
-            raise ValueError(f"expected {n} coordinates, got {ln!r}")
-        try:
-            v = tuple(int(x) for x in parts)
-        except ValueError as exc:
-            raise ValueError(f"non-integer coordinate in {ln!r}") from exc
-        if v in seen:
-            raise ValueError(f"duplicate vertex line {ln!r}")
-        seen.add(v)
-        verts.append(v)
     return q, LatticePolytope(verts)
 
 
 def format_polytope(q: int, p: LatticePolytope) -> str:
-    lines = [f"{q} {p.dim}"]
-    lines.extend(" ".join(str(x) for x in v) for v in p.vertices)
-    return "\n".join(lines) + "\n"
+    return format_rows(q, p.dim, p.vertices)

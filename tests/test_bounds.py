@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from gridcubes import bounds
+from gridcubes import bounds, exactmath
 from gridcubes.bounds import (
     BoundParams,
     beta,
@@ -71,7 +71,7 @@ class TestIteratedBound:
 
     def test_refuses_once_c_passes_the_bit_cap(self, monkeypatch):
         # c's numerator and denominator about double in bits per step
-        monkeypatch.setattr(bounds, "BITS_CAP", 2 ** 10)
+        monkeypatch.setattr(exactmath, "BITS_CAP", 2 ** 10)
         assert lower_bound_iterated(100, Fraction(1, 3), 2) == 3
         with pytest.raises(ArithmeticError, match="bits"):
             lower_bound_iterated(10 ** 12, Fraction(1, 3), 2)
@@ -88,6 +88,19 @@ class TestClosedForm:
         assert (res.value, res.raw) == (1, 1)
         res = lower_bound_closed_form(2, Fraction(1, 2), 2, 2)
         assert (res.value, res.raw) == (0, 0)
+
+    def test_powers_of_n_settle_through_the_bracket(self, monkeypatch):
+        # c = N^-j takes the float seed like any c: where y lands on an
+        # integer the exact settle runs, and the bracket of pow_at_least
+        # decides it with no big power (a 64-bit cap would refuse one)
+        calls = []
+        settle = bounds._alpha_pow_le_x
+        monkeypatch.setattr(bounds, "_alpha_pow_le_x", lambda *a: calls.append(a) or settle(*a))
+        monkeypatch.setattr(exactmath, "BITS_CAP", 64)
+        # x = 1 + (n-1)/j with alpha = 2: x = 4 at (n, j) = (4, 1), 1024 at (2047, 2)
+        assert lower_bound_closed_form(4, Fraction(1, 2), 2, 2).raw == 1
+        assert lower_bound_closed_form(2047, Fraction(1, 9), 3, 2).raw == 9
+        assert len(calls) == 2
 
     def test_float_guard_path(self):
         res = lower_bound_closed_form(100, Fraction(3, 8), 2, 2)
@@ -184,6 +197,11 @@ class TestEpsilonSmallCheck:
 
     def test_tiny(self):
         assert epsilon_small_check(Fraction(1, 1000)).holds
+
+    def test_refuses_past_the_bit_cap(self):
+        # 1 + eps/6 <= 2^(eps/(2-eps)) with eps = 10^-7 needs (6*10^7 + 1)^(2*10^7 - 1)
+        with pytest.raises(ArithmeticError, match="bits"):
+            epsilon_small_check(Fraction(1, 10 ** 7))
 
     def test_scan_flips_at_most_once(self):
         signs = [epsilon_small_check(Fraction(k, 8)).holds for k in range(1, 40)]

@@ -10,11 +10,19 @@ from pathlib import Path
 import pytest
 
 import gridcubes
-from gridcubes import toric
+from gridcubes import construct, toric
 from gridcubes.cli import run, run_from_manifest
 from gridcubes.construct import DEFAULT_SEED
-from gridcubes.cubes import DEFAULT_BUDGET, DEFAULT_NOTION, _box_of, _run_box_search
-from gridcubes.grid import GridParams, PointSet, format_point_set
+from gridcubes.cubes import (
+    DEFAULT_BUDGET,
+    DEFAULT_NOTION,
+    AffineCube,
+    CubeNotion,
+    _box_of,
+    _run_box_search,
+    is_cube_in,
+)
+from gridcubes.grid import GridParams, PointSet, format_point_set, parse_point_set
 
 SEG_FILE = "5 1\n0\n1\n2\n3\n"
 SEG_POLY = "5 1\n0\n2\n"
@@ -145,6 +153,24 @@ class TestConstruct:
         assert code == 4
         res = result_of(out)
         assert res["status"] == "no-valid-r" and "no integer" in res["detail"]
+
+    @pytest.mark.parametrize("mode, n, eps", [("dense", "9", "1/3"), ("sparse", "12", "1/2")])
+    def test_cube_persists_exits_4_with_its_witness(self, mode, n, eps, tmp_path, monkeypatch):
+        # one round of resampling leaves a cube.  The sparse r = 6 of eps = 1/2
+        # needs all of the about 64 sampled points as vertices, so the sparse
+        # run is given r = 2.
+        monkeypatch.setattr(construct, "choose_r_sparse", lambda eps: 2)
+        prefix = str(tmp_path / "run")
+        code, out = run(["--seed", "0", "construct", mode, n, "2", eps, "--max-rounds", "1",
+                         "--out", prefix])
+        res = result_of(out)
+        assert code == 4 and res["status"] == "cube-persists"
+        s = parse_point_set((tmp_path / "run.points.txt").read_text())
+        cert = json.loads((tmp_path / "run.cert.json").read_text())
+        assert cert["verified"] is False and cert["rounds"] == 1
+        w = cert["witness"]
+        cube = AffineCube(tuple(w["base"]), tuple(map(tuple, w["generators"])))
+        assert cube.m == res["r"] and is_cube_in(s, cube, CubeNotion(w["notion"]))
 
     def test_dense_budget_exits_3(self):
         code, out = run(["--budget", "50000", "construct", "dense", "16", "2", "1"])
@@ -283,7 +309,7 @@ class TestBadNumericFlags:
             ["construct", "dense", str(10 ** 400), "2", "1"],
             ["fexact", "2", "20000", "1/2"],
             ["construct", "sparse", "20000", "2", "1/2"],
-            # powers past bounds.BITS_CAP, refused before they are built
+            # powers past exactmath.BITS_CAP, refused before they are built
             ["construct", "dense", "4", "2", "1e400"],
             ["construct", "sparse", "2", "2", "1e400"],
             # n^(1+eps/2) past a float, and p = 2^-20000 past 4300 printed digits

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gridcubes import exactmath
 from gridcubes.exactmath import (
     as_fraction,
     ceil_log,
@@ -94,3 +95,36 @@ class TestPowAtLeast:
     def test_zero_and_negative_exponent(self):
         assert not pow_at_least(0, Fraction(1), 2)
         assert pow_at_least(1, Fraction(-5, 3), 2)
+
+    def test_rational_values(self):
+        assert pow_at_least(Fraction(1, 8), Fraction(-3), 2)
+        assert not pow_at_least(Fraction(1, 9), Fraction(-3), 2)
+        # 3^(-1/2) = 0.577...
+        assert pow_at_least(Fraction(3, 5), Fraction(-1, 2), 3)
+        assert not pow_at_least(Fraction(4, 7), Fraction(-1, 2), 3)
+
+    def test_against_direct_power_comparison(self):
+        rng = random.Random(16)
+        for _ in range(2000):
+            x = Fraction(rng.randint(1, 10 ** rng.randint(1, 5)), rng.randint(1, 10 ** rng.randint(0, 4)))
+            e = Fraction(rng.randint(-60, 60), rng.randint(1, 12))
+            base = rng.choice([2, 3, 5, 10])
+            a, b = e.numerator, e.denominator
+            want = x ** b >= Fraction(base) ** a
+            assert pow_at_least(x, e, base) == want, (x, e, base)
+
+    def test_bracket_settles_a_tiny_exponent_without_a_power(self, monkeypatch):
+        # 2 >= 2^(1/(5*10^10)), and 1 < 2^(1/(5*10^10)); the direct test
+        # would build 2^(5*10^10).  With a 64-bit cap any big power refuses.
+        monkeypatch.setattr(exactmath, "BITS_CAP", 64)
+        e = Fraction(1, 5 * 10 ** 10)
+        assert pow_at_least(2, e, 2)
+        assert pow_at_least(300, e, 2)
+        assert not pow_at_least(1, e, 2)
+        assert pow_at_least(Fraction(1, 3), -e - 2, 2)  # 1/4 <= 1/3 < 1/2
+        assert not pow_at_least(Fraction(1, 4), e - 2, 2)  # 1/4 = 2^-2 exactly
+
+    def test_refuses_past_the_bit_cap_inside_the_bracket(self):
+        # 2 < 3 < 4 and 1 < e < 2: only 3^b >= 2^a can decide, with b = 2^24
+        with pytest.raises(ArithmeticError, match=r"2\^\(16777217/16777216\) needs more than"):
+            pow_at_least(3, Fraction(2 ** 24 + 1, 2 ** 24), 2)

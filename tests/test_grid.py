@@ -3,9 +3,13 @@
 import random
 from fractions import Fraction
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+
+from gridcubes.toric import parse_polytope
 
 from gridcubes.grid import (
     GridParams,
@@ -188,6 +192,37 @@ class TestTextFormat:
     def test_deterministic_output(self):
         s = PointSet(GridParams(2, 2), [(1, 1), (0, 0), (1, 0)])
         assert format_point_set(s) == "2 2\n0 0\n1 0\n1 1\n"
+
+
+# One fault per file, and the message each parser gives for it.  Point sets
+# and polytopes share one row reader, so every row fault appears in both.
+SINGLE_FAULTS = [
+    (parse_point_set, "", "empty point-set file"),
+    (parse_point_set, "  \n\n", "empty point-set file"),
+    (parse_point_set, "2\n0 0\n", "header must be 'N n', got '2'"),
+    (parse_point_set, "2 2 2\n", "header must be 'N n', got '2 2 2'"),
+    (parse_point_set, "2 x\n0 0\n", "header must be two integers, got '2 x'"),
+    (parse_point_set, "1 2\n0 0\n", "grid base must be an integer >= 2, got 1"),
+    (parse_point_set, "2 -1\n", "grid dimension must be an integer >= 0, got -1"),
+    (parse_point_set, "2 2\n0 0\n0 0 1\n", "expected 2 coordinates, got '0 0 1'"),
+    (parse_point_set, "2 2\n0 x\n", "non-integer coordinate in '0 x'"),
+    (parse_point_set, "2 2\n0 0\n1 1\n0  0\n", "duplicate point line '0  0'"),
+    (parse_point_set, "2 2\n1 1\n0 2\n", "point (0, 2) outside grid [2]^2"),
+    (parse_polytope, "", "empty polytope file"),
+    (parse_polytope, "5\n0\n", "header must be 'q n', got '5'"),
+    (parse_polytope, "5 1 1\n0\n", "header must be 'q n', got '5 1 1'"),
+    (parse_polytope, "5 x\n0\n", "header must be two integers, got '5 x'"),
+    (parse_polytope, "5 1\n", "polytope file lists no vertices"),
+    (parse_polytope, "5 2\n0 0\n1\n", "expected 2 coordinates, got '1'"),
+    (parse_polytope, "5 1\n0\nx\n", "non-integer coordinate in 'x'"),
+    (parse_polytope, "5 1\n0\n2\n0\n", "duplicate vertex line '0'"),
+]
+
+
+@pytest.mark.parametrize("parse, text, message", SINGLE_FAULTS)
+def test_single_fault_messages(parse, text, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        parse(text)
 
 
 class TestPointSetObject:

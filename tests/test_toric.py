@@ -576,6 +576,28 @@ class TestBrouwerZimmermann:
             want = toric._min_weight_scan(code.matrix, q, prefixes)
             assert toric._brouwer_zimmermann(code.matrix, q, None) == want, (q, poly.vertices)
 
+    def test_hands_over_to_the_scan_after_the_first_set(self, monkeypatch):
+        # after its first set, BZ prices the rest above the scan and returns
+        # None; seen by counting the sets drawn and the scans run.  The box
+        # [0,a] x [0,b] has distance (q-1-a)(q-1-b).
+        sets, scans = [], []
+        info, scan = toric._information_sets, toric._scan
+
+        def counted(matrix, q):
+            for found in info(matrix, q):
+                sets.append(1)
+                yield found
+
+        monkeypatch.setattr(toric, "_information_sets", counted)
+        monkeypatch.setattr(toric, "_scan", lambda *a: scans.append(1) or scan(*a))
+        seg = build_code(segment(3), 17)
+        rect = build_code(LatticePolytope([(0, 0), (1, 0), (0, 2), (1, 2)]), 11)
+        for code, want in ((seg, naive_min_distance(seg.matrix, 17)), (rect, 9 * 8)):
+            sets.clear()
+            scans.clear()
+            assert minimum_distance(code) == want
+            assert (len(sets), len(scans)) == (1, 1)
+
     def test_boxes_past_the_old_cap(self):
         # the box [0,a] x [0,b] gives RS[q-1, a+1] (x) RS[q-1, b+1], whose
         # distance is (q-1-a)(q-1-b); each has q^k > 10^7
@@ -599,6 +621,26 @@ class TestCodeStats:
         assert stats.relative_min_distance == 1
         assert stats.information_rate == Fraction(1, 2)
         assert stats.max_cube_dim == 0
+
+    def test_full_dimension_answers_one_without_elimination(self, monkeypatch):
+        # k = n: build_code guarantees rank k, so d is the Singleton bound 1.
+        # The unit cube over F_3 is the benchmark's k = n = 8 shape.
+        def refuse(*args):
+            raise AssertionError("eliminated a k = n code")
+
+        monkeypatch.setattr(toric, "_systematic", refuse)
+        cube = LatticePolytope(list(iproduct((0, 1), repeat=3)))
+        for poly, q, n in ((segment(3), 5, 4), (cube, 3, 8), (segment(129), 131, 130)):
+            stats = code_stats(poly, q)
+            assert (stats.block_length, stats.dimension, stats.min_distance) == (n, n, 1)
+            assert stats.relative_min_distance == Fraction(1, n)
+
+    def test_rank_deficient_square_matrix_still_answers_zero(self):
+        # minimum_distance itself makes no k = n shortcut
+        for q, matrix in ((5, [[1, 2], [2, 4]]), (3, [[1, 0, 1], [0, 1, 1], [1, 1, 2]])):
+            code = ToricCode(PrimeField(q), segment(0), ((0,),) * len(matrix),
+                             tuple(map(tuple, matrix)), len(matrix[0]))
+            assert minimum_distance(code) == naive_min_distance(matrix, q) == 0
 
     def test_field_of_two_rejected(self):
         code = build_code(LatticePolytope([(0,)]), 2)
