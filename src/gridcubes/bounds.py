@@ -20,7 +20,6 @@ from typing import Optional
 
 from .exactmath import (
     as_fraction,
-    ceil_log,
     floor_log,
     floor_log_log,
     log_float,
@@ -40,15 +39,40 @@ class BoundParams:
 
     @classmethod
     def make(cls, N: int, c, eps) -> "BoundParams":
-        c = as_fraction(c)
+        c = _density(c, N)
         eps = as_fraction(eps)
-        if N < 2:
-            raise ValueError(f"N must be >= 2, got {N}")
-        if not 0 < c <= 1:
-            raise ValueError(f"c must lie in (0, 1], got {c}")
         if eps <= 0:
             raise ValueError(f"eps must be positive, got {eps}")
         return cls(N=N, c=c, eps=eps, alpha=2 + eps / 3)
+
+
+def _density(c, N: int) -> Fraction:
+    """c as a Fraction, checked to lie in (0, 1], for a base N >= 2."""
+    c = as_fraction(c)
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N}")
+    if not 0 < c <= 1:
+        raise ValueError(f"c must lie in (0, 1], got {c}")
+    return c
+
+
+def _step(n: int, a: int, b: int, N: int) -> tuple[int, int, int]:
+    """inductive_step on c = a/b in lowest terms, in integers: (n - r, a', b')
+    with a'/b' in lowest terms, or (n - r, a, b) when n <= r.  r is the least
+    integer with N^r a^2 >= 8 b^2, seeded by floats; gcd(a, a + 4b) =
+    gcd(a, 4), so a shift divides gcd(2 a^2, (a + 4b)^2) out, with no gcd."""
+    a2, b8 = a * a, 8 * b * b
+    r = math.ceil((math.log2(b8) - math.log2(a2)) / math.log2(N))
+    power = N ** r
+    while power * a2 < b8:
+        r, power = r + 1, power * N
+    while power // N * a2 >= b8:
+        r, power = r - 1, power // N
+    if n <= r:
+        return n - r, a, b
+    num, den = 2 * a2, (a + 4 * b) ** 2
+    shift = min(num & -num, den & -den).bit_length() - 1
+    return n - r, num >> shift, den >> shift
 
 
 def inductive_step(n: int, c, N: int) -> tuple[int, Fraction]:
@@ -57,30 +81,26 @@ def inductive_step(n: int, c, N: int) -> tuple[int, Fraction]:
     Maps (n, c) to (n - ceil(log_N(8 c^-2)), 2 c^2 / (c+4)^2); requires n
     strictly above the ceiling so the new dimension stays positive.
     """
-    c = as_fraction(c)
-    if not 0 < c <= 1:
-        raise ValueError(f"c must lie in (0, 1], got {c}")
-    r = ceil_log(8 / c ** 2, N)
-    if n <= r:
-        raise ValueError(f"n={n} too small: need n > ceil(log_{N}(8 c^-2)) = {r}")
-    return n - r, 2 * c ** 2 / (c + 4) ** 2
+    c = _density(c, N)
+    m, a, b = _step(n, c.numerator, c.denominator, N)
+    if m <= 0:
+        raise ValueError(f"n={n} too small: need n > ceil(log_{N}(8 c^-2)) = {n - m}")
+    return m, Fraction(a, b)
 
 
 def lower_bound_iterated(n: int, c, N: int) -> int:
     """Number of inductive steps possible from (n, c): a lower bound on f.
     Each step about doubles c's bits; refused once they pass BITS_CAP."""
-    c = as_fraction(c)
+    c = _density(c, N)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    steps = 0
+    steps, a, b = 0, c.numerator, c.denominator
     while True:
-        try:
-            n, c = inductive_step(n, c, N)
-        except ValueError:
+        n, a, b = _step(n, a, b, N)
+        if n <= 0:
             return steps
         steps += 1
-        require_bits(max(c.numerator.bit_length(), c.denominator.bit_length()),
-                     f"the density after {steps} inductive steps")
+        require_bits(max(a.bit_length(), b.bit_length()), f"the density after {steps} inductive steps")
 
 
 @dataclass(frozen=True)
@@ -111,27 +131,22 @@ def lower_bound_closed_form(n: int, c, N: int, alpha) -> ClosedFormBound:
     first so the iteration map stays inside its stated domain, and the step
     contributes +1 to the bound.
     """
-    c = as_fraction(c)
+    c = _density(c, N)
     alpha = as_fraction(alpha)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if c == 1:
         raise ValueError("c = 1 has log c = 0; the closed form does not apply")
-    if not 0 < c < 1:
-        raise ValueError(f"c must lie in (0, 1), got {c}")
     if alpha <= 1:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
 
     initial_step = c > Fraction(1, 2)
     bonus = 0
     if initial_step:
-        try:
-            n, c = inductive_step(n, c, N)
-            bonus = 1
-        except ValueError:
-            return ClosedFormBound(0, 0, False, alpha, True)
-        if n < 2:
-            return ClosedFormBound(bonus, bonus, False, alpha, True)
+        m, a, b = _step(n, c.numerator, c.denominator, N)
+        if m < 2:  # no step (m <= 0), or one step, to n = 1
+            return ClosedFormBound(int(m > 0), int(m > 0), False, alpha, True)
+        n, c, bonus = m, Fraction(a, b), 1
 
     log_c = log_float(c) / math.log(N)
     x_f = 1.0 + (1 - n) * (float(alpha) - 1.0) / log_c
@@ -287,11 +302,8 @@ def choose_r_sparse(eps) -> int:
 
 
 def lll_condition(L: int, p, r: int) -> bool:
-    """Exact decision of 4 L p^(2^r) < 1.
-
-    Decided by logarithms with a safety margin; anything within float noise
-    of the boundary falls back to exact rational arithmetic.
-    """
+    """Exact decision of 4 L p^(2^r) < 1, as 4 L a^(2^r) < b^(2^r) for
+    p = a/b, refused where those powers would pass BITS_CAP bits."""
     p = as_fraction(p)
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
@@ -299,15 +311,11 @@ def lll_condition(L: int, p, r: int) -> bool:
         raise ValueError(f"p must lie in (0, 1), got {p}")
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
+    # the shift stops at 64, where every p is past the cap, so a huge r is
+    # refused before 2^r is built
+    bits = max(p.numerator.bit_length(), p.denominator.bit_length())
+    require_bits(bits << min(r, 64), f"the LLL comparison at p^(2^{r})")
     exp = 2 ** r
-    log_total = math.log(4) + math.log(L) + exp * log_float(p)
-    scale = abs(math.log(4) + math.log(L)) + abs(exp * log_float(p))
-    if abs(log_total) > 1e-9 * max(scale, 1.0):
-        return log_total < 0
-    # Boundary-tight: decide exactly (small exponents only; a tie with an
-    # astronomically large exponent is not decidable within memory).
-    bits = exp * max(p.numerator.bit_length(), p.denominator.bit_length())
-    require_bits(bits, "the exact fallback of an LLL comparison too close to the boundary")
     return 4 * L * p.numerator ** exp < p.denominator ** exp
 
 

@@ -19,7 +19,7 @@ import enum
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor, sqrt
+from math import floor
 from typing import Optional
 
 from .bounds import (
@@ -308,8 +308,8 @@ def construct_dense_small_M(
     if not (outcome.success and report.verified):
         return ConstructionResult(ConstructStatus.CUBE_PERSISTS, r, outcome.point_set, cert,
                                   detail=f"an {r}-cube persisted after {outcome.rounds} rounds")
-    sigma = sqrt(float(p) * (1 - float(p)) / grid.size)
-    if float(report.density) < float(p) - 3 * sigma:
+    # density < c_n - 3 sigma, sigma^2 = c_n (1 - c_n) / N^n, decided exactly
+    if p > report.density and (p - report.density) ** 2 > 9 * p * (1 - p) / grid.size:
         return ConstructionResult(ConstructStatus.DENSITY_MISSED, r, outcome.point_set, cert,
                                   detail=f"density {report.density} below c_n - 3 sigma")
     return ConstructionResult(ConstructStatus.VERIFIED, r, outcome.point_set, cert)

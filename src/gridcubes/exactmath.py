@@ -71,14 +71,6 @@ def floor_log(x: Rational, base: Rational) -> int:
     return k
 
 
-def ceil_log(x: Rational, base: Rational) -> int:
-    """Exact ceil(log_base(x)), same contract as floor_log."""
-    k = floor_log(x, base)
-    if as_fraction(base) ** k == as_fraction(x):
-        return k
-    return k + 1
-
-
 def floor_log_log(n: int, base: int) -> int:
     """Exact floor(log_base(log_base(n))) for integers n >= base >= 2.
 

@@ -16,7 +16,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
-from itertools import islice, product
+from itertools import product
 from math import comb, prod
 from typing import Optional, Sequence
 
@@ -352,9 +352,9 @@ def _information_sets(matrix, q: int):
     Each set pivots first on the columns no earlier set took, in column
     order.  While those reach rank k it is an information set; once they
     reach only r < k, the set is its r own pivots, completed to a basis by
-    columns of earlier sets.  rows are the systematic rows restricted to the
-    columns off the set's k pivots, so a message of weight w weighs w plus
-    the weight of its word there.
+    columns of earlier sets.  rows are _systematic's whole rows, the
+    identity on the set's k pivots, so the word of a message of weight w
+    weighs w plus its weight off the pivots.
     """
     k, n = len(matrix), len(matrix[0])
     used = bytearray(n)  # 1 where an earlier set took the column
@@ -364,9 +364,7 @@ def _information_sets(matrix, q: int):
         own = [c for c in pivot if c is not None and not used[c]]
         if None in pivot or not own:
             return
-        pivots = set(pivot)
-        rest = [c for c in range(n) if c not in pivots]
-        yield len(own), [[row[c] for c in rest] for row in rows]
+        yield len(own), rows
         for c in own:
             used[c] = 1
 
@@ -421,8 +419,8 @@ def _plan(q: int, k: int, full: int, partial: Sequence[int], done: int, bound: i
 
 
 def _weigh_level(lanes: _Lanes, rows: Sequence[int], w: int) -> int:
-    """Least weight, off the pivots, over the projective messages of weight
-    w on one systematic set of packed rows."""
+    """Least weight of a word whose projective message has weight w on one
+    systematic set, given as its packed whole rows."""
     k, q, lightest, weight = len(rows), lanes.q, lanes.lightest, lanes.weight
 
     def rec(start, x, left):
@@ -481,8 +479,10 @@ def _brouwer_zimmermann(matrix, q: int, scan_cost: Optional[int]) -> Optional[in
     scan: those rows then give a real upper bound.  After the first set,
     _plan prices the rest against the least weight found, picks how many
     sets to build, and before each later level drops the sets it no longer
-    needs.  Words weighed, each counted once per WORD_LANES lanes, may not
-    pass MESSAGE_CAP; where they would, and the scan cannot take over,
+    needs.  MESSAGE_CAP counts each word weighed once per WORD_LANES of its
+    n - k lanes past the message, and each later set at its setup price
+    before its elimination runs (the first set's k words always fit under
+    ENTRY_CAP); where it would be passed and the scan cannot take over,
     MessageCapExceeded carries the bounds found.
     """
     k, n = len(matrix), len(matrix[0])
@@ -494,55 +494,46 @@ def _brouwer_zimmermann(matrix, q: int, scan_cost: Optional[int]) -> Optional[in
         sure = _plan(q, k, n // k, spare, 0, best, 1, setup)[0] + setup
         if scan_cost <= min(sure, PROBE * (setup + k)):
             return None
-    found = _information_sets(matrix, q)
-    first = next(found, None)
-    if first is None:
-        return 0
-    lanes = _Lanes(q, n - k)
-    ranks, packed = [], []
-    low = weighed = 0  # the lower bound; the words weighed, as the cap counts them
+    lanes = _Lanes(q, n)
+    sets = []  # (rank, packed whole rows) of each set kept
+    low, weighed = 0, k * unit  # the lower bound; what the cap has counted
 
-    def admit(words):
-        # whether `words` more words may be weighed; False hands over to the scan
-        if weighed + words * unit <= MESSAGE_CAP:
-            return True
-        if scan_cost is None:
-            raise MessageCapExceeded(low, best)
-        return False
+    def admit(cost):
+        # count `cost` toward the cap if it fits; False hands over to the scan
+        nonlocal weighed
+        if weighed + cost > MESSAGE_CAP:
+            if scan_cost is None:
+                raise MessageCapExceeded(low, best)
+            return False
+        weighed += cost
+        return True
 
-    def take(r, rows):
-        # a new set, and its level 1: its k rows
-        nonlocal best, low, weighed
-        ranks.append(r)
-        packed.append([lanes.pack(row) for row in rows])
-        best = min(best, 1 + _weigh_level(lanes, packed[-1], 1))
-        weighed += k * unit
+    for r, rows in _information_sets(matrix, q):  # each set, and its level 1: its k rows
+        sets.append((r, [lanes.pack(row) for row in rows]))
+        best = min(best, _weigh_level(lanes, sets[-1][1], 1))
         low += _gain(k, r, 1)
-
-    if not admit(k):
-        return None
-    take(*first)
-    if k == 1 or low >= best:
-        return best  # at k = 1 one set at level 1 has seen every message
-    # price the rest, with the sets not built yet taken as information sets
-    words, count = _plan(q, k, n // k, spare, 0, best, 2, setup)
-    if scan_cost is not None and scan_cost < words:
-        return None
-    for r, rows in islice(found, count - 1):
-        if not admit(k):
+        if k == 1 or low >= best:
+            return best  # at k = 1 one set at level 1 has seen every message
+        if len(sets) == 1:
+            # price the rest, with the sets not built yet taken as information sets
+            words, count = _plan(q, k, n // k, spare, 0, best, 2, setup)
+            if scan_cost is not None and scan_cost < words:
+                return None
+        if len(sets) == count:
+            break
+        # the next set is paid for, its elimination and its level 1, before it is built
+        if not admit(setup + k * unit):
             return None
-        take(r, rows)
-        if low >= best:
-            return best
+    if not sets:
+        return 0
     for w in range(2, k + 1):
-        full = ranks.count(k)
-        words, count = _plan(q, k, full, ranks[full:], low, best, w)
-        if (scan_cost is not None and scan_cost < words) or not admit(count * _level_words(q, k, w)):
+        full = sum(r == k for r, _ in sets)
+        words, count = _plan(q, k, full, [r for r, _ in sets[full:]], low, best, w)
+        if (scan_cost is not None and scan_cost < words) or not admit(count * _level_words(q, k, w) * unit):
             return None
-        del ranks[count:], packed[count:]  # a dropped set keeps its part of low
-        for r, rows in zip(ranks, packed):
-            best = min(best, w + _weigh_level(lanes, rows, w))
-            weighed += _level_words(q, k, w) * unit
+        del sets[count:]  # a dropped set keeps its part of low
+        for r, rows in sets:
+            best = min(best, _weigh_level(lanes, rows, w))
             # this set has weighed level w; at w = k it has seen every message
             low += _gain(k, r, w) - _gain(k, r, w - 1)
             if w == k or low >= best:

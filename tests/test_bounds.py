@@ -69,6 +69,34 @@ class TestIteratedBound:
                 truth = f_exhaustive(2, n, c, CubeNotion.INDEPENDENT_GENERATORS)
                 assert lower_bound_iterated(n, c, 2) <= truth
 
+    def test_bad_density_or_base_rejected(self):
+        for c, N in ((Fraction(3, 2), 2), (Fraction(1, 2), 1), (Fraction(-1, 2), 2), (0, 2)):
+            with pytest.raises(ValueError):
+                lower_bound_iterated(10, c, N)
+            with pytest.raises(ValueError):
+                inductive_step(10, c, N)
+
+    def test_against_a_fraction_oracle(self):
+        # the integer steps against the recursion on Fractions, with
+        # ceil(log_N(8 c^-2)) found by counting powers of N
+        def oracle(n, c, N):
+            steps = 0
+            while True:
+                r, power = 0, 1
+                while power < 8 / c ** 2:
+                    r, power = r + 1, power * N
+                if n <= r:
+                    return steps
+                n, c, steps = n - r, 2 * c ** 2 / (c + 4) ** 2, steps + 1
+
+        rng = random.Random(4)
+        for _ in range(300):
+            N = rng.choice([2, 3, 5])
+            den = rng.randint(1, 10 ** 6)
+            c = Fraction(rng.randint(1, den), den)
+            n = rng.randint(1, 10 ** rng.randint(1, 3))
+            assert lower_bound_iterated(n, c, N) == oracle(n, c, N), (n, c, N)
+
     def test_refuses_once_c_passes_the_bit_cap(self, monkeypatch):
         # c's numerator and denominator about double in bits per step
         monkeypatch.setattr(exactmath, "BITS_CAP", 2 ** 10)
@@ -101,6 +129,17 @@ class TestClosedForm:
         assert lower_bound_closed_form(4, Fraction(1, 2), 2, 2).raw == 1
         assert lower_bound_closed_form(2047, Fraction(1, 9), 3, 2).raw == 9
         assert len(calls) == 2
+
+    def test_float_seed_above_the_floor_settles_down(self, monkeypatch):
+        # c = 2^-j, alpha = 2: x = 1 + (n-1)/j = 2^40 - 1/j, which rounds to
+        # the float 2^40, so the seed y = 40.0 is one too high; the exact
+        # settle at k = 40 fails and the floor is 39
+        calls = []
+        settle = bounds._alpha_pow_le_x
+        monkeypatch.setattr(bounds, "_alpha_pow_le_x", lambda *a: calls.append(a[0]) or settle(*a))
+        j = 2 ** 14
+        assert lower_bound_closed_form(j * (2 ** 40 - 1), Fraction(1, 2 ** j), 2, 2).raw == 38
+        assert calls == [40]
 
     def test_float_guard_path(self):
         res = lower_bound_closed_form(100, Fraction(3, 8), 2, 2)
@@ -317,6 +356,15 @@ class TestLLLCondition:
 
     def test_huge_count(self):
         assert lll_condition(2 ** 84, Fraction(1, 64), 6) is True
+
+    def test_refuses_past_the_bit_cap(self, monkeypatch):
+        # 3^(2^r) is counted at 2^(r+1) bits; r = 10^9 is refused before 2^r
+        # is built
+        monkeypatch.setattr(exactmath, "BITS_CAP", 2 ** 10)
+        assert lll_condition(1, Fraction(1, 3), 9) is True
+        for r in (10, 10 ** 9):
+            with pytest.raises(ArithmeticError, match="bits"):
+                lll_condition(1, Fraction(1, 3), r)
 
 
 class TestCountBound:

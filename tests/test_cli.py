@@ -172,6 +172,15 @@ class TestConstruct:
         cube = AffineCube(tuple(w["base"]), tuple(map(tuple, w["generators"])))
         assert cube.m == res["r"] and is_cube_in(s, cube, CubeNotion(w["notion"]))
 
+    def test_density_missed_exits_4(self):
+        # seed 211 draws 7 of the 32 cells of [2]^5 at c_n = 1/2, and the
+        # 4-cube needs 16: 7/32 lies more than 3 sigma = 3/(4 sqrt 2) below
+        # 1/2, since (9/32)^2 > 9/128, where 8/32 would not be
+        code, out = run(["--seed", "211", "construct", "dense", "5", "2", "1"])
+        res = result_of(out)
+        assert code == 4 and res["status"] == "density-missed" and res["r"] == 4
+        assert res["detail"] == "density 7/32 below c_n - 3 sigma"
+
     def test_dense_budget_exits_3(self):
         code, out = run(["--budget", "50000", "construct", "dense", "16", "2", "1"])
         assert code == 3 and result_of(out)["status"] == "inconclusive"
@@ -228,8 +237,9 @@ class TestToric:
 
     def test_message_cap_exits_3_with_bounds(self, tmp_path, monkeypatch):
         # [0,2]^2 over F_7 (d = 16, 7^9 > 2,000 leaves no scan) with a cap
-        # of 2,000 words stops Brouwer-Zimmermann after level 2: inconclusive,
-        # with the bounds it proved, not an input error
+        # of 2,000 words stops Brouwer-Zimmermann after level 1 on three
+        # sets, before it builds a fourth: inconclusive, with the bounds it
+        # proved, not an input error
         monkeypatch.setattr(toric, "MESSAGE_CAP", 2000)
         p = tmp_path / "square.poly"
         p.write_text("7 2\n0 0\n2 0\n0 2\n2 2\n")
@@ -238,6 +248,24 @@ class TestToric:
         assert code == 3 and res["status"] == "inconclusive"
         assert set(res) == {"status", "min_distance_lower", "min_distance_upper"}
         assert res["min_distance_lower"] <= 16 <= res["min_distance_upper"]
+
+    def test_cap_refuses_a_set_before_building_it(self, tmp_path, monkeypatch):
+        # [0,2]^2 over F_7: k = 9, n = 36, words of 27 lanes, each counted
+        # once.  The first set counts its 9 level-1 words; each later set
+        # 9 * 9 * 36 // 4 = 729 for its elimination and 9 for its level 1.
+        # A cap of 850 admits the second set (747) but not the third
+        # (1,485), so exactly two systematic forms are built.
+        calls = []
+        systematic = toric._systematic
+        monkeypatch.setattr(toric, "_systematic", lambda *a: calls.append(1) or systematic(*a))
+        monkeypatch.setattr(toric, "MESSAGE_CAP", 850)
+        p = tmp_path / "square.poly"
+        p.write_text("7 2\n0 0\n2 0\n0 2\n2 2\n")
+        code, out = run(["toric", str(p)])
+        res = result_of(out)
+        assert code == 3 and res["status"] == "inconclusive"
+        assert res["min_distance_lower"] == 4 <= 16 <= res["min_distance_upper"]
+        assert len(calls) == 2
 
     def test_square_past_the_old_cap(self, tmp_path):
         # [0,2]^2 over F_7: k = 9 and 7^9 > 10^7, which the scan alone

@@ -106,6 +106,8 @@ class TestNotions:
         assert unit.satisfies(UNI)
         doubled = AffineCube((0, 0), ((2, 0), (0, 2)))
         assert doubled.satisfies(IND) and not doubled.satisfies(UNI)
+        repeated = AffineCube((0,), ((1,), (1,)))  # vertices 0, 1, 1, 2
+        assert not any(repeated.satisfies(notion) for notion in (VI, IND, UNI))
 
 
 class TestCanonical:

@@ -500,10 +500,11 @@ class TestMinimumDistance:
 
     def test_small_cap_refuses_before_weighing_past_it(self, monkeypatch):
         # the square [0,2]^2 over F_7 (k = 9, n = 36: words of 27 lanes,
-        # each counted once) with a cap of 2,000 words: levels 1 and 2 on four
-        # information sets take 4 (9 + 216) = 900, level 3 would take 12,096
-        # more, and 7^9 > 2,000 leaves no scan.  Each word weighed is one call
-        # of _Lanes.weight.
+        # each counted once) with a cap of 2,000 words: level 1 on three
+        # information sets counts 9 + 2 (729 + 9) = 1,485, with 729 for
+        # each later set's elimination, a fourth set would take 738 more,
+        # and 7^9 > 2,000 leaves no scan.  Each word weighed is one call of
+        # _Lanes.weight.
         code = build_code(LatticePolytope([(0, 0), (2, 0), (0, 2), (2, 2)]), 7)
         weight = toric._Lanes.weight
         words = []
@@ -575,6 +576,24 @@ class TestBrouwerZimmermann:
             prefixes = [()] if code.dimension == 1 else [(0,), (1,)]
             want = toric._min_weight_scan(code.matrix, q, prefixes)
             assert toric._brouwer_zimmermann(code.matrix, q, None) == want, (q, poly.vertices)
+
+    def test_sets_are_whole_systematic_forms(self, hand_built, monkeypatch):
+        # each set yielded is the rows _systematic returned, the identity on
+        # the k pivots it chose
+        forms = []
+        systematic = toric._systematic
+        monkeypatch.setattr(toric, "_systematic", lambda *a: forms.append(systematic(*a)) or forms[-1])
+        square = build_code(LatticePolytope([(0, 0), (2, 0), (0, 2), (2, 2)]), 7)
+        sets = 0
+        for q, k, matrix, _ in hand_built + [(7, 9, square.matrix, 16)]:
+            forms.clear()
+            for r, rows in toric._information_sets(matrix, q):
+                got, pivot = forms[-1]
+                assert rows is got and len(rows[0]) == len(matrix[0])
+                assert [[row[c] for c in pivot] for row in rows] == [
+                    [int(i == j) for j in range(k)] for i in range(k)]
+                sets += 1
+        assert sets > 4
 
     def test_hands_over_to_the_scan_after_the_first_set(self, monkeypatch):
         # after its first set, BZ prices the rest above the scan and returns
