@@ -481,9 +481,10 @@ def _brouwer_zimmermann(matrix, q: int, scan_cost: Optional[int]) -> Optional[in
     sets to build, and before each later level drops the sets it no longer
     needs.  MESSAGE_CAP counts each word weighed once per WORD_LANES of its
     n - k lanes past the message, and each later set at its setup price
-    before its elimination runs (the first set's k words always fit under
-    ENTRY_CAP); where it would be passed and the scan cannot take over,
-    MessageCapExceeded carries the bounds found.
+    before its elimination runs, once its k level-1 words are sure to fit
+    (the first set's always do under ENTRY_CAP); where the cap would be
+    passed and the scan cannot take over, MessageCapExceeded carries the
+    bounds found.
     """
     k, n = len(matrix), len(matrix[0])
     setup = k * k * n // SET_ENTRIES
@@ -496,12 +497,12 @@ def _brouwer_zimmermann(matrix, q: int, scan_cost: Optional[int]) -> Optional[in
             return None
     lanes = _Lanes(q, n)
     sets = []  # (rank, packed whole rows) of each set kept
-    low, weighed = 0, k * unit  # the lower bound; what the cap has counted
+    low = weighed = 0  # the lower bound; what the cap has counted
 
-    def admit(cost):
-        # count `cost` toward the cap if it fits; False hands over to the scan
+    def admit(cost, ahead=0):
+        # count `cost` toward the cap if it and `ahead` fit; False hands over to the scan
         nonlocal weighed
-        if weighed + cost > MESSAGE_CAP:
+        if weighed + cost + ahead > MESSAGE_CAP:
             if scan_cost is None:
                 raise MessageCapExceeded(low, best)
             return False
@@ -509,6 +510,7 @@ def _brouwer_zimmermann(matrix, q: int, scan_cost: Optional[int]) -> Optional[in
         return True
 
     for r, rows in _information_sets(matrix, q):  # each set, and its level 1: its k rows
+        weighed += k * unit
         sets.append((r, [lanes.pack(row) for row in rows]))
         best = min(best, _weigh_level(lanes, sets[-1][1], 1))
         low += _gain(k, r, 1)
@@ -521,8 +523,9 @@ def _brouwer_zimmermann(matrix, q: int, scan_cost: Optional[int]) -> Optional[in
                 return None
         if len(sets) == count:
             break
-        # the next set is paid for, its elimination and its level 1, before it is built
-        if not admit(setup + k * unit):
+        # the next set's elimination is paid for, and its level 1 must fit, before it
+        # is built; its level 1 counts once the set is found
+        if not admit(setup, k * unit):
             return None
     if not sets:
         return 0

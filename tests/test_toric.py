@@ -500,20 +500,25 @@ class TestMinimumDistance:
 
     def test_small_cap_refuses_before_weighing_past_it(self, monkeypatch):
         # the square [0,2]^2 over F_7 (k = 9, n = 36: words of 27 lanes,
-        # each counted once) with a cap of 2,000 words: level 1 on three
-        # information sets counts 9 + 2 (729 + 9) = 1,485, with 729 for
-        # each later set's elimination, a fourth set would take 738 more,
-        # and 7^9 > 2,000 leaves no scan.  Each word weighed is one call of
-        # _Lanes.weight.
+        # each counted once; d = 16), where 7^9 > 3,000 leaves no scan.
+        # Each word weighed is one call of _Lanes.weight.  A cap of 2,000
+        # words: level 1 on three information sets counts 9 + 2 (729 + 9)
+        # = 1,485, with 729 for each later set's elimination, and a fourth
+        # set would take 738 more, so the words weighed are the 27 of level
+        # 1 on three sets.  A cap of 3,000: the four sets fit (2,223), but
+        # level 2 on them, 4 C(9, 2) 6 = 864 words, does not, and is refused
+        # before any of its words is weighed: 36 words, all of level 1.
         code = build_code(LatticePolytope([(0, 0), (2, 0), (0, 2), (2, 2)]), 7)
         weight = toric._Lanes.weight
         words = []
         monkeypatch.setattr(toric._Lanes, "weight", lambda lanes, x: words.append(1) or weight(lanes, x))
-        monkeypatch.setattr(toric, "MESSAGE_CAP", 2000)
-        with pytest.raises(ValueError, match="cap"):
-            minimum_distance(code)
-        assert 0 < len(words) <= 2000
-
+        for cap, weighed in ((2000, 3 * 9), (3000, 4 * 9)):
+            monkeypatch.setattr(toric, "MESSAGE_CAP", cap)
+            words.clear()
+            with pytest.raises(toric.MessageCapExceeded) as stop:
+                minimum_distance(code)
+            assert stop.value.lower <= 16 <= stop.value.upper
+            assert len(words) == weighed
 
 @pytest.fixture(scope="module")
 def hand_built():
