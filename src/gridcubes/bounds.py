@@ -90,17 +90,25 @@ def inductive_step(n: int, c, N: int) -> tuple[int, Fraction]:
 
 def lower_bound_iterated(n: int, c, N: int) -> int:
     """Number of inductive steps possible from (n, c): a lower bound on f.
-    Each step about doubles c's bits; refused once they pass BITS_CAP."""
+    Each step about doubles c's bits; refused once they pass BITS_CAP.  A
+    step that surely goes ahead, n above a bound on its r from bit lengths,
+    is refused before it is built when its new denominator, of at least
+    2 bit_length(a + 4b) - 6 bits (_step shifts out at most 5), must pass."""
     c = _density(c, N)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     steps, a, b = 0, c.numerator, c.denominator
     while True:
+        what = f"the density after {steps + 1} inductive steps"
+        # N^r a^2 >= 8 b^2 once r (bit_length(N) - 1) >= 5 + 2 (bit_length(b) - bit_length(a))
+        r_above = -(-(5 + 2 * (b.bit_length() - a.bit_length())) // (N.bit_length() - 1))
+        if n > r_above:
+            require_bits(2 * (a + 4 * b).bit_length() - 6, what)
         n, a, b = _step(n, a, b, N)
         if n <= 0:
             return steps
         steps += 1
-        require_bits(max(a.bit_length(), b.bit_length()), f"the density after {steps} inductive steps")
+        require_bits(max(a.bit_length(), b.bit_length()), what)
 
 
 @dataclass(frozen=True)
@@ -169,6 +177,8 @@ def beta(c, N: int, alpha) -> float:
     """The additive constant in f >= log_alpha(n) - beta(c), reporting only."""
     c = as_fraction(c)
     alpha = as_fraction(alpha)
+    if N < 2:
+        raise ValueError(f"N must be >= 2, got {N}")
     if not 0 < c < 1:
         raise ValueError(f"c must lie in (0, 1), got {c}")
     if alpha <= 1:

@@ -32,6 +32,14 @@ masks all their subsets share.  For a subset of [2]^n the three notions
 coincide and the search tests none of them.  A box of more than
 grid.MATERIALIZE_LIMIT cells is refused.  The API and PointSet stay
 tuple-only.
+
+Exhaustive f runs on the cells removed from the grid, not on its subsets:
+a qualifying set with no m-cube is the complement of a set of at most
+N^n - k_min cells that meets every m-cube, and such a set holds a vertex of
+whichever m-cube the search finds, so the removal sets are a bounded search
+tree that branches on the vertex cells of found cubes.  Gunderson and Rodl
+(Combin. Probab. Comput. 1998) study these extremal numbers for cubes of
+integers.
 """
 
 from __future__ import annotations
@@ -620,6 +628,47 @@ def m_value_oracle_all(s: PointSet) -> dict[CubeNotion, int]:
     return results
 
 
+def _least_m_over_removals(box: GridBox, k_min: int, notion: CubeNotion, budget: int) -> int:
+    """f over the subsets of at least k_min cells of box, by a search over
+    the cells removed from it.
+
+    mu starts at M of the first k_min cells.  A set S of at least k_min
+    cells with no mu-cube is the complement of a set T of at most
+    |box| - k_min cells that meets every mu-cube.  Such a T holds a vertex
+    of the first mu-cube found, so the search removes each of its vertex
+    cells in turn, barring the cells of the earlier branches (the bounded
+    search tree for hitting sets: at most (2^mu)^t leaves for t removals
+    left, and no removal set twice).  A set found with no mu-cube lowers mu
+    to its M, as validly as one of exactly k_min cells, since M is monotone
+    under inclusion, and the search starts again; when none is found, f is
+    mu.
+    """
+    mu = _search(box, (1 << k_min) - 1, notion, None, budget).m
+
+    def without_cube(s_mask: int, t: int, barred: int) -> Optional[int]:
+        """A set with no mu-cube left from s_mask by at most t removals of
+        cells outside barred, or None."""
+        cube = find_cube_in_box(box, s_mask, mu, notion, budget)
+        if cube is None:
+            return s_mask
+        if t:
+            for v in cube.vertices():
+                bit = 1 << box.cell(v)
+                if not barred & bit:
+                    found = without_cube(s_mask ^ bit, t - 1, barred)
+                    if found is not None:
+                        return found
+                    barred |= bit
+        return None
+
+    while mu:
+        s_mask = without_cube((1 << box.cells) - 1, box.cells - k_min, 0)
+        if s_mask is None:
+            break
+        mu = _search(box, s_mask, notion, None, budget).m
+    return mu
+
+
 def f_exhaustive(
     N: int,
     n: int,
@@ -631,16 +680,17 @@ def f_exhaustive(
 ) -> int:
     """Exact f_N(n, c): the minimum of M(S) over subsets of density >= c.
 
-    Exhaustive mode enumerates every subset of the least qualifying size
-    (grid size capped at 16 cells) in lex order; M is monotone under
-    inclusion, so larger subsets cannot lower the minimum.  Pass `samples`
-    for a seeded sampled variant (an upper estimate, not exact): each
-    sample is rng.sample(range(N^n), k) of grid.index_of indices.  A subset
-    qualifies iff |S| >= ceil(c * N^n).
+    A subset qualifies iff |S| >= k_min = ceil(c * N^n).  Exhaustive mode
+    (grid size capped at 16 cells) searches the sets of at most
+    N^n - k_min cells that meet every cube of the least dimension found so
+    far (see _least_m_over_removals), not the k_min-subsets one by one.
+    Pass `samples` for a seeded sampled variant (an upper estimate, not
+    exact): each sample is rng.sample(range(N^n), k_min) of grid.index_of
+    indices, and f is the least M among them.
 
-    Every subset is a cell mask of one GridBox of [N]^n, built once per
-    call, so the subsets share its decoded points and guard masks and no
-    PointSet is built.
+    Every set searched is a cell mask of one GridBox of [N]^n, built once
+    per call, so the searches share its decoded points and guard masks and
+    no PointSet is built.  Each search has the whole budget.
     """
     _check_budget(budget)
     c = as_fraction(c)
@@ -656,16 +706,12 @@ def f_exhaustive(
         raise ValueError("sample count must be positive")
     box = GridBox.of_grid(grid)
     if samples is None:
-        masks = map(box.mask, combinations(range(cells), k_min))
-    else:
-        cell_of = box.index_map()
-        rng = random.Random(seed)
-        masks = (
-            box.mask(map(cell_of, rng.sample(range(cells), k_min)))
-            for _ in range(samples)
-        )
+        return _least_m_over_removals(box, k_min, notion, budget)
+    cell_of = box.index_map()
+    rng = random.Random(seed)
     mu: Optional[int] = None
-    for s_mask in masks:
+    for _ in range(samples):
+        s_mask = box.mask(map(cell_of, rng.sample(range(cells), k_min)))
         if mu is not None and find_cube_in_box(box, s_mask, mu, notion, budget) is not None:
             continue  # M(sub) >= mu, cannot lower the minimum
         mu = _search(box, s_mask, notion, None, budget).m

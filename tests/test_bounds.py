@@ -27,6 +27,21 @@ from gridcubes.cubes import CubeNotion, f_exhaustive
 C_GRID = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
 
 
+def iterated_oracle(n, c, N, cap=None):
+    """The recursion on Fractions, with ceil(log_N(8 c^-2)) found by
+    counting powers of N; past `cap` bits, the refusal message's step."""
+    steps = 0
+    while True:
+        r, power = 0, 1
+        while power < 8 / c ** 2:
+            r, power = r + 1, power * N
+        if n <= r:
+            return steps
+        n, c, steps = n - r, 2 * c ** 2 / (c + 4) ** 2, steps + 1
+        if cap is not None and max(c.numerator.bit_length(), c.denominator.bit_length()) > cap:
+            return f"after {steps} inductive steps"
+
+
 class TestInductiveStep:
     def test_half(self):
         assert inductive_step(10, Fraction(1, 2), 2) == (5, Fraction(2, 81))
@@ -77,25 +92,33 @@ class TestIteratedBound:
                 inductive_step(10, c, N)
 
     def test_against_a_fraction_oracle(self):
-        # the integer steps against the recursion on Fractions, with
-        # ceil(log_N(8 c^-2)) found by counting powers of N
-        def oracle(n, c, N):
-            steps = 0
-            while True:
-                r, power = 0, 1
-                while power < 8 / c ** 2:
-                    r, power = r + 1, power * N
-                if n <= r:
-                    return steps
-                n, c, steps = n - r, 2 * c ** 2 / (c + 4) ** 2, steps + 1
-
         rng = random.Random(4)
         for _ in range(300):
             N = rng.choice([2, 3, 5])
             den = rng.randint(1, 10 ** 6)
             c = Fraction(rng.randint(1, den), den)
             n = rng.randint(1, 10 ** rng.randint(1, 3))
-            assert lower_bound_iterated(n, c, N) == oracle(n, c, N), (n, c, N)
+            assert lower_bound_iterated(n, c, N) == iterated_oracle(n, c, N), (n, c, N)
+
+    def test_refusals_against_a_fraction_oracle(self, monkeypatch):
+        # a step refused before it is built is the step the oracle refuses
+        # after building it
+        monkeypatch.setattr(exactmath, "BITS_CAP", 2 ** 8)
+        rng = random.Random(6)
+        refused = 0
+        for _ in range(300):
+            N = rng.choice([2, 3, 5, 7, 16])
+            den = rng.randint(1, 10 ** 6)
+            c = Fraction(rng.randint(1, den), den)
+            n = rng.randint(1, 10 ** rng.randint(1, 12))
+            expected = iterated_oracle(n, c, N, 2 ** 8)
+            if isinstance(expected, str):
+                with pytest.raises(ArithmeticError, match=expected):
+                    lower_bound_iterated(n, c, N)
+                refused += 1
+            else:
+                assert lower_bound_iterated(n, c, N) == expected, (n, c, N)
+        assert refused >= 100
 
     def test_refuses_once_c_passes_the_bit_cap(self, monkeypatch):
         # c's numerator and denominator about double in bits per step
@@ -103,6 +126,16 @@ class TestIteratedBound:
         assert lower_bound_iterated(100, Fraction(1, 3), 2) == 3
         with pytest.raises(ArithmeticError, match="bits"):
             lower_bound_iterated(10 ** 12, Fraction(1, 3), 2)
+
+    def test_refuses_a_step_before_building_it(self, monkeypatch):
+        # the step that passes the cap is refused before _step squares
+        monkeypatch.setattr(exactmath, "BITS_CAP", 2 ** 10)
+        steps = []
+        step = bounds._step
+        monkeypatch.setattr(bounds, "_step", lambda *args: steps.append(args) or step(*args))
+        with pytest.raises(ArithmeticError, match="after 8 inductive steps"):
+            lower_bound_iterated(10 ** 12, Fraction(1, 3), 2)
+        assert len(steps) == 7
 
 
 class TestClosedForm:
@@ -227,6 +260,11 @@ class TestBeta:
     def test_finite(self):
         assert math.isfinite(beta(Fraction(99, 100), 3, Fraction(5, 2)))
 
+    def test_base_below_two_rejected(self):
+        for N in (1, 0):
+            with pytest.raises(ValueError, match="N must be >= 2"):
+                beta("1/2", N, 2)
+
 
 class TestEpsilonSmallCheck:
     def test_at_one(self):
@@ -293,6 +331,10 @@ class TestEqEp:
     def test_degenerate_schedule_vacuous(self):
         rep = check_eq_ep(3, 1, 2)
         assert rep.holds and rep.c_n == 0 and math.isinf(rep.rhs)
+
+    def test_base_below_two_rejected(self):
+        with pytest.raises(ValueError, match="N must be >= 2"):
+            check_eq_ep(16, 1, 1)
 
 
 class TestChooseR:

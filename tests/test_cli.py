@@ -93,6 +93,11 @@ class TestFExact:
         code, _ = run(["fexact", "2", "3", "5/4"])
         assert code == 2
 
+    def test_budget_exhaustion_exits_3(self):
+        # each search has the whole budget; the first needs more than one check
+        code, out = run(["--budget", "1", "fexact", "2", "4", "1/2"])
+        assert code == 3 and result_of(out)["status"] == "inconclusive"
+
 
 class TestBound:
     def test_c_one_keeps_iterated_only(self):

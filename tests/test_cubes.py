@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gridcubes import cubes
 from gridcubes.cubes import (
     DEFAULT_BUDGET,
     AffineCube,
@@ -18,10 +19,12 @@ from gridcubes.cubes import (
     _box_of,
     _leading_positive,
     _run_box_search,
+    _search,
     _sub,
     extend_cube,
     f_exhaustive,
     find_cube,
+    find_cube_in_box,
     is_cube_in,
     m_value,
     m_value_oracle_all,
@@ -512,6 +515,21 @@ class TestExtendCube:
             extend_cube((0,), (0,), AffineCube((1,)))
 
 
+def f_by_subsets(box, k_min, notion, budget=DEFAULT_BUDGET):
+    """Exact f by every k_min-subset of the box in lex order, skipping
+    those with a cube of the least dimension found so far (M is monotone
+    under inclusion, so larger subsets cannot lower the minimum)."""
+    masks = map(box.mask, combinations(range(box.cells), k_min))
+    mu = None
+    for s_mask in masks:
+        if mu is not None and find_cube_in_box(box, s_mask, mu, notion, budget) is not None:
+            continue  # M(sub) >= mu, cannot lower the minimum
+        mu = _search(box, s_mask, notion, None, budget).m
+        if mu == 0:
+            return 0
+    return mu
+
+
 class TestFExhaustive:
     def test_density_one_is_dimension(self):
         for n in range(1, 4):
@@ -561,6 +579,49 @@ class TestFExhaustive:
                         values[notion].append(oracle[notion])
                 for notion in CubeNotion:
                     assert f_exhaustive(N, n, c, notion) == min(values[notion]), (N, n, k, notion)
+
+    def test_removal_search_against_subset_loop(self):
+        # slow path: the k_min-subset loop on the same box and notion
+        for N, n, ks in [(2, 3, range(1, 9)), (3, 2, range(1, 10)), (5, 1, range(1, 6)),
+                         (8, 1, range(1, 9)), (2, 4, (2, 7, 8, 9, 13)), (4, 2, (2, 7, 8, 9, 13)),
+                         (16, 1, (2, 7, 8, 9, 13))]:
+            grid = GridParams(N, n)
+            box = GridBox.of_grid(grid)
+            for k in ks:
+                for notion in CubeNotion:  # VI first
+                    if N > 2 or notion is VI:  # on [2]^n the three notions coincide
+                        expected = f_by_subsets(box, k, notion)
+                    assert f_exhaustive(N, n, Fraction(k, grid.size), notion) == expected, (N, n, k, notion)
+
+    def test_each_lowering_set_qualifies_and_has_no_cube(self, monkeypatch):
+        # every maximize-mode search after the first is on a set the removal
+        # search found: at least k_min cells, and by the naive oracle no cube
+        # of the dimension it lowers
+        searched = []
+
+        def spy(box, s_mask, notion, target, budget):
+            cube = _search(box, s_mask, notion, target, budget)
+            if target is None:
+                searched.append((box, s_mask, cube.m))
+            return cube
+
+        monkeypatch.setattr(cubes, "_search", spy)
+        lowered = 0
+        for N, n, k in [(2, 4, 8), (2, 4, 10), (4, 2, 8), (4, 2, 12), (3, 2, 5), (16, 1, 6), (2, 3, 4)]:
+            grid = GridParams(N, n)
+            for notion in CubeNotion:
+                searched.clear()
+                f = f_exhaustive(N, n, Fraction(k, grid.size), notion)
+                box, first, mu = searched[0]
+                assert first == (1 << k) - 1
+                for box, s_mask, m in searched[1:]:
+                    s = PointSet(grid, [box.point(j) for j in box.cells_of(s_mask)])
+                    assert len(s) >= k
+                    assert m == m_value_oracle_all(s)[notion] < mu, (N, n, k, notion)
+                    mu = m
+                    lowered += 1
+                assert f == mu
+        assert lowered >= 10
 
     def test_sampled_against_oracle(self):
         # slow path: the same rng.sample draws of grid.index_of indices
