@@ -16,21 +16,18 @@ from .bounds import (
     choose_r_dense,
     choose_r_sparse,
     count_affine_maps_bound,
-    epsilon_small_check,
     inductive_step,
     lll_condition,
     lower_bound_closed_form,
     lower_bound_iterated,
 )
 from .construct import (
-    BadEventCatalog,
     ConstructStatus,
     ConstructionResult,
     SamplerConfig,
     construct_dense_small_M,
     construct_sparse_bounded_M,
     containment_probability,
-    enumerate_cube_images,
     moser_tardos_sample,
     verify_construction,
 )

@@ -188,32 +188,6 @@ def beta(c, N: int, alpha) -> float:
     return math.log(2) / la + math.log(log_inv_c) / la - log_float(alpha - 1) / la + 2
 
 
-@dataclass(frozen=True)
-class EpsilonCheck:
-    holds: bool
-    lhs: float  # 1 / (1 + log2(1 + eps/6))
-    rhs: float  # 1 - eps/2
-    margin: float  # lhs - rhs
-
-
-def epsilon_small_check(eps) -> EpsilonCheck:
-    """Exact decision of 1/(1 + log2(1 + eps/6)) >= 1 - eps/2.
-
-    For eps < 2 this is equivalent to 1 + eps/6 <= 2^(eps/(2 - eps)), an
-    exact power comparison; for eps >= 2 the right side is nonpositive and
-    the inequality is immediate.
-    """
-    eps = as_fraction(eps)
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
-    t = 1 + eps / 6
-    lhs = 1.0 / (1.0 + math.log2(float(t)))
-    rhs = 1.0 - float(eps) / 2.0
-    # t <= 2^(eps/(2-eps)) iff 1/t >= 2^(-eps/(2-eps))
-    holds = eps >= 2 or pow_at_least(1 / t, -eps / (2 - eps), 2)
-    return EpsilonCheck(holds, lhs, rhs, lhs - rhs)
-
-
 def c_n_schedule(n: int, N: int) -> Fraction:
     """Density schedule 1 - N^(-floor(log_N log_N n)), exact.
 
@@ -230,12 +204,9 @@ def c_n_schedule(n: int, N: int) -> Fraction:
 
 @dataclass(frozen=True)
 class EqEpReport:
-    holds: bool  # base-N reading (the module-wide log convention)
+    holds: bool
     lhs: float
-    rhs: float
-    holds_natural: bool  # same inequality with natural logs on both log terms
-    lhs_natural: float
-    rhs_natural: float
+    rhs: float  # +inf when c_n = 0
     c_n: Fraction
 
 
@@ -243,15 +214,16 @@ def check_eq_ep(n: int, eps, N: int) -> EqEpReport:
     """Feasibility inequality for the dense construction at scale n.
 
     log(4) + n((1+eps) log2(n) + 1) < n^(1+eps/2) log(1/c_n), logs base N on
-    the two unmarked log terms (the natural-log reading is also reported).
-    The log2(n) factor groups with (1+eps): that is the only reading under
-    which the inequality follows from n(r+1) with r < (1+eps) log2(n).
+    the two unmarked log terms, as everywhere in this module.  The log2(n)
+    factor groups with (1+eps): that is the only reading under which the
+    inequality follows from n(r+1) with r < (1+eps) log2(n).
     """
     eps = as_fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     c_n = c_n_schedule(n, N)
-    middle = n * ((1 + float(eps)) * math.log2(n) + 1)
+    ln_N = math.log(N)
+    lhs = math.log(4) / ln_N + n * ((1 + float(eps)) * math.log2(n) + 1)
     try:
         power = float(n) ** (1 + float(eps) / 2)
     except OverflowError:
@@ -261,22 +233,9 @@ def check_eq_ep(n: int, eps, N: int) -> EqEpReport:
         ) from None
     if c_n == 0:
         # log(1/c_n) is +infinity; the inequality holds vacuously.
-        return EqEpReport(True, math.inf, math.inf, True, math.inf, math.inf, c_n)
-    log_inv_c_nat = log_float(1 / c_n)
-    lhs_nat = math.log(4) + middle
-    rhs_nat = power * log_inv_c_nat
-    ln_n = math.log(N)
-    lhs_base = math.log(4) / ln_n + middle
-    rhs_base = power * log_inv_c_nat / ln_n
-    return EqEpReport(
-        holds=lhs_base < rhs_base,
-        lhs=lhs_base,
-        rhs=rhs_base,
-        holds_natural=lhs_nat < rhs_nat,
-        lhs_natural=lhs_nat,
-        rhs_natural=rhs_nat,
-        c_n=c_n,
-    )
+        return EqEpReport(True, lhs, math.inf, c_n)
+    rhs = power * log_float(1 / c_n) / ln_N
+    return EqEpReport(lhs < rhs, lhs, rhs, c_n)
 
 
 def choose_r_dense(n: int, eps) -> Optional[int]:

@@ -141,7 +141,7 @@ def _emit_json(args: argparse.Namespace, result: dict) -> str:
         "version": __version__,
         "output_checksum": _result_checksum(result),
     }
-    return json.dumps({"manifest": manifest, "result": result}, indent=2) + "\n"
+    return json.dumps({"manifest": manifest, "result": result}, indent=2, allow_nan=False) + "\n"
 
 
 def _emit_csv(rows: list[dict]) -> str:
@@ -243,7 +243,7 @@ def _cmd_construct(args) -> tuple[int, str]:
             Path(result["points_file"]).write_text(points_text)
         if res.certificate is not None:
             Path(result["certificate_file"]).write_text(
-                json.dumps(res.certificate, indent=2) + "\n"
+                json.dumps(res.certificate, indent=2, allow_nan=False) + "\n"
             )
     code = EXIT_OK if res.status is ConstructStatus.VERIFIED else EXIT_FAILURE
     flat = {k: v for k, v in result.items() if k != "certificate"}
@@ -291,7 +291,8 @@ _HANDLERS = {
 def run(argv: list[str]) -> tuple[int, str]:
     """Parse and execute; returns (exit_code, stdout_text). Input problems,
     numbers too large for the arithmetic behind a command among them, map
-    to exit 2 with a one-line JSON error object."""
+    to exit 2 with a one-line JSON error object, as does a non-finite float,
+    which strict JSON cannot hold."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

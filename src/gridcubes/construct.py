@@ -5,8 +5,8 @@ c_n) with no r-cube for r slightly above log2(n), and sparse near-full-entropy
 sets with no r-cube for a fixed r depending only on the target entropy gap.
 Both run the same resampling loop: sample every cell independently with
 probability p, find a violating cube, redraw exactly its vertex cells, and
-repeat.  Violation detection is delegated to the cube search instead of
-materializing the bad-event catalog, which is only feasible at toy sizes.
+repeat.  Violation detection is the cube search itself: the bad events
+(the vertex sets of all r-cubes of the grid) are never listed.
 
 Every success is re-verified by an independent search and shipped with a
 serializable certificate; failure and budget exhaustion are first-class,
@@ -36,7 +36,6 @@ from .cubes import (
     DEFAULT_BUDGET,
     DEFAULT_NOTION,
     GridBox,
-    anchored_cubes,
     find_cube,
     find_cube_in_box,
 )
@@ -66,41 +65,6 @@ class SamplerConfig:
             raise ValueError("max_rounds must be >= 1")
         if self.search_budget < 0:
             raise ValueError(f"search_budget must be >= 0, got {self.search_budget}")
-
-
-@dataclass(frozen=True)
-class BadEventCatalog:
-    """Deduplicated vertex-image sets of all injective affine cube maps."""
-
-    grid: GridParams
-    r: int
-    events: tuple[frozenset, ...]
-
-    @property
-    def L(self) -> int:
-        return len(self.events)
-
-
-def enumerate_cube_images(N: int, n: int, r: int, cap: int = 10 ** 7) -> BadEventCatalog:
-    """All distinct images Q of injective affine maps {0,1}^r -> [N]^n,
-    the vertex sets of the anchored r-cubes of the full grid.
-
-    The raw parametrization (base point plus r distinct vertex images) has
-    at most N^(n(r+1)) tuples, which must not exceed `cap`; beyond that,
-    search-based violation detection is the only option.
-    """
-    grid = GridParams(N, n)
-    if r < 0:
-        raise ValueError(f"r must be >= 0, got {r}")
-    raw = N ** (n * (r + 1))
-    if raw > cap:
-        raise ValueError(f"raw enumeration count {N}^{n * (r + 1)} exceeds cap {cap}")
-    events = {
-        frozenset(map(grid.index_of, verts))
-        for _, _, verts in anchored_cubes(PointSet.full(grid), r)
-    }
-    ordered = tuple(sorted(events, key=sorted))
-    return BadEventCatalog(grid, r, ordered)
 
 
 @dataclass(frozen=True)
@@ -247,9 +211,16 @@ def sparse_exponent_chain(n: int, N: int, eps, r: int) -> dict:
 
 def containment_probability(N: int, n: int, r: int, c) -> Fraction:
     """Probability that a uniform exact-density-c subset contains a fixed
-    2^r-point set: the product of (cN^n - i)/(N^n - i) over i < 2^r."""
+    2^r-point set: the product of (cN^n - i)/(N^n - i) over i < 2^r.
+    Needs r >= 0, 0 <= c <= 1 and c N^n an integer (the subset's size)."""
     c = as_fraction(c)
     cells = N ** n
+    if r < 0:
+        raise ValueError(f"r must be >= 0, got {r}")
+    if not 0 <= c <= 1:
+        raise ValueError(f"c must lie in [0, 1], got {c}")
+    if (c * cells).denominator != 1:
+        raise ValueError(f"c * N^n = {c * cells} must be an integer")
     if 2 ** r > cells:
         return Fraction(0)  # no 2^r-point set fits in the grid at all
     prod = Fraction(1)
@@ -291,7 +262,7 @@ def construct_dense_small_M(
     extras = {
         "eq_ep_holds": eq_ep.holds,
         "eq_ep_lhs": eq_ep.lhs,
-        "eq_ep_rhs": eq_ep.rhs,
+        "eq_ep_rhs": eq_ep.rhs if p else None,  # log(1/c_n) is infinite at c_n = 0
     }
     if p == 0:
         # Degenerate schedule (n < N^N): the empty set is trivially cube-free.

@@ -571,18 +571,18 @@ def m_value(
     return cube.m, cube
 
 
-def anchored_cubes(s: PointSet, m: int) -> Iterator[tuple[Point, tuple, list[Point]]]:
-    """Every vertex-injective m-cube inside S by naive anchored enumeration.
+def anchored_cubes(s: PointSet, m: int) -> Iterator[tuple]:
+    """The generators of every vertex-injective m-cube inside S, by naive
+    anchored enumeration.
 
-    Yields (base, generators, vertices).  For each base z in S, every
-    increasing m-tuple of differences p - z (p in S) with positive leading
-    entry is tried; its vertices are built by doubling, in subset-bitmask
-    order, and the tuple is dropped at the first vertex outside S.  No
-    search-tree pruning, no shift ordering, no integer codes.  Each cube has
-    an anchor vertex from which all its generators have positive leading
-    entry (flipping a generator negates it and moves the base, preserving
-    the vertex set, the rank, and unimodularity), so anchored enumeration
-    misses nothing.
+    For each base z in S, every increasing m-tuple of differences p - z
+    (p in S) with positive leading entry is tried; its vertices are built by
+    doubling, in subset-bitmask order, and the tuple is dropped at the first
+    vertex outside S.  No search-tree pruning, no shift ordering, no integer
+    codes.  Each cube has an anchor vertex from which all its generators
+    have positive leading entry (flipping a generator negates it and moves
+    the base, preserving the vertex set, the rank, and unimodularity), so
+    anchored enumeration misses nothing.
     """
     tset = s.tuple_set
     pts = s.points()
@@ -597,12 +597,13 @@ def anchored_cubes(s: PointSet, m: int) -> Iterator[tuple[Point, tuple, list[Poi
                 verts += new
             else:
                 if len(set(verts)) == len(verts):
-                    yield z, gens, verts
+                    yield gens
 
 
 def m_value_oracle_all(s: PointSet) -> dict[CubeNotion, int]:
-    """Ground-truth M(S) for every notion, by looping over anchored_cubes
-    for each dimension m and testing rank and unimodularity directly."""
+    """Ground-truth M(S) for every notion: for each dimension m, the
+    generator tuples of anchored_cubes, tested for rank and unimodularity
+    directly.  It is the slow path the cube search is checked against."""
     if s.grid.size > ORACLE_GRID_CAP:
         raise ValueError(f"oracle instance too large: {s.grid.size} > {ORACLE_GRID_CAP}")
     if len(s) == 0:
@@ -612,7 +613,7 @@ def m_value_oracle_all(s: PointSet) -> dict[CubeNotion, int]:
     m = 1
     while alive and 2 ** m <= len(s):
         found: set[CubeNotion] = set()
-        for _, gens, _ in anchored_cubes(s, m):
+        for gens in anchored_cubes(s, m):
             found.add(CubeNotion.VERTEX_INJECTIVE)
             if CubeNotion.INDEPENDENT_GENERATORS in alive or CubeNotion.UNIMODULAR in alive:
                 if rational_rank(gens) == m:

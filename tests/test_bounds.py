@@ -3,6 +3,7 @@
 import math
 import random
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 
@@ -16,13 +17,13 @@ from gridcubes.bounds import (
     choose_r_dense,
     choose_r_sparse,
     count_affine_maps_bound,
-    epsilon_small_check,
     inductive_step,
     lll_condition,
     lower_bound_closed_form,
     lower_bound_iterated,
 )
-from gridcubes.cubes import CubeNotion, f_exhaustive
+from gridcubes.cubes import AffineCube, CubeNotion, f_exhaustive
+from gridcubes.grid import GridParams
 
 C_GRID = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
 
@@ -266,26 +267,6 @@ class TestBeta:
                 beta("1/2", N, 2)
 
 
-class TestEpsilonSmallCheck:
-    def test_at_one(self):
-        chk = epsilon_small_check(1)
-        assert chk.holds and chk.margin > 0
-        assert chk.lhs == pytest.approx(1 / (1 + math.log2(7 / 6)))
-
-    def test_tiny(self):
-        assert epsilon_small_check(Fraction(1, 1000)).holds
-
-    def test_refuses_past_the_bit_cap(self):
-        # 1 + eps/6 <= 2^(eps/(2-eps)) with eps = 10^-7 needs (6*10^7 + 1)^(2*10^7 - 1)
-        with pytest.raises(ArithmeticError, match="bits"):
-            epsilon_small_check(Fraction(1, 10 ** 7))
-
-    def test_scan_flips_at_most_once(self):
-        signs = [epsilon_small_check(Fraction(k, 8)).holds for k in range(1, 40)]
-        flips = sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-        assert flips <= 1
-
-
 class TestCnSchedule:
     def test_pinned(self):
         assert c_n_schedule(16, 2) == Fraction(3, 4)
@@ -310,8 +291,6 @@ class TestEqEp:
         # Computed by scanning n >= 16 upward for eps=1, N=2.
         assert not check_eq_ep(24514, 1, 2).holds
         assert check_eq_ep(24515, 1, 2).holds
-        assert not check_eq_ep(60164, 1, 2).holds_natural
-        assert check_eq_ep(60165, 1, 2).holds_natural
 
     def test_schedule_jump_flips_back(self):
         # The inequality is not monotone at desk scale: the density schedule
@@ -331,6 +310,8 @@ class TestEqEp:
     def test_degenerate_schedule_vacuous(self):
         rep = check_eq_ep(3, 1, 2)
         assert rep.holds and rep.c_n == 0 and math.isinf(rep.rhs)
+        # only the right side is infinite: log_2 4 + 3 ((1 + 1) log2 3 + 1)
+        assert rep.lhs == pytest.approx(2 + 3 * (2 * math.log2(3) + 1))
 
     def test_base_below_two_rejected(self):
         with pytest.raises(ValueError, match="N must be >= 2"):
@@ -417,6 +398,24 @@ class TestCountBound:
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
             count_affine_maps_bound(1, 1, 1)
+
+    def test_raw_map_count_within_bound(self):
+        # count the injective affine maps {0,1}^r -> [N]^n (a base point and
+        # r ordered vertex images) by brute force and compare with the
+        # N^(n(r+1)) parametrization bound
+        cases = [(2, 1, 1), (2, 2, 1), (3, 1, 1), (2, 2, 2), (2, 2, 0), (3, 2, 0),
+                 (3, 2, 2), (2, 3, 3)]
+        for N, n, r in cases:
+            grid = GridParams(N, n)
+            pts = list(grid.points())
+            count = 0
+            for z in pts:
+                for images in permutations(pts, r):
+                    gens = tuple(tuple(w - b for w, b in zip(im, z)) for im in images)
+                    verts = AffineCube(z, gens).vertices()
+                    if len(set(verts)) == 2 ** r and all(grid.contains(v) for v in verts):
+                        count += 1
+            assert 0 < count <= count_affine_maps_bound(N, n, r), (N, n, r)
 
 
 class TestDensityIncrementVsPower:

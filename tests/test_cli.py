@@ -1,16 +1,19 @@
 """CLI contract: subcommands, exit codes, formats, manifests, determinism."""
 
 import json
+import math
 import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import gridcubes
 from gridcubes import construct, toric
+from gridcubes.bounds import EqEpReport
 from gridcubes.cli import run, run_from_manifest
 from gridcubes.construct import DEFAULT_SEED
 from gridcubes.cubes import (
@@ -439,6 +442,57 @@ class TestDeterminismAndManifest:
         doc = json.loads(out)
         blob = json.dumps(doc["result"], separators=(",", ":"), sort_keys=False)
         assert doc["manifest"]["output_checksum"] == hashlib.sha256(blob.encode()).hexdigest()
+
+
+class TestStrictJson:
+    """Every JSON text the CLI writes is RFC 8259 JSON: no NaN or Infinity."""
+
+    @staticmethod
+    def strict(text):
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        return json.loads(text, parse_constant=refuse)
+
+    def test_every_output_parses_strictly(self, seg_path, tmp_path, monkeypatch):
+        # the cap of 2,000 words stops the F_7 square with exit 3, as in
+        # TestToric; it leaves the segment's code alone
+        monkeypatch.setattr(toric, "MESSAGE_CAP", 2000)
+        seg_poly = tmp_path / "seg.poly"
+        seg_poly.write_text(SEG_POLY)
+        square = tmp_path / "square.poly"
+        square.write_text("7 2\n0 0\n2 0\n0 2\n2 2\n")
+        prefix = str(tmp_path / "run")
+        cases = [
+            (0, ["mvalue", seg_path]),
+            (0, ["fexact", "2", "3", "1"]),
+            (0, ["bound", "--N", "2", "--n", "8,10", "--c", "1/2"]),
+            (0, ["construct", "dense", "3", "2", "1", "--out", prefix]),  # c_n = 0
+            (0, ["--seed", "0", "construct", "sparse", "12", "2", "1/2"]),
+            (0, ["toric", str(seg_poly)]),
+            (0, ["verify", "intersection", "--count", "10"]),
+            (3, ["--budget", "1", "fexact", "2", "4", "1/2"]),
+            (3, ["toric", str(square)]),
+            (2, ["fexact", "2", "3", "5/4"]),
+        ]
+        for code, argv in cases:
+            got, out = run(argv)
+            assert got == code, argv
+            self.strict(out)
+        cert = self.strict((tmp_path / "run.cert.json").read_text())
+        assert cert["eq_ep_holds"] is True and cert["eq_ep_rhs"] is None
+        assert cert["eq_ep_lhs"] == pytest.approx(2 + 3 * (2 * math.log2(3) + 1))
+
+    @pytest.mark.parametrize("out", [False, True])
+    def test_non_finite_float_exits_2(self, out, tmp_path, monkeypatch):
+        report = EqEpReport(True, math.inf, math.nan, Fraction(1, 2))
+        monkeypatch.setattr(construct, "check_eq_ep", lambda n, eps, N: report)
+        argv = ["construct", "dense", "6", "2", "1"]
+        if out:
+            argv += ["--out", str(tmp_path / "run")]
+        code, text = run(argv)
+        assert code == 2 and "JSON" in self.strict(text)["error"]
+        assert not (tmp_path / "run.cert.json").exists()
 
 
 class TestCachedParser:

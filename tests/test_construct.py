@@ -1,4 +1,4 @@
-"""Resampling constructions: catalogs, sampler, verifier, certificates."""
+"""Resampling constructions: sampler, verifier, certificates."""
 
 import json
 import random
@@ -6,7 +6,6 @@ from fractions import Fraction
 
 import pytest
 
-from gridcubes.bounds import count_affine_maps_bound
 from gridcubes.construct import (
     ConstructStatus,
     SamplerConfig,
@@ -14,78 +13,12 @@ from gridcubes.construct import (
     construct_dense_small_M,
     construct_sparse_bounded_M,
     containment_probability,
-    enumerate_cube_images,
     moser_tardos_sample,
     sparse_exponent_chain,
     verify_construction,
 )
-from gridcubes.cubes import AffineCube, CubeNotion, SearchBudgetExceeded, find_cube
+from gridcubes.cubes import CubeNotion, SearchBudgetExceeded, find_cube
 from gridcubes.grid import GridParams, PointSet
-
-
-class TestEnumerateCubeImages:
-    def test_single_segment_on_a_pair(self):
-        cat = enumerate_cube_images(2, 1, 1)
-        assert cat.L == 1
-        assert sorted(cat.events[0]) == [0, 1]
-
-    def test_r_zero_is_all_singletons(self):
-        cat = enumerate_cube_images(3, 2, 0)
-        assert cat.L == 9
-        assert all(len(e) == 1 for e in cat.events)
-
-    def test_segments_are_point_pairs(self):
-        # dimension-1 images are exactly the 2-point subsets
-        cat = enumerate_cube_images(2, 2, 1)
-        assert cat.L == 6
-
-    def test_square_grid_has_one_two_cube(self):
-        assert enumerate_cube_images(2, 2, 2).L == 1
-
-    def test_against_count_bound(self):
-        for (N, n, r) in [(2, 1, 1), (2, 2, 1), (2, 2, 2), (3, 1, 1), (3, 2, 1)]:
-            cat = enumerate_cube_images(N, n, r)
-            assert cat.L <= count_affine_maps_bound(N, n, r)
-            assert all(len(e) == 2 ** r for e in cat.events)
-
-    def test_events_are_vertex_injective_images(self):
-        cat = enumerate_cube_images(3, 2, 1)
-        grid = cat.grid
-        for event in cat.events:
-            pts = sorted(grid.point_of(i) for i in event)
-            assert len(pts) == 2
-            assert AffineCube(pts[0], (tuple(b - a for a, b in zip(pts[0], pts[1])),)).is_vertex_injective()
-
-    def test_cap(self):
-        with pytest.raises(ValueError, match="cap"):
-            enumerate_cube_images(2, 10, 3, cap=10 ** 4)
-
-    def test_raw_map_count_within_bound(self):
-        # count actual injective affine maps (ordered generator tuples) and
-        # compare with the N^(n(r+1)) parametrization bound; their vertex
-        # index sets, collected independently of any cube generator, must be
-        # exactly the catalog's events
-        from itertools import permutations, product as iproduct
-
-        from gridcubes.grid import GridParams
-
-        cases = [(2, 1, 1), (2, 2, 1), (3, 1, 1), (2, 2, 2), (2, 2, 0), (3, 2, 0),
-                 (3, 2, 2), (2, 3, 3)]
-        for N, n, r in cases:
-            grid = GridParams(N, n)
-            pts = list(grid.points())
-            count = 0
-            images_seen = set()
-            for z in pts:
-                for images in permutations(pts, r):
-                    gens = tuple(tuple(w - b for w, b in zip(im, z)) for im in images)
-                    cube = AffineCube(z, gens)
-                    verts = cube.vertices()
-                    if len(set(verts)) == 2 ** r and all(grid.contains(v) for v in verts):
-                        count += 1
-                        images_seen.add(frozenset(grid.index_of(v) for v in verts))
-            assert count <= count_affine_maps_bound(N, n, r)
-            assert images_seen == set(enumerate_cube_images(N, n, r).events), (N, n, r)
 
 
 class TestSamplerConfig:
@@ -311,6 +244,20 @@ class TestHypergeometricBound:
 
     def test_oversized_event_impossible(self):
         assert containment_probability(2, 1, 3, Fraction(1, 2)) == 0
+
+    @pytest.mark.parametrize("r, c, match", [
+        (1, Fraction(3, 2), "must lie in"),
+        (1, Fraction(-1, 4), "must lie in"),
+        (2, Fraction(1, 3), "integer"),  # 4/3 cells
+        (-1, Fraction(1, 2), "r must be"),
+    ], ids=["c-above-one", "c-negative", "size-not-integer", "r-negative"])
+    def test_rejects_bad_inputs(self, r, c, match):
+        with pytest.raises(ValueError, match=match):
+            containment_probability(2, 2, r, c)
+
+    def test_edges_of_the_range(self):
+        assert containment_probability(2, 2, 0, Fraction(0)) == 0
+        assert containment_probability(2, 2, 2, Fraction(1)) == 1
 
     def test_strict_bound_random(self):
         rng = random.Random(21)
