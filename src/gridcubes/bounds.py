@@ -184,8 +184,15 @@ def beta(c, N: int, alpha) -> float:
     if alpha <= 1:
         raise ValueError(f"alpha must exceed 1, got {alpha}")
     la = log_float(alpha)
-    log_inv_c = log_float(1 / c) / math.log(N)
-    return math.log(2) / la + math.log(log_inv_c) / la - log_float(alpha - 1) / la + 2
+    log_inv_c = log_float(1 / c)
+    if log_inv_c > 0:
+        log_log = math.log(log_inv_c / math.log(N))
+    else:
+        # c is so close to 1 that log(1/c) rounded to 0.  There
+        # log(1/c) = log1p(x) with x = (1 - c)/c, which is x within a
+        # relative x/2, far below a float's own rounding.
+        log_log = log_float((1 - c) / c) - math.log(math.log(N))
+    return math.log(2) / la + log_log / la - log_float(alpha - 1) / la + 2
 
 
 def c_n_schedule(n: int, N: int) -> Fraction:

@@ -28,10 +28,14 @@ mask against indices that wrap around the box, gives each child (as in
 bit-parallel clique search, San Segundo et al. 2011).  find_cube and
 m_value search S's own bounding box; f_exhaustive and the resampling loop
 of construct search cell masks of one box of the whole grid, whose guard
-masks all their subsets share.  For a subset of [2]^n the three notions
-coincide and the search tests none of them.  A box of more than
-grid.MATERIALIZE_LIMIT cells is refused.  The API and PointSet stay
-tuple-only.
+masks and decoded cells all their subsets share.  A search pays for the
+cells it visits, not for |S|: it walks the bases low bit first straight
+off S's mask and stops at the first base with too few cells of S above
+it, and it decodes a cell only when it needs the cell's point, from the
+cell's two halves of coordinates, each decoded once per box.  For a
+subset of [2]^n the three notions coincide and the search tests none of
+them.  A box of more than grid.MATERIALIZE_LIMIT cells is refused.  The
+API and PointSet stay tuple-only.
 
 Exhaustive f runs on the cells removed from the grid, not on its subsets:
 a qualifying set with no m-cube is the complement of a set of at most
@@ -210,14 +214,20 @@ class GridBox:
     first coordinate most significant, so bit order is lex order: a subset
     of the box is one int mask over its cells.
 
-    The box also keeps what the searches over its subsets share: the
-    decoded points, the half codes and the guard masks (see _run_box_search).
-    A box of more than MATERIALIZE_LIMIT cells raises ValueError before any
-    mask is built.
+    A cell is decoded on first use, from its two halves, coordinates
+    0..h-1 and h..n-1 with h = ceil(n/2): its index is j * split + i, split
+    the number of cells of the second half, and each half index is decoded
+    once per box, together with its half code, so a box of [N]^n decodes
+    at most N^ceil(n/2) + N^floor(n/2) halves, whatever the number of its
+    cells a search visits.  A decoded cell is kept, because a search looks
+    up the same cells again and again and one lookup costs less than two.
+    The box also keeps the guard masks that the searches over its subsets
+    share (see _run_box_search).  A box of more than MATERIALIZE_LIMIT
+    cells raises ValueError before any mask is built.
     """
 
     __slots__ = ("dim", "lows", "widths", "strides", "cells", "origin", "h",
-                 "points", "halves", "guard_hi", "guard_lo")
+                 "split", "high", "low", "decoded", "guard_hi", "guard_lo")
 
     def __init__(self, lows: Sequence[int], widths: Sequence[int]):
         cells = math.prod(widths)
@@ -235,9 +245,11 @@ class GridBox:
         self.strides = strides
         self.cells = cells
         self.origin = sum(map(mul, lows, strides))
-        self.h = (n + 1) // 2
-        self.points: dict[int, Point] = {}
-        self.halves: dict[int, tuple[int, int]] = {}
+        self.h = h = (n + 1) // 2
+        self.split = math.prod(widths[h:])
+        self.high: dict[int, tuple[Point, int]] = {}
+        self.low: dict[int, tuple[Point, int]] = {}
+        self.decoded: dict[int, tuple[Point, int, int]] = {}
         self.guard_hi: dict[int, int] = {}
         self.guard_lo: dict[int, int] = {}
 
@@ -248,14 +260,33 @@ class GridBox:
     def cell(self, p: Sequence[int]) -> int:
         return sum(map(mul, p, self.strides)) - self.origin
 
+    def _part(self, table: dict, j: int, start: int, stop: int) -> tuple[Point, int]:
+        """Coordinates start..stop-1 of the cells whose index in that half
+        is j, with their code over coordinates max(1, start)..stop-1."""
+        digits, rest = [], j
+        for w in reversed(self.widths[start:stop]):
+            rest, x = divmod(rest, w)
+            digits.append(x)
+        p = tuple(map(sum, zip(self.lows[start:stop], reversed(digits))))
+        code = 0
+        for i in range(max(1, start), stop):
+            code = code * (2 * self.widths[i] - 1) + p[i - start]
+        table[j] = part = (p, code)
+        return part
+
+    def decode(self, k: int) -> tuple[Point, int, int]:
+        """The point at cell k with its codes over coordinates 1..h-1 and
+        h..n-1, in base 2w_i - 1 (a difference of codes names one half of
+        d), from the two decoded halves; kept in self.decoded."""
+        j, i = divmod(k, self.split)
+        high = self.high.get(j) or self._part(self.high, j, 0, self.h)
+        low = self.low.get(i) or self._part(self.low, i, self.h, self.dim)
+        self.decoded[k] = cell = (high[0] + low[0], high[1], low[1])
+        return cell
+
     def point(self, k: int) -> Point:
-        """The point at cell k, decoded once per box."""
-        p = self.points.get(k)
-        if p is None:
-            p = self.points[k] = tuple(
-                lo + k // st % w for lo, st, w in zip(self.lows, self.strides, self.widths)
-            )
-        return p
+        """The point at cell k."""
+        return (self.decoded.get(k) or self.decode(k))[0]
 
     def mask(self, cells: Iterable[int]) -> int:
         bits = bytearray((self.cells + 7) >> 3)
@@ -278,7 +309,8 @@ class GridBox:
         """For the box of a whole grid: the cell of a grid.index_of index,
         which puts the first coordinate least significant.  The digits are
         reversed by one table over the first n // 2 coordinates and one over
-        the rest, so neither has more than about sqrt(N^n) entries."""
+        the rest, so neither has more than N^ceil(n/2) entries: sqrt(N^n)
+        for even n, N^((n+1)/2) for odd n (N^2 at n = 3, N at n = 1)."""
         tables = []
         for part in (slice(0, self.dim // 2), slice(self.dim // 2, None)):
             table = [0]
@@ -289,23 +321,12 @@ class GridBox:
         split = len(low)
         return lambda index: low[index % split] + high[index // split]
 
-    def half_codes(self, k: int) -> tuple[int, int]:
-        """Codes of the point at cell k over coordinates 1..h-1 and h..n-1,
-        in base 2w_i - 1: a difference of codes names one half of d."""
-        p = self.points[k]
-        hc = lc = 0
-        for i in range(1, self.h):
-            hc = hc * (2 * self.widths[i] - 1) + p[i]
-        for i in range(self.h, self.dim):
-            lc = lc * (2 * self.widths[i] - 1) + p[i]
-        self.halves[k] = (hc, lc)
-        return hc, lc
-
     def guard(self, cache: dict, key: int, coords: range, k: int, z: Point) -> int:
         """Cells x with x_i + d_i in the box for i in coords, d = cell k - z."""
         mask = (1 << self.cells) - 1
+        p = self.point(k)
         for i in coords:
-            d = self.points[k][i] - z[i]
+            d = p[i] - z[i]
             if not d:
                 continue
             a, b = max(0, -d), self.widths[i] - 1 - max(0, d)
@@ -321,14 +342,12 @@ class GridBox:
 
 
 def _box_of(s: PointSet) -> tuple[GridBox, int]:
-    """S's own bounding box, with S's points decoded, and S as a cell mask."""
-    pts = s.points()
+    """S's own bounding box, and S as a cell mask."""
+    pts = s.tuple_set
     columns = list(zip(*pts)) or [(0,)] * s.grid.dim
     lows = list(map(min, columns))
     box = GridBox(lows, [hi - lo + 1 for hi, lo in zip(map(max, columns), lows)])
-    cells = list(map(box.cell, pts))
-    box.points.update(zip(cells, pts))
-    return box, box.mask(cells)
+    return box, box.mask(map(box.cell, pts))
 
 
 class _SearchOutcome(NamedTuple):
@@ -375,6 +394,18 @@ def _run_box_search(
     outside S are never valid, so the valid shifts, the checks and the
     witness do not depend on which box around S is used.
 
+    The bases are the bits of s_mask, walked low bit first with no list
+    of them: `rest` holds the bits above the base, and its count `left`
+    falls by one per base, while threshold(0) never falls (best_m only
+    grows), so the walk ends at the first base with fewer than threshold(0)
+    cells above it, and no later base could start a check.  A base's point
+    and half codes are decoded when its node is entered, a shift's point
+    only when the independence test of a check or the first build of a
+    guard needs it, and a shift's half codes when its child is counted
+    with the guard; the witness's points are decoded once, when the search
+    returns.  The box decodes each cell from its two halves
+    (see GridBox), so nothing here costs a pass over S.
+
     A check is one valid shift tried.  It tests injectivity, V and V + d
     disjoint as vmask & (vmask << o) (vertex-injective notion only;
     independence implies it), then independence and unimodularity: a node
@@ -398,16 +429,15 @@ def _run_box_search(
     entered; the guard only removes bits, so its count is first bounded
     without it.
     """
-    bases = box.cells_of(s_mask)
-    pts = list(map(box.point, bases))
-    if target == 0:
-        return _SearchOutcome(0, AffineCube(pts[0]) if pts else None, True, 0)
+    point, decoded, decode = box.point, box.decoded, box.decode
+    first = (s_mask & -s_mask).bit_length() - 1  # -1 for the empty set
+    if target == 0 or first < 0:
+        return _SearchOutcome(0, AffineCube(point(first)) if first >= 0 else None, True, 0)
     n, h = box.dim, box.h
-    point_at, halves, guard_hi, guard_lo = box.points, box.halves, box.guard_hi, box.guard_lo
-    half_codes, guard = box.half_codes, box.guard
+    guard_hi, guard_lo, guard = box.guard_hi, box.guard_lo, box.guard
 
-    size = len(pts)
-    two_valued = all(w <= 2 for w in box.widths)
+    size = s_mask.bit_count()
+    two_valued = max(box.widths, default=2) <= 2
     injective_only = notion is CubeNotion.VERTEX_INJECTIVE
     unimodular = notion is CubeNotion.UNIMODULAR
     test_injective = injective_only and not two_valued
@@ -415,7 +445,7 @@ def _run_box_search(
     units = unit_columns(n) if test_linalg else None
 
     best_m = 0
-    best = (pts[0], ()) if pts else None  # base and generator cells of the best cube
+    best = (first, ())  # base and generator cells of the best cube
     checks = 0
 
     def threshold(m):
@@ -445,7 +475,8 @@ def _run_box_search(
                 continue
             red = None
             if test_linalg:
-                red = _sub(point_at[k], z)  # at m = 0 the free columns are the unit columns
+                # at m = 0 the free columns are the unit columns
+                red = _sub((decoded.get(k) or decode(k))[0], z)
                 if m:
                     red = reduce_against(red, cols)
                     if red is None:
@@ -454,7 +485,7 @@ def _run_box_search(
                     continue
             if m + 1 > best_m:
                 best_m = m + 1
-                best = (z, ks + (k,))
+                best = (iz, ks + (k,))
                 if best_m == target:
                     raise _Stop
                 stop, stop_child = threshold(m), threshold(m + 1)
@@ -463,7 +494,7 @@ def _run_box_search(
             child = rest & (rest >> o)
             if child.bit_count() < stop_child:
                 continue  # the guard only removes bits
-            hc, lc = halves.get(k) or half_codes(k)
+            _, hc, lc = decoded.get(k) or decode(k)
             gh = guard_hi.get(hc - hz)
             if gh is None:
                 gh = guard(guard_hi, hc - hz, range(1, h), k, z)
@@ -482,16 +513,23 @@ def _run_box_search(
 
     conclusive = True
     try:
-        for z, iz in zip(pts, bases):
-            hz, lz = halves.get(iz) or half_codes(iz)
-            rest = s_mask >> (iz + 1) << (iz + 1)
-            descend(z, iz, hz, lz, rest, rest.bit_count(), (), 1 << iz, units)
+        rest, left = s_mask, size
+        while rest:
+            low = rest & -rest
+            rest ^= low  # the cells of S above the base
+            left -= 1
+            if left < threshold(0):
+                break  # left falls by one per base, and threshold(0) never falls
+            iz = low.bit_length() - 1
+            z, hz, lz = decoded.get(iz) or decode(iz)
+            descend(z, iz, hz, lz, rest, left, (), low, units)
     except _Stop:
         conclusive = best_m == target
-    if best is None or (target is not None and best_m != target):
+    if target is not None and best_m != target:
         return _SearchOutcome(best_m, None, conclusive, checks)
-    z, ks = best
-    witness = AffineCube(z, tuple(_sub(point_at[j], z) for j in ks))
+    iz, ks = best
+    z = point(iz)
+    witness = AffineCube(z, tuple(_sub(point(j), z) for j in ks))
     return _SearchOutcome(best_m, witness, conclusive, checks)
 
 

@@ -40,18 +40,19 @@ class GridParams:
         return self.base ** self.dim
 
     def contains(self, point: Sequence[int]) -> bool:
-        return len(point) == self.dim and all(0 <= x < self.base for x in point)
+        return len(point) == self.dim and (not point or 0 <= min(point) and max(point) < self.base)
 
     def check_point(self, point: Sequence[int]) -> Point:
-        p = tuple(int(x) for x in point)
+        p = tuple(map(int, point))
         if not self.contains(p):
             raise ValueError(f"point {p} outside grid [{self.base}]^{self.dim}")
         return p
 
     def index_of(self, point: Sequence[int]) -> int:
+        """The index of a point, first coordinate least significant."""
         idx = 0
-        for i, x in enumerate(point):
-            idx += x * self.base ** i
+        for x in reversed(point):
+            idx = idx * self.base + x
         return idx
 
     def point_of(self, index: int) -> Point:

@@ -1,5 +1,6 @@
 """CLI contract: subcommands, exit codes, formats, manifests, determinism."""
 
+import hashlib
 import json
 import math
 import os
@@ -121,6 +122,35 @@ class TestBound:
         assert lines[0] == "N,n,c,iterated_bound,closed_form_bound,alpha,beta"
         assert sum(1 for ln in lines if ln.startswith("N,n,c,")) == 1
         assert len(lines) == 4
+
+    def test_density_next_to_one(self):
+        # log(1/c) rounds to 0.0 here; beta takes it from x = (1 - c)/c,
+        # since log(1/c) = log1p(x) = x to within x/2
+        c = Fraction(10 ** 20 - 1, 10 ** 20)
+        code, out = run(["bound", "--N", "2", "--n", "10", "--c", str(c)])
+        row = result_of(out)["rows"][0]
+        assert code == 0 and row["closed_form_bound"] == 1
+        la = math.log(13 / 6)  # alpha = 2 + eps/3 at the default eps = 1/2
+        x = float((1 - c) / c)
+        expected = (math.log(2) + math.log(x / math.log(2)) - math.log(7 / 6)) / la + 2
+        assert math.isclose(row["beta"], expected, rel_tol=1e-12)
+
+    def test_rows_pinned_on_ordinary_densities(self):
+        # every c here gave a row before the near-one case was mended
+        rng = random.Random(49)
+        cs = []
+        for _ in range(30):
+            d = rng.randint(2, 10 ** rng.randint(1, 9))
+            cs.append(Fraction(rng.randint(1, d - 1), d))
+        cs += [1 - Fraction(1, 10 ** k) for k in range(1, 15)]
+        outs = []
+        for c in cs:
+            N, eps = rng.choice((2, 3, 5)), rng.choice(("1/10", "1/2", "1"))
+            code, out = run(["bound", "--N", str(N), "--n", "2,10,1000", "--c", str(c), "--eps", eps])
+            assert code == 0
+            outs.append(out)
+        digest = hashlib.sha256("".join(outs).encode()).hexdigest()
+        assert digest == "5dc9b5a1f8dcbe136a5ec0030f174cfa1577e2a037ac40ccc8950ce6c7d45f1f"
 
 
 class TestCsvMode:

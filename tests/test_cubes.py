@@ -1,5 +1,6 @@
 """Affine cubes: vertex generation, notions, search, oracle, f_N(n, c)."""
 
+import hashlib
 import math
 import random
 from fractions import Fraction
@@ -227,6 +228,41 @@ class TestSearchChecksGate:
                 assert over.checks <= over_checks
 
 
+class TestSearchDigest:
+    """The search's whole outcome, witness and check count included, pinned
+    over a seeded sweep by one digest.  A change to how the search walks or
+    decodes its cells must leave every outcome as it is; a change that
+    means to alter one records a new digest in CHANGES.md."""
+
+    GRIDS = [(2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (3, 5),
+             (4, 2), (4, 3), (5, 2), (5, 3), (7, 2)]
+    DIGEST = "9767942c2cee740c1e82c2ee16e29f7b35bfb12e7b8f971c841e3bcb33fe8956"
+
+    def outcomes(self):
+        rng = random.Random(20)
+        for N, n in self.GRIDS:
+            grid = GridParams(N, n)
+            whole = GridBox.of_grid(grid)  # shared by every set of the grid, as in the f loop
+            for _ in range(5):
+                size = rng.randint(2, grid.size)
+                s = PointSet.from_indices(grid, rng.sample(range(grid.size), size))
+                for box, s_mask in (_box_of(s), (whole, whole.mask(map(whole.cell, s)))):
+                    for notion in CubeNotion:
+                        for target in (None, 0, 1, 2, 3, 4):
+                            full = _run_box_search(box, s_mask, notion, target, DEFAULT_BUDGET)
+                            yield N, n, size, notion.value, target, DEFAULT_BUDGET, full
+                            if full.checks:  # a budget below the checks runs out
+                                budget = rng.randrange(min(full.checks, 201))
+                                cut = _run_box_search(box, s_mask, notion, target, budget)
+                                yield N, n, size, notion.value, target, budget, cut
+
+    def test_outcomes_match_the_recorded_digest(self):
+        lines = [repr(out) for out in self.outcomes()]
+        assert len(lines) == 3616
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == self.DIGEST
+
+
 class TestEncodingEdges:
     def test_oracle_differential_on_corner_sets(self):
         # The search indexes the cells of S's bounding box in mixed radix, so
@@ -328,6 +364,22 @@ class TestBoxIndexing:
                     for target in (best.best_m, best.best_m + 1):
                         own = _run_box_search(*_box_of(s), notion, target, DEFAULT_BUDGET)
                         assert _run_box_search(box, s_mask, notion, target, DEFAULT_BUDGET) == own
+
+    def test_search_decodes_only_the_cells_it_visits(self, monkeypatch):
+        # a search that hits at its first base of the 4,096 cells of [4]^6
+        # decodes the base and the shifts it checks, not the whole set
+        decoded = []
+        decode = GridBox.decode
+        monkeypatch.setattr(GridBox, "decode", lambda box, k: decoded.append(k) or decode(box, k))
+        grid = GridParams(4, 6)
+        for notion in CubeNotion:
+            for m in (1, 2, 3):
+                for box, s_mask in ((GridBox.of_grid(grid), (1 << grid.size) - 1),
+                                    _box_of(PointSet.full(grid))):
+                    decoded.clear()
+                    out = _run_box_search(box, s_mask, notion, m, DEFAULT_BUDGET)
+                    assert out.witness.base == (0,) * 6 and out.checks <= 9
+                    assert len(decoded) <= 12, (notion, m, len(decoded))
 
     def test_box_limit(self):
         # 10^18 cells: a ValueError (not MemoryError) shows the box is

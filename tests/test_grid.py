@@ -54,6 +54,22 @@ class TestGridParams:
         grid = GridParams(5, 0)
         assert grid.size == 1
         assert list(grid.points()) == [()]
+        assert grid.check_point(()) == () and grid.index_of(()) == 0
+
+    def test_check_point_messages(self):
+        grid = GridParams(3, 2)
+        assert grid.check_point(["2", 0.0]) == (2, 0)
+        for point, message in [((1,), "point (1,) outside grid [3]^2"),
+                               ((0, 1, 2), "point (0, 1, 2) outside grid [3]^2"),
+                               ((-1, 0), "point (-1, 0) outside grid [3]^2"),
+                               ((0, 3), "point (0, 3) outside grid [3]^2"),
+                               (("1", "x"), "invalid literal for int() with base 10: 'x'")]:
+            with pytest.raises(ValueError) as info:
+                grid.check_point(point)
+            assert str(info.value) == message
+            with pytest.raises(ValueError) as info:
+                PointSet(grid, [(0, 0), point])
+            assert str(info.value) == message
 
 
 class TestDensity:
