@@ -56,17 +56,33 @@ def _density(c, N: int) -> Fraction:
     return c
 
 
+def _below(x: int, y: int, z: int) -> bool:
+    """x y < z for integers x, y, z >= 0, mostly without the product.
+    With x' = x >> s_x, y' = y >> s_y and z' = z >> s, s = s_x + s_y, the
+    shifts keeping at most 64 bits of x and y, x y lies in
+    [x'y' 2^s, (x'+1)(y'+1) 2^s) and z in [z' 2^s, (z'+1) 2^s); the exact
+    product is formed only where those intervals overlap."""
+    sx, sy = max(0, x.bit_length() - 64), max(0, y.bit_length() - 64)
+    x1, y1, z1 = x >> sx, y >> sy, z >> (sx + sy)
+    if (x1 + 1) * (y1 + 1) <= z1:
+        return True
+    if x1 * y1 > z1:
+        return False
+    return x * y < z
+
+
 def _step(n: int, a: int, b: int, N: int) -> tuple[int, int, int]:
     """inductive_step on c = a/b in lowest terms, in integers: (n - r, a', b')
     with a'/b' in lowest terms, or (n - r, a, b) when n <= r.  r is the least
-    integer with N^r a^2 >= 8 b^2, seeded by floats; gcd(a, a + 4b) =
-    gcd(a, 4), so a shift divides gcd(2 a^2, (a + 4b)^2) out, with no gcd."""
+    integer with N^r a^2 >= 8 b^2, seeded by floats and settled by _below;
+    gcd(a, a + 4b) = gcd(a, 4), so a shift divides gcd(2 a^2, (a + 4b)^2)
+    out, with no gcd."""
     a2, b8 = a * a, 8 * b * b
     r = math.ceil((math.log2(b8) - math.log2(a2)) / math.log2(N))
     power = N ** r
-    while power * a2 < b8:
+    while _below(power, a2, b8):
         r, power = r + 1, power * N
-    while power // N * a2 >= b8:
+    while not _below(power // N, a2, b8):
         r, power = r - 1, power // N
     if n <= r:
         return n - r, a, b

@@ -8,9 +8,11 @@ probability p, find a violating cube, redraw exactly its vertex cells, and
 repeat.  Violation detection is the cube search itself: the bad events
 (the vertex sets of all r-cubes of the grid) are never listed.
 
-Every success is re-verified by an independent search and shipped with a
-serializable certificate; failure and budget exhaustion are first-class,
-clearly distinguished outcomes.
+Every success is re-verified by a second search on a freshly built
+PointSet and shipped with a serializable certificate; failure and budget
+exhaustion are first-class, clearly distinguished outcomes.  That search
+runs the same core as the sampler (cubes._run_box_search), so it repeats
+the sampler's last, conclusive round rather than checking it independently.
 """
 
 from __future__ import annotations
@@ -83,7 +85,9 @@ def moser_tardos_sample(grid: GridParams, r: int, config: SamplerConfig) -> Samp
     redraw, the violating cube is always the canonically smallest one, and
     its cells are redrawn in grid.index_of order.  The current set is a
     cell mask of one GridBox of the grid, so every round's search shares
-    the box's guard masks, and the PointSet is built once, at return.  A
+    the box's guard masks; a round reads the violating cube's vertex cells
+    straight from the search's answer, and the PointSet, and the last
+    violation's AffineCube when rounds run out, are built once, at return.  A
     search-budget blowup propagates as SearchBudgetExceeded (the outcome is
     then unknown, which is different from an honest failure).
     """
@@ -97,12 +101,14 @@ def moser_tardos_sample(grid: GridParams, r: int, config: SamplerConfig) -> Samp
     included = box.mask(cell_of(idx) for idx in range(grid.size) if rng.random() < p)
     rounds = 0
     while True:
-        cube = find_cube_in_box(box, included, r, config.notion, config.search_budget)
-        if cube is None or rounds >= config.max_rounds:
+        cells = find_cube_in_box(box, included, r, config.notion, config.search_budget)
+        if cells is None or rounds >= config.max_rounds:
             current = PointSet(grid, map(box.point, box.cells_of(included)))
-            return SampleOutcome(current, rounds, cube is None, cube)
-        for v in sorted(cube.vertices(), key=grid.index_of):
-            bit = 1 << box.cell(v)
+            return SampleOutcome(current, rounds, cells is None, box.cube(cells) if cells else None)
+        # cell_of reverses the n base-N digits of an index, so it also takes
+        # a cell to its grid.index_of index
+        for k in sorted(box.vertex_cells(cells), key=cell_of):
+            bit = 1 << k
             included = included | bit if rng.random() < p else included & ~bit
         rounds += 1
 
@@ -135,8 +141,9 @@ def verify_construction(
 ) -> VerifyReport:
     """Re-check cube-freeness with a fresh search and recount the set.
 
-    Shares no state with any sampler.  A budget blowup raises (inconclusive);
-    it never reports verified.
+    The search builds its own box of S, but it runs the same core as the
+    sampler, so on a sampler's set it repeats the last round's search.  A
+    budget blowup raises (inconclusive); it never reports verified.
     """
     witness = None
     if r >= 1 and len(s) > 0:

@@ -34,8 +34,11 @@ off S's mask and stops at the first base with too few cells of S above
 it, and it decodes a cell only when it needs the cell's point, from the
 cell's two halves of coordinates, each decoded once per box.  For a
 subset of [2]^n the three notions coincide and the search tests none of
-them.  A box of more than grid.MATERIALIZE_LIMIT cells is refused.  The
-API and PointSet stay tuple-only.
+them.  A search answers in cells, its cube's base cell and generator
+cells; GridBox.cube makes an AffineCube of them only where a cube is
+printed or returned, so the f loop and the sampler build none.  A box of
+more than grid.MATERIALIZE_LIMIT cells is refused.  The API and PointSet
+stay tuple-only.
 
 Exhaustive f runs on the cells removed from the grid, not on its subsets:
 a qualifying set with no m-cube is the complement of a set of at most
@@ -64,6 +67,8 @@ DEFAULT_BUDGET = 10 ** 8
 
 ORACLE_GRID_CAP = 512  # the naive oracle refuses anything bigger
 VERTEX_CAP = 30  # 2^m vertices must stay enumerable
+
+_Cells = tuple[int, tuple[int, ...]]  # a search's cube: its base cell and generator cells
 
 
 class CubeNotion(enum.Enum):
@@ -288,6 +293,26 @@ class GridBox:
         """The point at cell k."""
         return (self.decoded.get(k) or self.decode(k))[0]
 
+    def cube(self, cells: _Cells) -> AffineCube:
+        """The cube of a search answer, its base cell and generator cells:
+        the one place a search's cells become tuples."""
+        iz, ks = cells
+        z = self.point(iz)
+        return AffineCube(z, tuple(_sub(self.point(k), z) for k in ks))
+
+    @staticmethod
+    def vertex_cells(cells: _Cells) -> list[int]:
+        """The vertex cells of a search answer, in the order of
+        AffineCube.vertices(): a cell's number is affine in its point, so
+        z + sum of g_j for j in T is at iz + sum of (k_j - iz) for j in T,
+        for every vertex of a cube inside the box."""
+        iz, ks = cells
+        verts = [iz]
+        for k in ks:
+            o = k - iz
+            verts += [v + o for v in verts]
+        return verts
+
     def mask(self, cells: Iterable[int]) -> int:
         bits = bytearray((self.cells + 7) >> 3)
         for k in cells:
@@ -352,7 +377,7 @@ def _box_of(s: PointSet) -> tuple[GridBox, int]:
 
 class _SearchOutcome(NamedTuple):
     best_m: int
-    witness: Optional[AffineCube]  # target mode: the target-dimension cube, if found
+    cells: Optional[_Cells]  # target mode: the target-dimension cube, if found
     conclusive: bool
     checks: int
 
@@ -374,7 +399,8 @@ def _run_box_search(
     target=None: exhaust the tree and report the maximal dimension with its
     first (lexicographically minimal) witness.  target=m: stop at the first
     cube of dimension exactly m.  `conclusive` is False only when the budget
-    ran out before the answer was certain.
+    ran out before the answer was certain.  The witness is its base cell
+    and generator cells (see GridBox.cube and GridBox.vertex_cells).
 
     The box's cells, widths w_i, are numbered in mixed radix, first
     coordinate most significant, so bit order is lex order.  A node is a
@@ -396,15 +422,14 @@ def _run_box_search(
 
     The bases are the bits of s_mask, walked low bit first with no list
     of them: `rest` holds the bits above the base, and its count `left`
-    falls by one per base, while threshold(0) never falls (best_m only
-    grows), so the walk ends at the first base with fewer than threshold(0)
-    cells above it, and no later base could start a check.  A base's point
-    and half codes are decoded when its node is entered, a shift's point
-    only when the independence test of a check or the first build of a
-    guard needs it, and a shift's half codes when its child is counted
-    with the guard; the witness's points are decoded once, when the search
-    returns.  The box decodes each cell from its two halves
-    (see GridBox), so nothing here costs a pass over S.
+    falls by one per base, while need[0] never falls (best_m only grows),
+    so the walk ends at the first base with fewer than need[0] cells above
+    it, and no later base could start a check.  A base's point and half
+    codes are decoded when its node is entered, a shift's point only when
+    the independence test of a check or the first build of a guard needs
+    it, and a shift's half codes when its child is counted with the guard.
+    The box decodes each cell from its two halves (see GridBox), so nothing
+    here costs a pass over S.
 
     A check is one valid shift tried.  It tests injectivity, V and V + d
     disjoint as vmask & (vmask << o) (vertex-injective notion only;
@@ -418,21 +443,22 @@ def _run_box_search(
     does, every notion holds and no test runs: on the support of g_j both
     v and v + g_j lie in {a, a + 1}, so a valid d is zero there, and
     distinct nonzero {-1, 0, 1} vectors with disjoint supports are
-    injective, independent and extend to a basis.  Generator tuples are
-    then built only for the witness: the best cube is kept as its base and
-    generator cells, and one AffineCube is built when the search returns.
+    injective, independent and extend to a basis, and the search builds no
+    generator tuple at all.
 
     k more generators need 2^k - 1 valid shifts (their nonzero subset sums),
     2^k <= |S| / |V|, and k <= n - m for the independent notions, so a node
     stops once too few shifts are left for m + k to beat the best or reach
-    the target.  A child that would stop before its first check is not
-    entered; the guard only removes bits, so its count is first bounded
-    without it.
+    the target.  That count is need[m], one list per search over the depths
+    m <= log2 |S| + 1, built at the start and rebuilt in place only when
+    best_m grows (never in target mode).  A child that would stop before
+    its first check is not entered; the guard only removes bits, so its
+    count is first bounded without it.
     """
-    point, decoded, decode = box.point, box.decoded, box.decode
+    decoded, decode = box.decoded, box.decode
     first = (s_mask & -s_mask).bit_length() - 1  # -1 for the empty set
     if target == 0 or first < 0:
-        return _SearchOutcome(0, AffineCube(point(first)) if first >= 0 else None, True, 0)
+        return _SearchOutcome(0, (first, ()) if first >= 0 else None, True, 0)
     n, h = box.dim, box.h
     guard_hi, guard_lo, guard = box.guard_hi, box.guard_lo, box.guard
 
@@ -447,21 +473,27 @@ def _run_box_search(
     best_m = 0
     best = (first, ())  # base and generator cells of the best cube
     checks = 0
+    need = [0] * (size.bit_length() + 1)  # need[m] for every m <= log2(size) + 1
 
-    def threshold(m):
-        """Fewest valid shifts left that let a node with m generators try
-        one: k more generators need 2^k - 1 of them."""
-        f = (best_m if target is None else target - 1) - m
-        # doubling can multiply |V| = 2^m by at most size // 2^m in total
-        cap = (size >> m).bit_length() - 1
-        if cap <= f or (not injective_only and n - m <= f):
-            return size + 1
-        return (1 << (f + 1)) - 1 if f >= 0 else 1
+    def fill_need():
+        """need[m]: the fewest valid shifts left that let a node with m
+        generators try one; k more generators need 2^k - 1 of them."""
+        goal = best_m if target is None else target - 1
+        for m in range(len(need)):
+            f = goal - m
+            # doubling can multiply |V| = 2^m by at most size // 2^m in total
+            cap = (size >> m).bit_length() - 1
+            if cap <= f or (not injective_only and n - m <= f):
+                need[m] = size + 1
+            else:
+                need[m] = (1 << (f + 1)) - 1 if f >= 0 else 1
+
+    fill_need()
 
     def descend(z, iz, hz, lz, rest, left, ks, vmask, cols):
         nonlocal best_m, best, checks
         m = len(ks)
-        stop, stop_child = threshold(m), threshold(m + 1)
+        stop, stop_child = need[m], need[m + 1]
         while left >= stop:
             checks += 1
             if checks > budget:
@@ -488,7 +520,9 @@ def _run_box_search(
                 best = (iz, ks + (k,))
                 if best_m == target:
                     raise _Stop
-                stop, stop_child = threshold(m), threshold(m + 1)
+                if target is None:
+                    fill_need()
+                    stop, stop_child = need[m], need[m + 1]
             if left < stop_child:
                 continue  # the child's shifts are among the ones left
             child = rest & (rest >> o)
@@ -509,7 +543,7 @@ def _run_box_search(
                     vmask | (vmask << o) if test_injective else vmask,
                     eliminate(red, cols) if test_linalg else cols,
                 )
-                stop, stop_child = threshold(m), threshold(m + 1)
+                stop, stop_child = need[m], need[m + 1]
 
     conclusive = True
     try:
@@ -518,8 +552,8 @@ def _run_box_search(
             low = rest & -rest
             rest ^= low  # the cells of S above the base
             left -= 1
-            if left < threshold(0):
-                break  # left falls by one per base, and threshold(0) never falls
+            if left < need[0]:
+                break  # left falls by one per base, and need[0] never falls
             iz = low.bit_length() - 1
             z, hz, lz = decoded.get(iz) or decode(iz)
             descend(z, iz, hz, lz, rest, left, (), low, units)
@@ -527,10 +561,7 @@ def _run_box_search(
         conclusive = best_m == target
     if target is not None and best_m != target:
         return _SearchOutcome(best_m, None, conclusive, checks)
-    iz, ks = best
-    z = point(iz)
-    witness = AffineCube(z, tuple(_sub(point(j), z) for j in ks))
-    return _SearchOutcome(best_m, witness, conclusive, checks)
+    return _SearchOutcome(best_m, best, conclusive, checks)
 
 
 def _check_budget(budget: int) -> None:
@@ -549,30 +580,30 @@ def _too_small(size: int, dim: int, m: int, notion: CubeNotion) -> bool:
 
 def _search(
     box: GridBox, s_mask: int, notion: CubeNotion, target: Optional[int], budget: int
-) -> Optional[AffineCube]:
-    """_run_box_search on a nonempty S: the target-dimension cube or None
-    (target mode), or the maximal cube (target=None).  Raises
-    SearchBudgetExceeded when the budget ran out before the answer was
-    certain."""
+) -> _SearchOutcome:
+    """_run_box_search on a nonempty S, when its answer is certain: the
+    cells of the target-dimension cube or None (target mode), or of the
+    maximal cube (target=None).  Raises SearchBudgetExceeded, with the best
+    cube so far, when the budget ran out before the answer was certain."""
     out = _run_box_search(box, s_mask, notion, target, budget)
     if out.conclusive:
-        return out.witness
+        return out
     raise SearchBudgetExceeded(
         f"budget {budget} exhausted before the answer was certified",
         best_m=out.best_m,
-        witness=out.witness,
+        witness=box.cube(out.cells) if out.cells else None,
     )
 
 
 def find_cube_in_box(
     box: GridBox, s_mask: int, m: int, notion: CubeNotion, budget: int
-) -> Optional[AffineCube]:
+) -> Optional[_Cells]:
     """find_cube for the set of cells in s_mask, on a box shared with other
-    subsets (the f loop's and the sampler's); m and budget are the
-    caller's to check."""
+    subsets (the f loop's and the sampler's), answered in cells; m and
+    budget are the caller's to check."""
     if _too_small(s_mask.bit_count(), box.dim, m, notion):
         return None
-    return _search(box, s_mask, notion, m, budget)
+    return _search(box, s_mask, notion, m, budget).cells
 
 
 def find_cube(
@@ -593,7 +624,9 @@ def find_cube(
         raise ValueError(f"cube dimension must be >= 0, got {m}")
     if _too_small(len(s), s.grid.dim, m, notion):
         return None
-    return _search(*_box_of(s), notion, m, budget)
+    box, s_mask = _box_of(s)
+    cells = _search(box, s_mask, notion, m, budget).cells
+    return box.cube(cells) if cells else None
 
 
 def m_value(
@@ -605,8 +638,9 @@ def m_value(
     _check_budget(budget)
     if len(s) == 0:
         raise ValueError("M(S) is undefined for the empty set")
-    cube = _search(*_box_of(s), notion, None, budget)
-    return cube.m, cube
+    box, s_mask = _box_of(s)
+    out = _search(box, s_mask, notion, None, budget)
+    return out.best_m, box.cube(out.cells)
 
 
 def anchored_cubes(s: PointSet, m: int) -> Iterator[tuple]:
@@ -682,17 +716,17 @@ def _least_m_over_removals(box: GridBox, k_min: int, notion: CubeNotion, budget:
     under inclusion, and the search starts again; when none is found, f is
     mu.
     """
-    mu = _search(box, (1 << k_min) - 1, notion, None, budget).m
+    mu = _search(box, (1 << k_min) - 1, notion, None, budget).best_m
 
     def without_cube(s_mask: int, t: int, barred: int) -> Optional[int]:
         """A set with no mu-cube left from s_mask by at most t removals of
         cells outside barred, or None."""
-        cube = find_cube_in_box(box, s_mask, mu, notion, budget)
-        if cube is None:
+        cells = find_cube_in_box(box, s_mask, mu, notion, budget)
+        if cells is None:
             return s_mask
         if t:
-            for v in cube.vertices():
-                bit = 1 << box.cell(v)
+            for k in box.vertex_cells(cells):
+                bit = 1 << k
                 if not barred & bit:
                     found = without_cube(s_mask ^ bit, t - 1, barred)
                     if found is not None:
@@ -704,7 +738,7 @@ def _least_m_over_removals(box: GridBox, k_min: int, notion: CubeNotion, budget:
         s_mask = without_cube((1 << box.cells) - 1, box.cells - k_min, 0)
         if s_mask is None:
             break
-        mu = _search(box, s_mask, notion, None, budget).m
+        mu = _search(box, s_mask, notion, None, budget).best_m
     return mu
 
 
@@ -729,7 +763,8 @@ def f_exhaustive(
 
     Every set searched is a cell mask of one GridBox of [N]^n, built once
     per call, so the searches share its decoded points and guard masks and
-    no PointSet is built.  Each search has the whole budget.
+    no PointSet is built; the searches answer in cells, so no AffineCube is
+    built either.  Each search has the whole budget.
     """
     _check_budget(budget)
     c = as_fraction(c)
@@ -753,7 +788,7 @@ def f_exhaustive(
         s_mask = box.mask(map(cell_of, rng.sample(range(cells), k_min)))
         if mu is not None and find_cube_in_box(box, s_mask, mu, notion, budget) is not None:
             continue  # M(sub) >= mu, cannot lower the minimum
-        mu = _search(box, s_mask, notion, None, budget).m
+        mu = _search(box, s_mask, notion, None, budget).best_m
         if mu == 0:
             return 0
     return mu

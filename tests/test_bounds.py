@@ -69,6 +69,48 @@ class TestInductiveStep:
                 continue
             assert n2 < n and c2 < c
 
+    def test_bracketed_product_against_the_product(self):
+        # slow path: the product itself, on seeded x y against z at, next to
+        # and far from x y, with sizes on both sides of the 64 kept bits
+        rng = random.Random(64)
+        for _ in range(3000):
+            x, y = (rng.getrandbits(rng.choice([1, 8, 63, 64, 65, 200, 3000])) for _ in range(2))
+            xy = x * y
+            z = rng.choice([xy, xy + 1, xy - 1, xy + (1 << rng.randrange(1, 3000)),
+                            xy - (xy >> rng.randrange(1, 200)), rng.getrandbits(rng.randrange(1, 6000))])
+            z = max(z, 0)
+            assert bounds._below(x, y, z) == (xy < z), (x, y, z)
+
+    def test_step_against_direct_comparisons(self):
+        # slow path: r by direct products from r = 0 up, including exact
+        # equalities N^r a^2 = 8 b^2 (a = 1, b = 2^k over N = 2, 8 and 32;
+        # b = 2^(k-1) 3^(2k+1) over N = 18), where the brackets overlap
+        def step_oracle(n, a, b, N):
+            r = 0
+            while N ** r * a * a < 8 * b * b:
+                r += 1
+            c = Fraction(2 * a * a, (a + 4 * b) ** 2)
+            return (n - r, a, b) if n <= r else (n - r, c.numerator, c.denominator)
+
+        cases = [(2, 1, 2 ** k) for k in (0, 1, 5, 40, 200)]
+        cases += [(8, 1, 2 ** (3 * k)) for k in (1, 30)] + [(32, 1, 2 ** (5 * k + 1)) for k in (0, 40)]
+        cases += [(18, 1, 2 ** (k - 1) * 3 ** (2 * k + 1)) for k in (1, 2, 60)]
+        equal = 0
+        for N, a, b in cases:
+            m, _, _ = step_oracle(10 ** 6, a, b, N)
+            equal += N ** (10 ** 6 - m) * a * a == 8 * b * b
+        assert equal == len(cases)
+        rng = random.Random(65)
+        for _ in range(300):
+            N = rng.choice([2, 3, 5, 7, 16, 1000])
+            b = rng.getrandbits(rng.choice([4, 64, 400]))
+            cases.append((N, rng.randint(1, max(1, b)), max(1, b)))
+        for N, a, b in cases:
+            g = math.gcd(a, b)
+            a, b = a // g, b // g
+            for n in (1, 10, 10 ** 4):
+                assert bounds._step(n, a, b, N) == step_oracle(n, a, b, N), (n, a, b, N)
+
 
 class TestIteratedBound:
     def test_no_step_possible(self):

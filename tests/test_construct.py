@@ -17,7 +17,7 @@ from gridcubes.construct import (
     sparse_exponent_chain,
     verify_construction,
 )
-from gridcubes.cubes import CubeNotion, SearchBudgetExceeded, find_cube
+from gridcubes.cubes import AffineCube, CubeNotion, SearchBudgetExceeded, find_cube
 from gridcubes.grid import GridParams, PointSet
 
 
@@ -107,6 +107,23 @@ class TestMoserTardos:
                     resampled += out.rounds > 0
                     exhausted += not out.success
         assert resampled >= 40 and exhausted == 12
+
+    def test_builds_at_most_the_last_violation(self, monkeypatch):
+        # rounds redraw the vertex cells of the search's answer, with no
+        # AffineCube; only a run whose rounds run out builds one, its
+        # last_violation
+        built = []
+        post_init = AffineCube.__post_init__
+        monkeypatch.setattr(AffineCube, "__post_init__", lambda cube: built.append(cube) or post_init(cube))
+        grid = GridParams(3, 3)
+        for notion in CubeNotion:
+            for max_rounds in (100, 1):
+                built.clear()
+                config = SamplerConfig(p=Fraction(2, 3), seed=1, max_rounds=max_rounds, notion=notion)
+                out = moser_tardos_sample(grid, 2, config)
+                assert out.rounds >= 1
+                assert built == ([] if out.success else [out.last_violation])
+                assert out.success == (max_rounds == 100)
 
     def test_budget_propagates(self):
         with pytest.raises(SearchBudgetExceeded):

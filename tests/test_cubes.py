@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -224,15 +225,25 @@ class TestSearchChecksGate:
                 best = _run_box_search(*_box_of(s), notion, None, DEFAULT_BUDGET)
                 assert best.conclusive and best.checks <= max_checks
                 over = _run_box_search(*_box_of(s), notion, best.best_m + 1, DEFAULT_BUDGET)
-                assert over.conclusive and over.witness is None
+                assert over.conclusive and over.cells is None
                 assert over.checks <= over_checks
+
+
+# A search outcome with its cells decoded to the witness cube, in the form
+# (and under the name) whose repr TestSearchDigest pins.
+Decoded = namedtuple("_SearchOutcome", "best_m witness conclusive checks")
+
+
+def decoded(box, out):
+    return Decoded(out.best_m, box.cube(out.cells) if out.cells else None, out.conclusive, out.checks)
 
 
 class TestSearchDigest:
     """The search's whole outcome, witness and check count included, pinned
-    over a seeded sweep by one digest.  A change to how the search walks or
-    decodes its cells must leave every outcome as it is; a change that
-    means to alter one records a new digest in CHANGES.md."""
+    over a seeded sweep by one digest, with the witness decoded from the
+    answer's cells.  A change to how the search walks or decodes its cells
+    must leave every outcome as it is; a change that means to alter one
+    records a new digest in CHANGES.md."""
 
     GRIDS = [(2, 4), (2, 5), (2, 6), (2, 7), (3, 3), (3, 4), (3, 5),
              (4, 2), (4, 3), (5, 2), (5, 3), (7, 2)]
@@ -250,11 +261,11 @@ class TestSearchDigest:
                     for notion in CubeNotion:
                         for target in (None, 0, 1, 2, 3, 4):
                             full = _run_box_search(box, s_mask, notion, target, DEFAULT_BUDGET)
-                            yield N, n, size, notion.value, target, DEFAULT_BUDGET, full
+                            yield N, n, size, notion.value, target, DEFAULT_BUDGET, decoded(box, full)
                             if full.checks:  # a budget below the checks runs out
                                 budget = rng.randrange(min(full.checks, 201))
                                 cut = _run_box_search(box, s_mask, notion, target, budget)
-                                yield N, n, size, notion.value, target, budget, cut
+                                yield N, n, size, notion.value, target, budget, decoded(box, cut)
 
     def test_outcomes_match_the_recorded_digest(self):
         lines = [repr(out) for out in self.outcomes()]
@@ -358,28 +369,56 @@ class TestBoxIndexing:
                 assert math.prod(hi - lo + 1 for lo, hi in
                                  zip(map(min, zip(*s)), map(max, zip(*s)))) < grid.size
                 s_mask = box.mask(map(box.cell, s))
+                own_box, own_mask = _box_of(s)
                 for notion in CubeNotion:
-                    best = _run_box_search(*_box_of(s), notion, None, DEFAULT_BUDGET)
-                    assert _run_box_search(box, s_mask, notion, None, DEFAULT_BUDGET) == best
+                    best = _run_box_search(own_box, own_mask, notion, None, DEFAULT_BUDGET)
+                    whole = _run_box_search(box, s_mask, notion, None, DEFAULT_BUDGET)
+                    assert decoded(box, whole) == decoded(own_box, best)
                     for target in (best.best_m, best.best_m + 1):
-                        own = _run_box_search(*_box_of(s), notion, target, DEFAULT_BUDGET)
-                        assert _run_box_search(box, s_mask, notion, target, DEFAULT_BUDGET) == own
+                        own = _run_box_search(own_box, own_mask, notion, target, DEFAULT_BUDGET)
+                        whole = _run_box_search(box, s_mask, notion, target, DEFAULT_BUDGET)
+                        assert decoded(box, whole) == decoded(own_box, own)
+
+    def test_vertex_cells_are_the_cells_of_the_vertices(self):
+        # the removal search and the sampler read a cube's vertex cells off
+        # the search's answer, with no AffineCube: they must be the cells of
+        # AffineCube.vertices(), in its order, on own boxes and grid boxes
+        rng = random.Random(5150)
+        cubes_seen = 0
+        for N, n in [(2, 5), (3, 4), (4, 3), (5, 3), (7, 2)]:
+            grid = GridParams(N, n)
+            whole = GridBox.of_grid(grid)
+            cell_of = whole.index_map()
+            # the sampler sorts vertex cells by cell_of as by grid.index_of
+            assert all(cell_of(whole.cell(p)) == grid.index_of(p) for p in grid.points())
+            for _ in range(4):
+                s = PointSet.from_indices(grid, rng.sample(range(grid.size), rng.randint(2, grid.size)))
+                for box, s_mask in (_box_of(s), (whole, whole.mask(map(whole.cell, s)))):
+                    for notion in CubeNotion:
+                        best = _run_box_search(box, s_mask, notion, None, DEFAULT_BUDGET)
+                        for target in (None, *range(1, best.best_m + 1)):
+                            out = _run_box_search(box, s_mask, notion, target, DEFAULT_BUDGET)
+                            cube = box.cube(out.cells)
+                            assert is_cube_in(s, cube, notion) and cube.m == out.best_m
+                            assert box.vertex_cells(out.cells) == [box.cell(v) for v in cube.vertices()]
+                            cubes_seen += 1
+        assert cubes_seen >= 300
 
     def test_search_decodes_only_the_cells_it_visits(self, monkeypatch):
         # a search that hits at its first base of the 4,096 cells of [4]^6
         # decodes the base and the shifts it checks, not the whole set
-        decoded = []
+        seen = []
         decode = GridBox.decode
-        monkeypatch.setattr(GridBox, "decode", lambda box, k: decoded.append(k) or decode(box, k))
+        monkeypatch.setattr(GridBox, "decode", lambda box, k: seen.append(k) or decode(box, k))
         grid = GridParams(4, 6)
         for notion in CubeNotion:
             for m in (1, 2, 3):
                 for box, s_mask in ((GridBox.of_grid(grid), (1 << grid.size) - 1),
                                     _box_of(PointSet.full(grid))):
-                    decoded.clear()
+                    seen.clear()
                     out = _run_box_search(box, s_mask, notion, m, DEFAULT_BUDGET)
-                    assert out.witness.base == (0,) * 6 and out.checks <= 9
-                    assert len(decoded) <= 12, (notion, m, len(decoded))
+                    assert len(seen) <= 12, (notion, m, len(seen))
+                    assert box.cube(out.cells).base == (0,) * 6 and out.checks <= 9
 
     def test_box_limit(self):
         # 10^18 cells: a ValueError (not MemoryError) shows the box is
@@ -576,7 +615,7 @@ def f_by_subsets(box, k_min, notion, budget=DEFAULT_BUDGET):
     for s_mask in masks:
         if mu is not None and find_cube_in_box(box, s_mask, mu, notion, budget) is not None:
             continue  # M(sub) >= mu, cannot lower the minimum
-        mu = _search(box, s_mask, notion, None, budget).m
+        mu = _search(box, s_mask, notion, None, budget).best_m
         if mu == 0:
             return 0
     return mu
@@ -652,10 +691,10 @@ class TestFExhaustive:
         searched = []
 
         def spy(box, s_mask, notion, target, budget):
-            cube = _search(box, s_mask, notion, target, budget)
+            out = _search(box, s_mask, notion, target, budget)
             if target is None:
-                searched.append((box, s_mask, cube.m))
-            return cube
+                searched.append((box, s_mask, out.best_m))
+            return out
 
         monkeypatch.setattr(cubes, "_search", spy)
         lowered = 0
@@ -674,6 +713,21 @@ class TestFExhaustive:
                     lowered += 1
                 assert f == mu
         assert lowered >= 10
+
+    def test_builds_no_cube(self, monkeypatch):
+        # both modes read only dimensions and vertex cells off the searches'
+        # answers, so no AffineCube is built, however many searches run
+        built = []
+        post_init = AffineCube.__post_init__
+        monkeypatch.setattr(AffineCube, "__post_init__", lambda cube: built.append(cube) or post_init(cube))
+        searches = []
+        run = cubes._run_box_search
+        monkeypatch.setattr(cubes, "_run_box_search", lambda *args: searches.append(args) or run(*args))
+        for notion in CubeNotion:
+            assert f_exhaustive(2, 4, Fraction(5, 8), notion) == 2
+            assert f_exhaustive(4, 2, Fraction(1, 2), notion) >= 1
+            assert f_exhaustive(3, 4, Fraction(1, 5), notion, samples=10, seed=2) >= 1
+        assert len(searches) >= 1000 and built == []
 
     def test_sampled_against_oracle(self):
         # slow path: the same rng.sample draws of grid.index_of indices
