@@ -2,7 +2,7 @@
 
 Exact computation of the maximal cube dimension M(S) for subsets of [N]^n,
 the density machinery and closed-form bounds behind it, seeded resampling
-constructions of cube-free sets with independent certificates, and toric
+constructions of cube-free sets with re-verified certificates, and toric
 evaluation codes of small lattice polytopes.
 """
 

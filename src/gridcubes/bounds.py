@@ -56,33 +56,50 @@ def _density(c, N: int) -> Fraction:
     return c
 
 
-def _below(x: int, y: int, z: int) -> bool:
-    """x y < z for integers x, y, z >= 0, mostly without the product.
-    With x' = x >> s_x, y' = y >> s_y and z' = z >> s, s = s_x + s_y, the
-    shifts keeping at most 64 bits of x and y, x y lies in
-    [x'y' 2^s, (x'+1)(y'+1) 2^s) and z in [z' 2^s, (z'+1) 2^s); the exact
-    product is formed only where those intervals overlap."""
+def _bracket(x: int, y: int) -> tuple[int, int, int]:
+    """(p, q, s) with p 2^s <= x y <= q 2^s for integers x, y >= 0, from
+    x' = x >> s_x and y' = y >> s_y, the shifts keeping at most 64 bits of
+    each: p = x'y', q = (x' + 1)(y' + 1), s = s_x + s_y (no + 1 where a
+    factor is kept whole)."""
     sx, sy = max(0, x.bit_length() - 64), max(0, y.bit_length() - 64)
-    x1, y1, z1 = x >> sx, y >> sy, z >> (sx + sy)
-    if (x1 + 1) * (y1 + 1) <= z1:
-        return True
-    if x1 * y1 > z1:
-        return False
-    return x * y < z
+    x1, y1 = x >> sx, y >> sy
+    return x1 * y1, (x1 + (sx > 0)) * (y1 + (sy > 0)), sx + sy
+
+
+def _scaled_below(p: int, s: int, q: int, t: int) -> bool:
+    """p 2^s < q 2^t for integers p, q >= 0 and s, t >= 0, by shifting
+    one side down: p 2^k < q iff p < ceil(q / 2^k)."""
+    if s >= t:
+        return p < -(-q >> (s - t))
+    return p >> (t - s) < q
+
+
+def _below(x: int, y: int, u: int, v: int) -> bool:
+    """x y < u v for integers x, y, u, v >= 0, mostly without the products:
+    each product is bracketed by _bracket, and the exact products are formed
+    only where the two brackets overlap."""
+    p, q, s = _bracket(x, y)
+    p2, q2, t = _bracket(u, v)
+    if _scaled_below(q, s, p2, t):
+        return True  # x y <= q 2^s < p2 2^t <= u v
+    if not _scaled_below(p, s, q2, t):
+        return False  # u v <= q2 2^t <= p 2^s <= x y
+    return x * y < u * v
 
 
 def _step(n: int, a: int, b: int, N: int) -> tuple[int, int, int]:
     """inductive_step on c = a/b in lowest terms, in integers: (n - r, a', b')
     with a'/b' in lowest terms, or (n - r, a, b) when n <= r.  r is the least
-    integer with N^r a^2 >= 8 b^2, seeded by floats and settled by _below;
-    gcd(a, a + 4b) = gcd(a, 4), so a shift divides gcd(2 a^2, (a + 4b)^2)
-    out, with no gcd."""
-    a2, b8 = a * a, 8 * b * b
-    r = math.ceil((math.log2(b8) - math.log2(a2)) / math.log2(N))
+    integer with N^r a^2 >= 8 b^2, seeded by floats from 3 + 2 log2 b and
+    settled by _below on N^r a^2 against 8b b, so 8 b^2 is formed only where
+    the brackets overlap; gcd(a, a + 4b) = gcd(a, 4), so a shift divides
+    gcd(2 a^2, (a + 4b)^2) out, with no gcd."""
+    a2, b8 = a * a, b << 3
+    r = math.ceil((3 + 2 * (math.log2(b) - math.log2(a))) / math.log2(N))
     power = N ** r
-    while _below(power, a2, b8):
+    while _below(power, a2, b8, b):
         r, power = r + 1, power * N
-    while not _below(power // N, a2, b8):
+    while not _below(power // N, a2, b8, b):
         r, power = r - 1, power // N
     if n <= r:
         return n - r, a, b

@@ -6,13 +6,20 @@ sets with no r-cube for a fixed r depending only on the target entropy gap.
 Both run the same resampling loop: sample every cell independently with
 probability p, find a violating cube, redraw exactly its vertex cells, and
 repeat.  Violation detection is the cube search itself: the bad events
-(the vertex sets of all r-cubes of the grid) are never listed.
+(the vertex sets of all r-cubes of the grid) are never listed.  Every
+redrawn cell is a vertex of a cube inside the set, so a redraw keeps it or
+drops it and only removes cells: each round's set is a subset of the last.
+A search that found its first cube at base cell iz proved that no base
+below iz holds a cube, in that set and so in every later one, and the next
+round searches only the cells from iz up.
 
 Every success is re-verified by a second search on a freshly built
 PointSet and shipped with a serializable certificate; failure and budget
 exhaustion are first-class, clearly distinguished outcomes.  That search
-runs the same core as the sampler (cubes._run_box_search), so it repeats
-the sampler's last, conclusive round rather than checking it independently.
+runs the same core as the sampler (cubes._run_box_search) over all of S,
+while the sampler's last, conclusive round searched only the bases from
+the last violating cube's base up; so it covers the bases below that one
+again, but checks no base above it independently.
 """
 
 from __future__ import annotations
@@ -87,9 +94,13 @@ def moser_tardos_sample(grid: GridParams, r: int, config: SamplerConfig) -> Samp
     cell mask of one GridBox of the grid, so every round's search shares
     the box's guard masks; a round reads the violating cube's vertex cells
     straight from the search's answer, and the PointSet, and the last
-    violation's AffineCube when rounds run out, are built once, at return.  A
-    search-budget blowup propagates as SearchBudgetExceeded (the outcome is
-    then unknown, which is different from an honest failure).
+    violation's AffineCube when rounds run out, are built once, at return.
+    A round searches the set with the cells below the last cube's base
+    cleared (see above), and finds the cube a search of the whole set
+    would, so the rounds, the random stream and the outcome do not change;
+    the whole set is what is redrawn and returned.  A search-budget blowup
+    propagates as SearchBudgetExceeded (the outcome is then unknown, which
+    is different from an honest failure).
     """
     if r < 1:
         raise ValueError(f"r must be >= 1, got {r}")
@@ -100,8 +111,9 @@ def moser_tardos_sample(grid: GridParams, r: int, config: SamplerConfig) -> Samp
     cell_of = box.index_map()
     included = box.mask(cell_of(idx) for idx in range(grid.size) if rng.random() < p)
     rounds = 0
+    searched = included  # the cells of included at or above the last cube's base
     while True:
-        cells = find_cube_in_box(box, included, r, config.notion, config.search_budget)
+        cells = find_cube_in_box(box, searched, r, config.notion, config.search_budget)
         if cells is None or rounds >= config.max_rounds:
             current = PointSet(grid, map(box.point, box.cells_of(included)))
             return SampleOutcome(current, rounds, cells is None, box.cube(cells) if cells else None)
@@ -110,6 +122,7 @@ def moser_tardos_sample(grid: GridParams, r: int, config: SamplerConfig) -> Samp
         for k in sorted(box.vertex_cells(cells), key=cell_of):
             bit = 1 << k
             included = included | bit if rng.random() < p else included & ~bit
+        searched = included & (-1 << cells[0])
         rounds += 1
 
 
@@ -141,9 +154,11 @@ def verify_construction(
 ) -> VerifyReport:
     """Re-check cube-freeness with a fresh search and recount the set.
 
-    The search builds its own box of S, but it runs the same core as the
-    sampler, so on a sampler's set it repeats the last round's search.  A
-    budget blowup raises (inconclusive); it never reports verified.
+    The search builds its own box of S and runs the same core as the
+    sampler, over every base of S.  On a sampler's set it repeats the last
+    round's search from the last violating cube's base up, and searches the
+    bases below it, which that round skipped, again.  A budget blowup
+    raises (inconclusive); it never reports verified.
     """
     witness = None
     if r >= 1 and len(s) > 0:

@@ -47,6 +47,14 @@ whichever m-cube the search finds, so the removal sets are a bounded search
 tree that branches on the vertex cells of found cubes.  Gunderson and Rodl
 (Combin. Probab. Comput. 1998) study these extremal numbers for cubes of
 integers.
+
+A search on a set that only shrinks resumes at the last cube's base.  The
+search takes bases in ascending cell order and a cube's cells all lie at or
+above its base cell, so a search whose first cube has base cell iz proved
+that no base below iz holds one, in that set and in each of its subsets.
+A removal branch and a resampling round of construct search their set with
+the cells below that base cleared, s_mask & (-1 << iz), and find the same
+first cube as a search over the whole set.
 """
 
 from __future__ import annotations
@@ -711,31 +719,35 @@ def _least_m_over_removals(box: GridBox, k_min: int, notion: CubeNotion, budget:
     of the first mu-cube found, so the search removes each of its vertex
     cells in turn, barring the cells of the earlier branches (the bounded
     search tree for hitting sets: at most (2^mu)^t leaves for t removals
-    left, and no removal set twice).  A set found with no mu-cube lowers mu
-    to its M, as validly as one of exactly k_min cells, since M is monotone
-    under inclusion, and the search starts again; when none is found, f is
-    mu.
+    left, and no removal set twice).  A branch's set is a subset of its
+    parent's, which has no mu-cube based below the base cell of the cube
+    the parent found, so the branch searches only the cells from that base
+    up and finds the cube a search of its whole set would find.  A set found
+    with no mu-cube lowers mu to its M, as validly as one of exactly k_min
+    cells, since M is monotone under inclusion, and the search starts again
+    from the whole box; when none is found, f is mu.
     """
     mu = _search(box, (1 << k_min) - 1, notion, None, budget).best_m
 
-    def without_cube(s_mask: int, t: int, barred: int) -> Optional[int]:
+    def without_cube(s_mask: int, t: int, barred: int, base: int) -> Optional[int]:
         """A set with no mu-cube left from s_mask by at most t removals of
-        cells outside barred, or None."""
-        cells = find_cube_in_box(box, s_mask, mu, notion, budget)
+        cells outside barred, or None; s_mask has no mu-cube based below
+        cell base."""
+        cells = find_cube_in_box(box, s_mask & (-1 << base), mu, notion, budget)
         if cells is None:
             return s_mask
         if t:
             for k in box.vertex_cells(cells):
                 bit = 1 << k
                 if not barred & bit:
-                    found = without_cube(s_mask ^ bit, t - 1, barred)
+                    found = without_cube(s_mask ^ bit, t - 1, barred, cells[0])
                     if found is not None:
                         return found
                     barred |= bit
         return None
 
     while mu:
-        s_mask = without_cube((1 << box.cells) - 1, box.cells - k_min, 0)
+        s_mask = without_cube((1 << box.cells) - 1, box.cells - k_min, 0, 0)
         if s_mask is None:
             break
         mu = _search(box, s_mask, notion, None, budget).best_m

@@ -79,7 +79,30 @@ class TestInductiveStep:
             z = rng.choice([xy, xy + 1, xy - 1, xy + (1 << rng.randrange(1, 3000)),
                             xy - (xy >> rng.randrange(1, 200)), rng.getrandbits(rng.randrange(1, 6000))])
             z = max(z, 0)
-            assert bounds._below(x, y, z) == (xy < z), (x, y, z)
+            assert bounds._below(x, y, z, 1) == (xy < z), (x, y, z)
+
+    def test_two_bracketed_products(self):
+        # slow path: both products, with factors on both sides of the 64
+        # kept bits, equal products in other factors, and products one
+        # apart, where the brackets overlap
+        rng = random.Random(66)
+        sizes = [1, 8, 63, 64, 65, 130, 1000, 5000]
+        for _ in range(3000):
+            x, y, v = (rng.getrandbits(rng.choice(sizes)) for _ in range(3))
+            xy = x * y
+            if v:
+                u = rng.choice([xy // v, xy // v + 1, max(0, xy // v - 1), rng.getrandbits(rng.choice(sizes))])
+            else:
+                u = rng.getrandbits(rng.choice(sizes))
+            assert bounds._below(x, y, u, v) == (xy < u * v), (x, y, u, v)
+            g = 1 << rng.randrange(0, 200)
+            assert bounds._below(x * g, y, u, v * g) == (xy < u * v)
+        for k in (0, 1, 63, 64, 65, 500):
+            x, y = (1 << k) + 3, (1 << (2 * k)) + 7
+            assert bounds._below(x, y, y, x) is False
+            for d in (-1, 0, 1):
+                assert bounds._below(x, y, x * y + d, 1) == (d > 0)
+                assert bounds._below(3 * x, y, x, 3 * y + d) == (d > 0)
 
     def test_step_against_direct_comparisons(self):
         # slow path: r by direct products from r = 0 up, including exact
@@ -95,6 +118,8 @@ class TestInductiveStep:
         cases = [(2, 1, 2 ** k) for k in (0, 1, 5, 40, 200)]
         cases += [(8, 1, 2 ** (3 * k)) for k in (1, 30)] + [(32, 1, 2 ** (5 * k + 1)) for k in (0, 40)]
         cases += [(18, 1, 2 ** (k - 1) * 3 ** (2 * k + 1)) for k in (1, 2, 60)]
+        # equalities with a > 1: N = 2, a = 2^j 3^i, b = 2^(j + k) 3^i
+        cases += [(2, 3 ** i * 2 ** j, 3 ** i * 2 ** (j + k)) for i, j, k in ((1, 0, 1), (40, 3, 70), (300, 1, 500))]
         equal = 0
         for N, a, b in cases:
             m, _, _ = step_oracle(10 ** 6, a, b, N)
@@ -105,6 +130,12 @@ class TestInductiveStep:
             N = rng.choice([2, 3, 5, 7, 16, 1000])
             b = rng.getrandbits(rng.choice([4, 64, 400]))
             cases.append((N, rng.randint(1, max(1, b)), max(1, b)))
+        # a near b (r from the 8 alone), a tiny against a huge b, and b of
+        # several thousand bits, where N^r and 8 b^2 pass the kept 64 bits
+        for _ in range(100):
+            N = rng.choice([2, 3, 5, 7, 16, 1000])
+            b = rng.getrandbits(rng.choice([65, 400, 3000])) | 1
+            cases.append((N, rng.choice([b - 1, b - rng.getrandbits(60), 1, rng.getrandbits(30) + 1]), b))
         for N, a, b in cases:
             g = math.gcd(a, b)
             a, b = a // g, b // g

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from gridcubes import construct, cubes
 from gridcubes.construct import (
     ConstructStatus,
     SamplerConfig,
@@ -17,7 +18,7 @@ from gridcubes.construct import (
     sparse_exponent_chain,
     verify_construction,
 )
-from gridcubes.cubes import AffineCube, CubeNotion, SearchBudgetExceeded, find_cube
+from gridcubes.cubes import AffineCube, CubeNotion, SearchBudgetExceeded, find_cube, find_cube_in_box
 from gridcubes.grid import GridParams, PointSet
 
 
@@ -94,6 +95,7 @@ class TestMoserTardos:
 
         cases = [((2, 5), 3, Fraction(1, 2), 100), ((2, 6), 3, Fraction(1, 2), 100),
                  ((3, 3), 2, Fraction(1, 2), 100), ((3, 3), 2, Fraction(2, 3), 100),
+                 ((2, 8), 3, Fraction(1, 2), 100), ((4, 3), 2, Fraction(1, 2), 100),
                  ((2, 6), 2, Fraction(3, 4), 5)]  # the last one runs out of rounds
         resampled = exhausted = 0
         for (N, n), r, p, max_rounds in cases:
@@ -106,7 +108,53 @@ class TestMoserTardos:
                     assert got == reference(grid, r, config), (N, n, r, notion, seed)
                     resampled += out.rounds > 0
                     exhausted += not out.success
-        assert resampled >= 40 and exhausted == 12
+        assert resampled >= 60 and exhausted == 12
+
+    def test_each_round_searches_from_the_last_base(self, monkeypatch):
+        # a redraw only keeps or drops cells of the set, so each round's set
+        # is a subset of the last, and a round searches only the cells at or
+        # above the last round's cube's base
+        searches = []
+
+        def spy(box, s_mask, m, notion, budget):
+            cells = find_cube_in_box(box, s_mask, m, notion, budget)
+            searches.append((s_mask, cells))
+            return cells
+
+        monkeypatch.setattr(construct, "find_cube_in_box", spy)
+        cut = 0
+        for (N, n), r, p in [((2, 8), 3, Fraction(1, 2)), ((3, 4), 2, Fraction(1, 2)),
+                             ((4, 3), 2, Fraction(1, 2)), ((2, 6), 2, Fraction(3, 4))]:
+            for notion in CubeNotion:
+                for seed in range(3):
+                    searches.clear()
+                    config = SamplerConfig(p=p, seed=seed, max_rounds=50, notion=notion)
+                    out = moser_tardos_sample(GridParams(N, n), r, config)
+                    assert len(searches) == out.rounds + 1
+                    for (mask, cells), (child, _) in zip(searches, searches[1:]):
+                        assert child & ~mask == 0
+                        assert child & ((1 << cells[0]) - 1) == 0
+                        cut += cells[0] > 0
+        assert cut >= 100
+
+    def test_checks_pinned(self, monkeypatch):
+        # the summed checks of every round's search on seeded runs; searching
+        # every round from the first cell of the set, they were 595,971 and
+        # 4,626,283
+        total = []
+        run = cubes._run_box_search
+
+        def spy(*args):
+            out = run(*args)
+            total.append(out.checks)
+            return out
+
+        monkeypatch.setattr(cubes, "_run_box_search", spy)
+        for (N, n), r, calls, checks in [((2, 8), 3, 100, 218016), ((2, 10), 4, 10, 1733058)]:
+            total.clear()
+            for seed in range(calls):
+                moser_tardos_sample(GridParams(N, n), r, SamplerConfig(p=Fraction(1, 2), seed=seed))
+            assert sum(total) == checks, (N, n, r)
 
     def test_builds_at_most_the_last_violation(self, monkeypatch):
         # rounds redraw the vertex cells of the search's answer, with no

@@ -3,6 +3,7 @@
 import hashlib
 import math
 import random
+import sys
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -713,6 +714,53 @@ class TestFExhaustive:
                     lowered += 1
                 assert f == mu
         assert lowered >= 10
+
+    def test_child_searches_start_at_the_parent_base(self, monkeypatch):
+        # a branch removes a vertex cell of the cube its parent found, so its
+        # set is a subset of the parent's, and it searches only the cells at
+        # or above that cube's base; a branch is told from its removals left
+        searches = []
+
+        def spy(box, s_mask, m, notion, budget):
+            cells = find_cube_in_box(box, s_mask, m, notion, budget)
+            searches.append((sys._getframe(1).f_locals["t"], s_mask, cells))
+            return cells
+
+        monkeypatch.setattr(cubes, "find_cube_in_box", spy)
+        children = cut = 0
+        for N, n, k in [(2, 4, 8), (2, 4, 10), (4, 2, 8), (4, 2, 12), (3, 2, 5), (16, 1, 6), (2, 3, 4)]:
+            for notion in CubeNotion:
+                searches.clear()
+                f_exhaustive(N, n, Fraction(k, N ** n), notion)
+                parents = {}
+                for t, s_mask, cells in searches:
+                    if t < N ** n - k:
+                        mask, found = parents[t + 1]
+                        assert s_mask & ~mask == 0
+                        assert s_mask & ((1 << found[0]) - 1) == 0
+                        children += 1
+                        cut += found[0] > 0
+                    parents[t] = s_mask, cells
+        assert children >= 1000 and cut >= 500
+
+    def test_removal_checks_pinned(self, monkeypatch):
+        # the summed checks of every search of exhaustive f, unimodular;
+        # searching each branch from the first cell of its set, they were
+        # 1,326, 10,024 and 213
+        total = []
+        run = cubes._run_box_search
+
+        def spy(*args):
+            out = run(*args)
+            total.append(out.checks)
+            return out
+
+        monkeypatch.setattr(cubes, "_run_box_search", spy)
+        for N, n, c, f, checks in [(2, 4, Fraction(5, 8), 2, 1271), (2, 4, Fraction(1, 2), 2, 7920),
+                                   (4, 2, Fraction(1, 2), 1, 213)]:
+            total.clear()
+            assert f_exhaustive(N, n, c, UNI) == f
+            assert sum(total) == checks, (N, n, c)
 
     def test_builds_no_cube(self, monkeypatch):
         # both modes read only dimensions and vertex cells off the searches'
