@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from .exactmath import (
     as_fraction,
@@ -56,14 +56,32 @@ def _density(c, N: int) -> Fraction:
     return c
 
 
-def _bracket(x: int, y: int) -> tuple[int, int, int]:
-    """(p, q, s) with p 2^s <= x y <= q 2^s for integers x, y >= 0, from
-    x' = x >> s_x and y' = y >> s_y, the shifts keeping at most 64 bits of
-    each: p = x'y', q = (x' + 1)(y' + 1), s = s_x + s_y (no + 1 where a
-    factor is kept whole)."""
-    sx, sy = max(0, x.bit_length() - 64), max(0, y.bit_length() - 64)
-    x1, y1 = x >> sx, y >> sy
-    return x1 * y1, (x1 + (sx > 0)) * (y1 + (sy > 0)), sx + sy
+def _cut(x: int) -> tuple[int, int, int]:
+    """(p, q, s) with p 2^s <= x <= q 2^s for an integer x >= 0, keeping at
+    most 64 bits of x: p = x >> s, and q = p + 1 unless x is kept whole."""
+    s = max(0, x.bit_length() - 64)
+    p = x >> s
+    return p, p + (s > 0), s
+
+
+def _times(f: tuple[int, int, int], g: tuple[int, int, int]) -> tuple[int, int, int]:
+    """A bracket of a product, from brackets (p, q, s) of its two factors."""
+    return f[0] * g[0], f[1] * g[1], f[2] + g[2]
+
+
+def _pow_bracket(N: int, r: int) -> tuple[int, int, int]:
+    """(p, q, s) with p 2^s <= N^r <= q 2^s for integers N, r >= 0, with no
+    N^r: the top 64 bits of N raised by squaring, each square or product
+    cut back to 64 bits, p rounded down and q up, the shift kept in s."""
+    n = _cut(N)
+    p, q, s = 1, 1, 0
+    for bit in bin(r)[2:]:
+        p, q, s = p * p, q * q, 2 * s
+        if bit == "1":
+            p, q, s = _times((p, q, s), n)
+        k = max(0, q.bit_length() - 64)
+        p, q, s = p >> k, -(-q >> k), s + k
+    return p, q, s
 
 
 def _scaled_below(p: int, s: int, q: int, t: int) -> bool:
@@ -74,33 +92,37 @@ def _scaled_below(p: int, s: int, q: int, t: int) -> bool:
     return p >> (t - s) < q
 
 
-def _below(x: int, y: int, u: int, v: int) -> bool:
-    """x y < u v for integers x, y, u, v >= 0, mostly without the products:
-    each product is bracketed by _bracket, and the exact products are formed
-    only where the two brackets overlap."""
-    p, q, s = _bracket(x, y)
-    p2, q2, t = _bracket(u, v)
+def _below(lhs: tuple[int, int, int], rhs: tuple[int, int, int], exact: Callable[[], bool]) -> bool:
+    """x < y from a bracket lhs of x and a bracket rhs of y, mostly without
+    x and y: exact() decides, forming them, only where the brackets
+    overlap."""
+    p, q, s = lhs
+    p2, q2, t = rhs
     if _scaled_below(q, s, p2, t):
-        return True  # x y <= q 2^s < p2 2^t <= u v
+        return True  # x <= q 2^s < p2 2^t <= y
     if not _scaled_below(p, s, q2, t):
-        return False  # u v <= q2 2^t <= p 2^s <= x y
-    return x * y < u * v
+        return False  # y <= q2 2^t <= p 2^s <= x
+    return exact()
 
 
 def _step(n: int, a: int, b: int, N: int) -> tuple[int, int, int]:
     """inductive_step on c = a/b in lowest terms, in integers: (n - r, a', b')
     with a'/b' in lowest terms, or (n - r, a, b) when n <= r.  r is the least
     integer with N^r a^2 >= 8 b^2, seeded by floats from 3 + 2 log2 b and
-    settled by _below on N^r a^2 against 8b b, so 8 b^2 is formed only where
-    the brackets overlap; gcd(a, a + 4b) = gcd(a, 4), so a shift divides
-    gcd(2 a^2, (a + 4b)^2) out, with no gcd."""
+    settled on brackets of N^r a^2 (N^r from _pow_bracket) and of 8b b, so
+    N^r and 8 b^2 are formed only where the brackets overlap; gcd(a, a + 4b)
+    = gcd(a, 4), so a shift divides gcd(2 a^2, (a + 4b)^2) out, with no gcd."""
     a2, b8 = a * a, b << 3
+    a2_cut, rhs = _cut(a2), _times(_cut(b8), _cut(b))
+
+    def short(r: int) -> bool:  # N^r a^2 < 8 b^2
+        return _below(_times(_pow_bracket(N, r), a2_cut), rhs, lambda: N ** r * a2 < b8 * b)
+
     r = math.ceil((3 + 2 * (math.log2(b) - math.log2(a))) / math.log2(N))
-    power = N ** r
-    while _below(power, a2, b8, b):
-        r, power = r + 1, power * N
-    while not _below(power // N, a2, b8, b):
-        r, power = r - 1, power // N
+    while short(r):
+        r += 1
+    while not short(r - 1):
+        r -= 1
     if n <= r:
         return n - r, a, b
     num, den = 2 * a2, (a + 4 * b) ** 2

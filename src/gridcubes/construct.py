@@ -20,6 +20,11 @@ runs the same core as the sampler (cubes._run_box_search) over all of S,
 while the sampler's last, conclusive round searched only the bases from
 the last violating cube's base up; so it covers the bases below that one
 again, but checks no base above it independently.
+
+Both run on the one GridBox that the process keeps (cubes._grid_box): the
+sampler's rounds, and its later calls on the same grid, share the grid's
+box, and the verifier reuses it when S spans the grid in every coordinate.
+A process keeps at most one box beyond the one its running search holds.
 """
 
 from __future__ import annotations
@@ -91,10 +96,12 @@ def moser_tardos_sample(grid: GridParams, r: int, config: SamplerConfig) -> Samp
     initial sample (one draw per cell, in grid.index_of order) and every
     redraw, the violating cube is always the canonically smallest one, and
     its cells are redrawn in grid.index_of order.  The current set is a
-    cell mask of one GridBox of the grid, so every round's search shares
-    the box's guard masks; a round reads the violating cube's vertex cells
-    straight from the search's answer, and the PointSet, and the last
-    violation's AffineCube when rounds run out, are built once, at return.
+    cell mask of the grid's GridBox, the one the process keeps (see
+    above), so every round's search, and every search of a later call on
+    the same grid, shares the box's decoded cells and guard masks; a round
+    reads the violating cube's vertex cells straight from the search's
+    answer, and the PointSet, and the last violation's AffineCube when
+    rounds run out, are built once, at return.
     A round searches the set with the cells below the last cube's base
     cleared (see above), and finds the cube a search of the whole set
     would, so the rounds, the random stream and the outcome do not change;
@@ -154,11 +161,14 @@ def verify_construction(
 ) -> VerifyReport:
     """Re-check cube-freeness with a fresh search and recount the set.
 
-    The search builds its own box of S and runs the same core as the
-    sampler, over every base of S.  On a sampler's set it repeats the last
-    round's search from the last violating cube's base up, and searches the
-    bases below it, which that round skipped, again.  A budget blowup
-    raises (inconclusive); it never reports verified.
+    The search runs on S's bounding box, which is the sampler's grid box,
+    kept by the process, when S spans the grid in every coordinate, and
+    runs the same core as the sampler, over every base of S.  On a
+    sampler's set it repeats the last round's search from the last
+    violating cube's base up, and searches the bases below it, which that
+    round skipped, again.  The box holds only what its geometry fixes, so
+    sharing it changes no check and no answer.  A budget blowup raises
+    (inconclusive); it never reports verified.
     """
     witness = None
     if r >= 1 and len(s) > 0:

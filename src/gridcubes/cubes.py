@@ -28,7 +28,12 @@ mask against indices that wrap around the box, gives each child (as in
 bit-parallel clique search, San Segundo et al. 2011).  find_cube and
 m_value search S's own bounding box; f_exhaustive and the resampling loop
 of construct search cell masks of one box of the whole grid, whose guard
-masks and decoded cells all their subsets share.  A search pays for the
+masks and decoded cells all their subsets share.  Every box comes from one
+cached constructor that keeps the last box built in the process, so the
+searches of later calls on the same geometry share them too: the next
+sampler call on a grid, and the verifier of a set that spans every
+coordinate of the grid it was sampled on.  A process keeps at most one
+box beyond the one its running search holds.  A search pays for the
 cells it visits, not for |S|: it walks the bases low bit first straight
 off S's mask and stops at the first base with too few cells of S above
 it, and it decodes a cell only when it needs the cell's point, from the
@@ -60,6 +65,7 @@ first cube as a search over the whole set.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import random
 from dataclasses import dataclass
@@ -237,10 +243,16 @@ class GridBox:
     The box also keeps the guard masks that the searches over its subsets
     share (see _run_box_search).  A box of more than MATERIALIZE_LIMIT
     cells raises ValueError before any mask is built.
+
+    Everything a box holds, its decoded halves and cells and its guard
+    masks, is a pure function of its lows and widths, so one box serves
+    every search on its geometry with the same checks and answers, and the
+    package builds its boxes through _grid_box, which keeps the last one.
+    Nothing search-specific may be stored on a box.
     """
 
     __slots__ = ("dim", "lows", "widths", "strides", "cells", "origin", "h",
-                 "split", "high", "low", "decoded", "guard_hi", "guard_lo")
+                 "split", "high", "low", "decoded", "guard_hi", "guard_lo", "__weakref__")
 
     def __init__(self, lows: Sequence[int], widths: Sequence[int]):
         cells = math.prod(widths)
@@ -266,9 +278,10 @@ class GridBox:
         self.guard_hi: dict[int, int] = {}
         self.guard_lo: dict[int, int] = {}
 
-    @classmethod
-    def of_grid(cls, grid: GridParams) -> "GridBox":
-        return cls([0] * grid.dim, [grid.base] * grid.dim)
+    @staticmethod
+    def of_grid(grid: GridParams) -> "GridBox":
+        """The box of the whole grid, kept by _grid_box."""
+        return _grid_box((0,) * grid.dim, (grid.base,) * grid.dim)
 
     def cell(self, p: Sequence[int]) -> int:
         return sum(map(mul, p, self.strides)) - self.origin
@@ -374,12 +387,22 @@ class GridBox:
         return mask
 
 
+@functools.lru_cache(maxsize=1)
+def _grid_box(lows: tuple[int, ...], widths: tuple[int, ...]) -> GridBox:
+    """The GridBox of these lows and widths, the last one asked for kept
+    per process: repeated searches on one geometry share its decoded cells
+    and guard masks across calls.  One and not more, since the searches
+    that repeat a geometry run back to back; a box refused over
+    MATERIALIZE_LIMIT raises and leaves the kept box in place."""
+    return GridBox(lows, widths)
+
+
 def _box_of(s: PointSet) -> tuple[GridBox, int]:
-    """S's own bounding box, and S as a cell mask."""
+    """S's own bounding box, kept by _grid_box, and S as a cell mask."""
     pts = s.tuple_set
     columns = list(zip(*pts)) or [(0,)] * s.grid.dim
-    lows = list(map(min, columns))
-    box = GridBox(lows, [hi - lo + 1 for hi, lo in zip(map(max, columns), lows)])
+    lows = tuple(map(min, columns))
+    box = _grid_box(lows, tuple(hi - lo + 1 for hi, lo in zip(map(max, columns), lows)))
     return box, box.mask(map(box.cell, pts))
 
 
@@ -773,10 +796,11 @@ def f_exhaustive(
     exact): each sample is rng.sample(range(N^n), k_min) of grid.index_of
     indices, and f is the least M among them.
 
-    Every set searched is a cell mask of one GridBox of [N]^n, built once
-    per call, so the searches share its decoded points and guard masks and
-    no PointSet is built; the searches answer in cells, so no AffineCube is
-    built either.  Each search has the whole budget.
+    Every set searched is a cell mask of the GridBox of [N]^n that the
+    process keeps (see _grid_box), so the searches, of this call and of the
+    calls before it on the same grid, share its decoded points and guard
+    masks and no PointSet is built; the searches answer in cells, so no
+    AffineCube is built either.  Each search has the whole budget.
     """
     _check_budget(budget)
     c = as_fraction(c)

@@ -28,6 +28,13 @@ from gridcubes.grid import GridParams
 C_GRID = [Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
 
 
+def below(x, y, u, v):
+    """x y < u v by bounds._below on the brackets of the two products."""
+    def bracket(f, g):
+        return bounds._times(bounds._cut(f), bounds._cut(g))
+    return bounds._below(bracket(x, y), bracket(u, v), lambda: x * y < u * v)
+
+
 def iterated_oracle(n, c, N, cap=None):
     """The recursion on Fractions, with ceil(log_N(8 c^-2)) found by
     counting powers of N; past `cap` bits, the refusal message's step."""
@@ -79,7 +86,7 @@ class TestInductiveStep:
             z = rng.choice([xy, xy + 1, xy - 1, xy + (1 << rng.randrange(1, 3000)),
                             xy - (xy >> rng.randrange(1, 200)), rng.getrandbits(rng.randrange(1, 6000))])
             z = max(z, 0)
-            assert bounds._below(x, y, z, 1) == (xy < z), (x, y, z)
+            assert below(x, y, z, 1) == (xy < z), (x, y, z)
 
     def test_two_bracketed_products(self):
         # slow path: both products, with factors on both sides of the 64
@@ -94,20 +101,38 @@ class TestInductiveStep:
                 u = rng.choice([xy // v, xy // v + 1, max(0, xy // v - 1), rng.getrandbits(rng.choice(sizes))])
             else:
                 u = rng.getrandbits(rng.choice(sizes))
-            assert bounds._below(x, y, u, v) == (xy < u * v), (x, y, u, v)
+            assert below(x, y, u, v) == (xy < u * v), (x, y, u, v)
             g = 1 << rng.randrange(0, 200)
-            assert bounds._below(x * g, y, u, v * g) == (xy < u * v)
+            assert below(x * g, y, u, v * g) == (xy < u * v)
         for k in (0, 1, 63, 64, 65, 500):
             x, y = (1 << k) + 3, (1 << (2 * k)) + 7
-            assert bounds._below(x, y, y, x) is False
+            assert below(x, y, y, x) is False
             for d in (-1, 0, 1):
-                assert bounds._below(x, y, x * y + d, 1) == (d > 0)
-                assert bounds._below(3 * x, y, x, 3 * y + d) == (d > 0)
+                assert below(x, y, x * y + d, 1) == (d > 0)
+                assert below(3 * x, y, x, 3 * y + d) == (d > 0)
+
+    def test_power_bracket_against_the_power(self):
+        # slow path: N^r itself, for N on both sides of the 64 kept bits and
+        # r up to several thousand; the bracket is exact while N^r fits in
+        # 64 bits and stays narrow past them
+        rng = random.Random(67)
+        cases = [(N, r) for N in (2, 3, 5, 18, 2 ** 64 - 1, 2 ** 64, 2 ** 64 + 1, 3 ** 50) for r in range(40)]
+        cases += [(rng.getrandbits(rng.choice([2, 8, 63, 64, 65, 200])) | 2, rng.randrange(6000)) for _ in range(300)]
+        for N, r in cases:
+            p, q, s = bounds._pow_bracket(N, r)
+            power = N ** r
+            assert p << s <= power <= q << s, (N, r)
+            assert q.bit_length() <= 64
+            if power.bit_length() <= 64:
+                assert (p, q, s) == (power, power, 0), (N, r)
+            else:
+                assert (q - p) << 40 <= p, (N, r)
 
     def test_step_against_direct_comparisons(self):
         # slow path: r by direct products from r = 0 up, including exact
         # equalities N^r a^2 = 8 b^2 (a = 1, b = 2^k over N = 2, 8 and 32;
-        # b = 2^(k-1) 3^(2k+1) over N = 18), where the brackets overlap
+        # b = 2^(k-1) 3^(2k+1) over N = 18, 18^3 and 18^27), where the
+        # brackets overlap
         def step_oracle(n, a, b, N):
             r = 0
             while N ** r * a * a < 8 * b * b:
@@ -118,6 +143,11 @@ class TestInductiveStep:
         cases = [(2, 1, 2 ** k) for k in (0, 1, 5, 40, 200)]
         cases += [(8, 1, 2 ** (3 * k)) for k in (1, 30)] + [(32, 1, 2 ** (5 * k + 1)) for k in (0, 40)]
         cases += [(18, 1, 2 ** (k - 1) * 3 ** (2 * k + 1)) for k in (1, 2, 60)]
+        # N past the 64 kept bits: 18^27 (113 bits) with 8 b^2 = 18^(2k+1),
+        # 2^71 with r = 1, 3 and 41, and N = 2 3^60 with a = 2, b = 3^30
+        cases += [(18 ** 3, 1, 2 ** (k - 1) * 3 ** (2 * k + 1)) for k in (1, 4, 40)]
+        cases += [(18 ** 27, 1, 2 ** (k - 1) * 3 ** (2 * k + 1)) for k in (13, 40, 148)]
+        cases += [(2 ** 71, 1, 2 ** ((71 * r - 3) // 2)) for r in (1, 3, 41)] + [(2 * 3 ** 60, 2, 3 ** 30)]
         # equalities with a > 1: N = 2, a = 2^j 3^i, b = 2^(j + k) 3^i
         cases += [(2, 3 ** i * 2 ** j, 3 ** i * 2 ** (j + k)) for i, j, k in ((1, 0, 1), (40, 3, 70), (300, 1, 500))]
         equal = 0
@@ -136,6 +166,11 @@ class TestInductiveStep:
             N = rng.choice([2, 3, 5, 7, 16, 1000])
             b = rng.getrandbits(rng.choice([65, 400, 3000])) | 1
             cases.append((N, rng.choice([b - 1, b - rng.getrandbits(60), 1, rng.getrandbits(30) + 1]), b))
+        # N itself past the kept 64 bits
+        for _ in range(100):
+            N = rng.choice([2 ** 64 + 13, 3 ** 50, rng.getrandbits(200) | 3])
+            b = rng.getrandbits(rng.choice([4, 400, 3000])) | 1
+            cases.append((N, rng.randint(1, b), b))
         for N, a, b in cases:
             g = math.gcd(a, b)
             a, b = a // g, b // g

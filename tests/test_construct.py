@@ -173,6 +173,27 @@ class TestMoserTardos:
                 assert built == ([] if out.success else [out.last_violation])
                 assert out.success == (max_rounds == 100)
 
+    def test_calls_on_one_grid_share_the_box(self, monkeypatch):
+        # the process keeps the grid's box, so a second call on the grid
+        # searches the box the first one decoded and guarded
+        boxes = []
+
+        def spy(box, s_mask, m, notion, budget):
+            boxes.append(box)
+            return find_cube_in_box(box, s_mask, m, notion, budget)
+
+        monkeypatch.setattr(construct, "find_cube_in_box", spy)
+        grid = GridParams(2, 6)
+        calls = []
+        for seed in (1, 2):
+            boxes.clear()
+            out = moser_tardos_sample(grid, 3, SamplerConfig(p=Fraction(1, 2), seed=seed))
+            assert len(boxes) == out.rounds + 1 and out.rounds >= 1
+            calls.append(boxes[:])
+        first, second = calls
+        assert all(box is first[0] for box in first + second)
+        assert first[0].decoded and first[0].guard_hi
+
     def test_budget_propagates(self):
         with pytest.raises(SearchBudgetExceeded):
             moser_tardos_sample(
@@ -290,6 +311,18 @@ class TestDenseConstruction:
         assert "eq_ep_holds" in cert
         # realized density within three binomial sigmas of p = 1/2
         assert abs(cert["cardinality"] / 256 - 0.5) <= 3 * (0.25 / 256) ** 0.5
+
+    def test_verifier_reuses_the_samplers_box(self, monkeypatch):
+        # a verified set that spans [2]^9 in every coordinate has the grid's
+        # box as its bounding box, so the verifier searches the sampler's box
+        boxes = []
+        search = cubes._search
+        monkeypatch.setattr(cubes, "_search", lambda box, *args: boxes.append(box) or search(box, *args))
+        res = construct_dense_small_M(9, 2, 1, seed=0)
+        assert res.status is ConstructStatus.VERIFIED
+        assert all(len({p[i] for p in res.point_set}) == 2 for i in range(9))
+        assert len(boxes) == res.certificate["rounds"] + 2  # the rounds, the last search, the verifier
+        assert all(box is boxes[0] for box in boxes)
 
     def test_budget_blowup_is_inconclusive(self):
         with pytest.raises(SearchBudgetExceeded):

@@ -1,9 +1,11 @@
 """Affine cubes: vertex generation, notions, search, oracle, f_N(n, c)."""
 
+import gc
 import hashlib
 import math
 import random
 import sys
+import weakref
 from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations, permutations
@@ -13,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gridcubes import cubes
+from gridcubes.construct import SamplerConfig, moser_tardos_sample
 from gridcubes.cubes import (
     DEFAULT_BUDGET,
     AffineCube,
@@ -407,15 +410,19 @@ class TestBoxIndexing:
 
     def test_search_decodes_only_the_cells_it_visits(self, monkeypatch):
         # a search that hits at its first base of the 4,096 cells of [4]^6
-        # decodes the base and the shifts it checks, not the whole set
+        # decodes the base and the shifts it checks, not the whole set; each
+        # search starts from a cold box, since a kept box would have decoded
+        # its cells in an earlier search
         seen = []
         decode = GridBox.decode
         monkeypatch.setattr(GridBox, "decode", lambda box, k: seen.append(k) or decode(box, k))
         grid = GridParams(4, 6)
+        full = PointSet.full(grid)
         for notion in CubeNotion:
             for m in (1, 2, 3):
-                for box, s_mask in ((GridBox.of_grid(grid), (1 << grid.size) - 1),
-                                    _box_of(PointSet.full(grid))):
+                for make in (lambda: (GridBox.of_grid(grid), (1 << grid.size) - 1), lambda: _box_of(full)):
+                    cubes._grid_box.cache_clear()
+                    box, s_mask = make()
                     seen.clear()
                     out = _run_box_search(box, s_mask, notion, m, DEFAULT_BUDGET)
                     assert len(seen) <= 12, (notion, m, len(seen))
@@ -436,6 +443,76 @@ class TestBoxIndexing:
             m_value(over, VI)
         at_limit = PointSet(GridParams(side, 2), [(0, 0), (side - 1, side - 1)])
         assert m_value(at_limit, VI) == (1, AffineCube((0, 0), ((side - 1, side - 1),)))
+
+
+class TestKeptBox:
+    """The package builds its boxes through cubes._grid_box, which keeps the
+    last one: searches on one geometry share a box across calls, which may
+    change no answer and no check count, and one box at most is kept."""
+
+    def test_one_geometry_one_box(self):
+        grid = GridParams(3, 3)
+        box = GridBox.of_grid(grid)
+        assert GridBox.of_grid(grid) is box
+        assert _box_of(PointSet.full(grid))[0] is box
+        assert _box_of(pset(3, 3, [(0, 0, 0), (2, 1, 2)]))[0] is not box
+
+    def test_one_box_is_kept(self):
+        first = weakref.ref(GridBox.of_grid(GridParams(2, 6)))
+        f_exhaustive(2, 6, Fraction(1, 4), samples=2, seed=0)
+        assert first() is not None  # the same geometry: still the kept box
+        m_value(PointSet.full(GridParams(3, 2)))
+        gc.collect()  # a search's recursive closure is a cycle that holds its box
+        assert first() is None
+        assert cubes._grid_box.cache_info().currsize == 1
+
+    def test_refused_box_leaves_the_kept_box(self):
+        box = GridBox.of_grid(GridParams(2, 6))
+        side = math.isqrt(MATERIALIZE_LIMIT)
+        over = PointSet(GridParams(side + 1, 2), [(0, 0), (side, side - 1)])
+        with pytest.raises(ValueError, match="bounding box"):
+            m_value(over, VI)
+        with pytest.raises(ValueError, match="bounding box"):
+            GridBox.of_grid(GridParams(side + 1, 2))
+        assert GridBox.of_grid(GridParams(2, 6)) is box
+
+    def test_warm_box_answers_as_a_cold_one(self):
+        # each call once on a cold box (the kept one dropped first), then all
+        # of them in a shuffled order, twice, each on whatever box the calls
+        # before it left: another notion, target or grid, or its own
+        def on_grid_box(s, *args):
+            box = GridBox.of_grid(s.grid)
+            return _run_box_search(box, box.mask(map(box.cell, s)), *args)
+
+        rng = random.Random(23)
+        calls = []
+        for N, n in [(2, 5), (2, 6), (3, 3), (3, 4), (4, 2), (5, 2)]:
+            grid = GridParams(N, n)
+            for _ in range(3):
+                s = PointSet.from_indices(grid, rng.sample(range(grid.size), rng.randint(2, grid.size)))
+                for notion in CubeNotion:
+                    for target in (None, 1, 2, 3):
+                        for budget in (DEFAULT_BUDGET, rng.randrange(30)):
+                            a = (notion, target, budget)
+                            calls.append(lambda s=s, a=a: _run_box_search(*_box_of(s), *a))
+                            calls.append(lambda s=s, a=a: on_grid_box(s, *a))
+            for notion in CubeNotion:
+                for seed in range(2):
+                    config = SamplerConfig(p=Fraction(1, 2), seed=seed, max_rounds=20, notion=notion)
+                    calls.append(lambda g=grid, c=config: moser_tardos_sample(g, 2, c))
+                    calls.append(lambda N=N, n=n, a=(notion, 4, seed): f_exhaustive(N, n, Fraction(1, 3), *a))
+        for notion in CubeNotion:
+            calls.append(lambda a=notion: f_exhaustive(2, 4, Fraction(1, 2), a))
+            calls.append(lambda a=notion: f_exhaustive(4, 2, Fraction(1, 2), a))
+        cold = []
+        for call in calls:
+            cubes._grid_box.cache_clear()
+            cold.append(call())
+        order = list(range(len(calls))) * 2
+        rng.shuffle(order)
+        for i in order:
+            assert calls[i]() == cold[i], i
+        assert sum(isinstance(out, cubes._SearchOutcome) for out in cold) == 864
 
 
 class TestMValue:
