@@ -2,8 +2,8 @@
 
 Exact computation of the maximal cube dimension M(S) for subsets of [N]^n,
 the density machinery and closed-form bounds behind it, seeded resampling
-constructions of cube-free sets with re-verified certificates, and toric
-evaluation codes of small lattice polytopes.
+constructions of cube-free sets with certificates, and toric evaluation
+codes of small lattice polytopes.
 """
 
 __version__ = "0.1.0"

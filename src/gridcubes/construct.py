@@ -6,35 +6,29 @@ sets with no r-cube for a fixed r depending only on the target entropy gap.
 Both run the same resampling loop: sample every cell independently with
 probability p, find a violating cube, redraw exactly its vertex cells, and
 repeat.  Violation detection is the cube search itself: the bad events
-(the vertex sets of all r-cubes of the grid) are never listed.  Every
-redrawn cell is a vertex of a cube inside the set, so a redraw keeps it or
-drops it and only removes cells: each round's set is a subset of the last.
-A search that found its first cube at base cell iz proved that no base
-below iz holds a cube, in that set and so in every later one, and the next
-round searches only the cells from iz up.
+(the vertex sets of all r-cubes of the grid) are never listed.
 
-Every success is re-verified by a second search on a freshly built
-PointSet and shipped with a serializable certificate; failure and budget
-exhaustion are first-class, clearly distinguished outcomes.  That search
-runs the same core as the sampler (cubes._run_box_search) over all of S,
-while the sampler's last, conclusive round searched only the bases from
-the last violating cube's base up; so it covers the bases below that one
-again, but checks no base above it independently.
-
-Both run on the one GridBox that the process keeps (cubes._grid_box): the
-sampler's rounds, and its later calls on the same grid, share the grid's
-box, and the verifier reuses it when S spans the grid in every coordinate.
-A process keeps at most one box beyond the one its running search holds.
+The sampler's own searches prove the returned set cube-free, so a
+construction runs no second search:
+- each round's set is a subset of the last, since every redrawn cell is a
+  vertex of a cube inside the set and a redraw keeps it or drops it;
+- round i's search, whose first cube has base cell iz, shows that no cube
+  is based below iz, in its set and so in every later one, and the next
+  round searches only the cells from iz up;
+- the last round's "none" covers the rest.
+A certificate's `verified` is the sampler's success, and its witness the
+last round's cube; failure and budget exhaustion are first-class, clearly
+distinguished outcomes.  verify_construction searches a set afresh.
 """
 
 from __future__ import annotations
 
 import enum
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from math import floor
-from typing import Optional
+from typing import Callable, Optional
 
 from .bounds import (
     c_n_schedule,
@@ -96,12 +90,12 @@ def moser_tardos_sample(grid: GridParams, r: int, config: SamplerConfig) -> Samp
     initial sample (one draw per cell, in grid.index_of order) and every
     redraw, the violating cube is always the canonically smallest one, and
     its cells are redrawn in grid.index_of order.  The current set is a
-    cell mask of the grid's GridBox, the one the process keeps (see
-    above), so every round's search, and every search of a later call on
-    the same grid, shares the box's decoded cells and guard masks; a round
-    reads the violating cube's vertex cells straight from the search's
-    answer, and the PointSet, and the last violation's AffineCube when
-    rounds run out, are built once, at return.
+    cell mask of the grid's GridBox, kept by cubes._grid_box, so every
+    round's search, and every search of a later call on the same grid,
+    shares the box's decoded cells and guard masks; a round reads the
+    violating cube's vertex cells straight from the search's answer, and
+    the PointSet, and the last violation's AffineCube when rounds run out,
+    are built once, at return.
     A round searches the set with the cells below the last cube's base
     cleared (see above), and finds the cube a search of the whole set
     would, so the rounds, the random stream and the outcome do not change;
@@ -159,17 +153,8 @@ def verify_construction(
     notion: CubeNotion = DEFAULT_NOTION,
     budget: int = DEFAULT_BUDGET,
 ) -> VerifyReport:
-    """Re-check cube-freeness with a fresh search and recount the set.
-
-    The search runs on S's bounding box, which is the sampler's grid box,
-    kept by the process, when S spans the grid in every coordinate, and
-    runs the same core as the sampler, over every base of S.  On a
-    sampler's set it repeats the last round's search from the last
-    violating cube's base up, and searches the bases below it, which that
-    round skipped, again.  The box holds only what its geometry fixes, so
-    sharing it changes no check and no answer.  A budget blowup raises
-    (inconclusive); it never reports verified.
-    """
+    """Search S for an r-cube and count S.  A budget blowup raises
+    (inconclusive); it never reports verified."""
     witness = None
     if r >= 1 and len(s) > 0:
         witness = find_cube(s, r, notion, budget=budget)
@@ -216,6 +201,22 @@ def certificate_dict(
     if extras:
         cert.update(extras)
     return cert
+
+
+def _sample_and_certify(grid: GridParams, r: int, config: SamplerConfig,
+                        extras: Callable[[VerifyReport], dict]) -> ConstructionResult:
+    """Resample at config.p and certify the set from the sampler's own
+    searches (see above): CUBE_PERSISTS when its rounds ran out, else
+    VERIFIED, which the caller may turn into a missed target."""
+    outcome = moser_tardos_sample(grid, r, config)
+    s = outcome.point_set
+    report = VerifyReport(outcome.success, outcome.last_violation, s.density(), len(s))
+    cert = certificate_dict(grid, r, config.notion, config.p, config.seed, outcome.rounds,
+                            report, extras(report))
+    if not outcome.success:
+        return ConstructionResult(ConstructStatus.CUBE_PERSISTS, r, s, cert,
+                                  detail=f"an {r}-cube persisted after {outcome.rounds} rounds")
+    return ConstructionResult(ConstructStatus.VERIFIED, r, s, cert)
 
 
 def sparse_exponent_chain(n: int, N: int, eps, r: int) -> dict:
@@ -273,10 +274,10 @@ def construct_dense_small_M(
     """Dense set with no r-cube, r strictly between (1+eps/2)log2(n) and
     (1+eps)log2(n), at inclusion probability c_n.
 
-    Success needs an independently verified cube-free set whose realized
-    density sits within three binomial standard deviations of c_n.  At desk
-    scale the feasibility inequality may simply fail, and an honest failure
-    (or a budget blowup, raised) is a legitimate outcome.
+    Success needs a cube-free set, certified by the sampler's searches,
+    whose realized density sits within three binomial standard deviations
+    of c_n.  At desk scale the feasibility inequality may simply fail, and
+    an honest failure (or a budget blowup, raised) is a legitimate outcome.
     """
     eps = as_fraction(eps)
     grid = GridParams(N, n)
@@ -298,24 +299,20 @@ def construct_dense_small_M(
     }
     if p == 0:
         # Degenerate schedule (n < N^N): the empty set is trivially cube-free.
-        empty = PointSet.empty(grid)
-        report = verify_construction(empty, r, notion, budget)
+        report = VerifyReport(True, None, p, 0)  # the empty set has density c_n = 0
         cert = certificate_dict(grid, r, notion, p, seed, 0, report, extras)
-        return ConstructionResult(ConstructStatus.VERIFIED, r, empty, cert,
+        return ConstructionResult(ConstructStatus.VERIFIED, r, PointSet.empty(grid), cert,
                                   detail="degenerate schedule c_n = 0")
     config = SamplerConfig(p=p, seed=seed, max_rounds=max_rounds,
                            notion=notion, search_budget=budget)
-    outcome = moser_tardos_sample(grid, r, config)
-    report = verify_construction(outcome.point_set, r, notion, budget)
-    cert = certificate_dict(grid, r, notion, p, seed, outcome.rounds, report, extras)
-    if not (outcome.success and report.verified):
-        return ConstructionResult(ConstructStatus.CUBE_PERSISTS, r, outcome.point_set, cert,
-                                  detail=f"an {r}-cube persisted after {outcome.rounds} rounds")
+    res = _sample_and_certify(grid, r, config, lambda report: extras)
+    density = res.point_set.density()
     # density < c_n - 3 sigma, sigma^2 = c_n (1 - c_n) / N^n, decided exactly
-    if p > report.density and (p - report.density) ** 2 > 9 * p * (1 - p) / grid.size:
-        return ConstructionResult(ConstructStatus.DENSITY_MISSED, r, outcome.point_set, cert,
-                                  detail=f"density {report.density} below c_n - 3 sigma")
-    return ConstructionResult(ConstructStatus.VERIFIED, r, outcome.point_set, cert)
+    if (res.status is ConstructStatus.VERIFIED and p > density
+            and (p - density) ** 2 > 9 * p * (1 - p) / grid.size):
+        return replace(res, status=ConstructStatus.DENSITY_MISSED,
+                       detail=f"density {density} below c_n - 3 sigma")
+    return res
 
 
 def construct_sparse_bounded_M(
@@ -350,18 +347,12 @@ def construct_sparse_bounded_M(
         )
     config = SamplerConfig(p=p, seed=seed, max_rounds=max_rounds,
                            notion=notion, search_budget=budget)
-    outcome = moser_tardos_sample(grid, r, config)
-    report = verify_construction(outcome.point_set, r, notion, budget)
-    extras = {
+    res = _sample_and_certify(grid, r, config, lambda report: {
         "size_target": f"{N}^({n}*(1-{eps}))",
         "size_target_met": pow_at_least(report.cardinality, (1 - eps) * n, N),
         "exponent_chain": sparse_exponent_chain(n, N, eps, r),
-    }
-    cert = certificate_dict(grid, r, notion, p, seed, outcome.rounds, report, extras)
-    if not (outcome.success and report.verified):
-        return ConstructionResult(ConstructStatus.CUBE_PERSISTS, r, outcome.point_set, cert,
-                                  detail=f"an {r}-cube persisted after {outcome.rounds} rounds")
-    if not extras["size_target_met"]:
-        return ConstructionResult(ConstructStatus.SIZE_MISSED, r, outcome.point_set, cert,
-                                  detail=f"|S| = {report.cardinality} below the size target")
-    return ConstructionResult(ConstructStatus.VERIFIED, r, outcome.point_set, cert)
+    })
+    if res.status is ConstructStatus.VERIFIED and not res.certificate["size_target_met"]:
+        return replace(res, status=ConstructStatus.SIZE_MISSED,
+                       detail=f"|S| = {len(res.point_set)} below the size target")
+    return res

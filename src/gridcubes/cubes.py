@@ -31,19 +31,18 @@ of construct search cell masks of one box of the whole grid, whose guard
 masks and decoded cells all their subsets share.  Every box comes from one
 cached constructor that keeps the last box built in the process, so the
 searches of later calls on the same geometry share them too: the next
-sampler call on a grid, and the verifier of a set that spans every
-coordinate of the grid it was sampled on.  A process keeps at most one
-box beyond the one its running search holds.  A search pays for the
-cells it visits, not for |S|: it walks the bases low bit first straight
-off S's mask and stops at the first base with too few cells of S above
-it, and it decodes a cell only when it needs the cell's point, from the
-cell's two halves of coordinates, each decoded once per box.  For a
-subset of [2]^n the three notions coincide and the search tests none of
-them.  A search answers in cells, its cube's base cell and generator
-cells; GridBox.cube makes an AffineCube of them only where a cube is
-printed or returned, so the f loop and the sampler build none.  A box of
-more than grid.MATERIALIZE_LIMIT cells is refused.  The API and PointSet
-stay tuple-only.
+sampler call on a grid, and the next sampled f on it.  A process keeps
+at most one box beyond the one its running search holds.  A search pays
+for the cells it visits, not for |S|: it walks the bases low bit first
+straight off S's mask and stops at the first base with too few cells of
+S above it, and it decodes a cell only when it needs the cell's point,
+from the cell's two halves of coordinates, each decoded once per box.
+For a subset of [2]^n the three notions coincide and the search tests
+none of them.  A search answers in cells, its cube's base cell and
+generator cells; GridBox.cube makes an AffineCube of them only where a
+cube is printed or returned, so the f loop and the sampler build none.  A
+box of more than grid.MATERIALIZE_LIMIT cells is refused.  The API and
+PointSet stay tuple-only.
 
 Exhaustive f runs on the cells removed from the grid, not on its subsets:
 a qualifying set with no m-cube is the complement of a set of at most
@@ -590,6 +589,8 @@ def _run_box_search(
             descend(z, iz, hz, lz, rest, left, (), low, units)
     except _Stop:
         conclusive = best_m == target
+    finally:
+        del descend  # the recursive closure holds itself, and through it the box
     if target is not None and best_m != target:
         return _SearchOutcome(best_m, None, conclusive, checks)
     return _SearchOutcome(best_m, best, conclusive, checks)
@@ -769,11 +770,14 @@ def _least_m_over_removals(box: GridBox, k_min: int, notion: CubeNotion, budget:
                     barred |= bit
         return None
 
-    while mu:
-        s_mask = without_cube((1 << box.cells) - 1, box.cells - k_min, 0, 0)
-        if s_mask is None:
-            break
-        mu = _search(box, s_mask, notion, None, budget).best_m
+    try:
+        while mu:
+            s_mask = without_cube((1 << box.cells) - 1, box.cells - k_min, 0, 0)
+            if s_mask is None:
+                break
+            mu = _search(box, s_mask, notion, None, budget).best_m
+    finally:
+        del without_cube  # as in _run_box_search, a recursive closure holds the box
     return mu
 
 

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 import gridcubes
-from gridcubes import construct, toric
+from gridcubes import construct, cubes, toric
 from gridcubes.bounds import EqEpReport
 from gridcubes.cli import run, run_from_manifest
 from gridcubes.construct import DEFAULT_SEED
@@ -226,6 +226,61 @@ class TestConstruct:
     def test_dense_small_scale_verified(self):
         code, out = run(["--seed", "0", "construct", "dense", "8", "2", "1"])
         assert code == 0 and result_of(out)["status"] == "verified"
+
+    # exit code and output_checksum, as printed when each construction ran
+    # the sampler and then a second search of the returned set
+    PINNED = [
+        ("0 construct dense 7 2 1", 0, "46740be050dd666918c2f0f31e5acf51996627a2dd51f1d710e7df32d37208d6"),
+        ("0 construct dense 8 2 1", 0, "f0f17224951825c4c295837762f65611892c275b2643c3f67d55493fd411aa76"),
+        ("0 construct dense 9 2 1", 0, "24b5e65c922da99ed1992c4ac4b6200636508361e82f5cb3e06dccd45e68791e"),
+        ("0 construct sparse 12 2 1/2", 0, "a6187f1fbff0e4a18cf0d32ff561d5ce147ee96e779197da13224068bcee2a61"),
+        ("2 construct sparse 12 2 1/2", 4, "04bc5dc624b4b00316a28619d76b558c87d74e64cb0961d6936f080bbeb9095c"),
+        ("211 construct dense 5 2 1", 4, "dfc1a3de751395c02b72490e6afb0e7ebdcaeb1d397987a0550259e4ada72ff3"),
+        ("0 construct dense 9 2 1/3", 4, "faf83204df0153d20bb8e5de0ca5a741e7c33d435376fcfc14b01c3688287916"),
+        ("0 construct dense 9 2 1/3 --max-rounds 1", 4,
+         "bb401262b2614b0ed4fc39b37658c972282f9b52cd343e38fb12c5ed065150c2"),
+    ]
+
+    @pytest.mark.parametrize("args, code, checksum", PINNED, ids=[case[0] for case in PINNED])
+    def test_output_pinned(self, args, code, checksum):
+        got, out = run(["--seed"] + args.split())
+        assert (got, json.loads(out)["manifest"]["output_checksum"]) == (code, checksum)
+
+    @pytest.mark.parametrize("args, digest", [
+        ("8 2 1", "43eb388e1ea5cff18e34252506413b04d929261ee7608e7105c19a37f146b4c5"),
+        ("9 2 1/3 --max-rounds 1", "821e4a3de1c7024358012d856b94f62ce4b5d5bf6f7be238c7f1cf9662e8879e"),
+    ], ids=["verified", "cube-persists"])
+    def test_certificate_file_pinned(self, args, digest, tmp_path):
+        prefix = str(tmp_path / "run")
+        run(["--seed", "0", "construct", "dense"] + args.split() + ["--out", prefix])
+        assert hashlib.sha256((tmp_path / "run.cert.json").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("max_rounds, checks", [
+        ("100000", [5018, 573, 1444, 1308, 25447, 5645]),  # 5 rounds, density missed
+        ("1", [5018, 573]),  # cube persists
+    ])
+    def test_budget_exits_3_only_when_a_round_runs_out(self, max_rounds, checks, monkeypatch):
+        # the sampler's rounds are the only searches, so a budget that lets
+        # each of them finish prints the unbounded run's output
+        argv = ["--seed", "0", "construct", "dense", "9", "2", "1/3", "--max-rounds", max_rounds]
+        seen = []
+        search = cubes._run_box_search
+
+        def spy(*args):
+            found = search(*args)
+            seen.append(found.checks)
+            return found
+
+        monkeypatch.setattr(cubes, "_run_box_search", spy)
+        code, out = run(argv)
+        assert seen == checks
+        top = max(checks)
+        budgets = {c + d for c in checks for d in (-1, 0, 1)} | set(range(0, 2 * top, 997))
+        for budget in sorted(budgets):
+            got, text = run(["--budget", str(budget)] + argv)
+            assert got == (3 if budget < top else code), budget
+            if got != 3:
+                assert result_of(text) == result_of(out), budget
 
 
 class TestToric:

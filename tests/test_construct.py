@@ -18,7 +18,15 @@ from gridcubes.construct import (
     sparse_exponent_chain,
     verify_construction,
 )
-from gridcubes.cubes import AffineCube, CubeNotion, SearchBudgetExceeded, find_cube, find_cube_in_box
+from gridcubes.bounds import choose_r_sparse
+from gridcubes.cubes import (
+    AffineCube,
+    CubeNotion,
+    SearchBudgetExceeded,
+    find_cube,
+    find_cube_in_box,
+    m_value_oracle_all,
+)
 from gridcubes.grid import GridParams, PointSet
 
 
@@ -250,6 +258,58 @@ class TestCertificates:
         assert cert["witness"]["m"] == 1
 
 
+class TestCertificateSlowPath:
+    """A certificate is read off the sampler's searches; the naive oracle
+    and a fresh search of the returned set must agree with it."""
+
+    @staticmethod
+    def oracle_cube_free(s, r, notion):
+        return len(s) == 0 or m_value_oracle_all(s)[notion] < r
+
+    def test_constructions_against_oracle(self, monkeypatch):
+        dense, sparse = construct_dense_small_M, construct_sparse_bounded_M
+        cases = [(dense, 5, 2, eps, None, range(3)) for eps in (Fraction(1, 2), Fraction(1, 3))]
+        cases += [(dense, 5, 2, 1, None, [0, 1, 2, 211]),  # seed 211 misses the density
+                  (dense, 6, 2, 1, None, [0]), (dense, 3, 2, 1, None, [0]),  # the last has c_n = 0
+                  (sparse, 9, 2, Fraction(1, 2), None, [2])]
+        # the sparse r of a small eps needs more points than these grids
+        # sample, so r = 2 gives runs that resample and runs that end on a cube
+        cases += [(sparse, n, N, Fraction(1, n), 2, range(3)) for N, n in [(3, 3), (4, 3), (3, 4)]]
+        statuses = set()
+        resampled = 0
+        for build, n, N, eps, r, seeds in cases:
+            monkeypatch.setattr(construct, "choose_r_sparse", (lambda eps, r=r: r) if r else choose_r_sparse)
+            for notion in CubeNotion if N > 2 else [CubeNotion.INDEPENDENT_GENERATORS]:
+                for seed in seeds:
+                    for max_rounds in (1, 100):
+                        res = build(n, N, eps, seed=seed, max_rounds=max_rounds, notion=notion)
+                        cert = res.certificate
+                        assert cert["verified"] == self.oracle_cube_free(res.point_set, res.r, notion)
+                        report = verify_construction(res.point_set, res.r, notion).to_dict(notion)
+                        assert {k: cert.get(k) for k in report} == report
+                        statuses.add(res.status)
+                        resampled += cert["rounds"] > 0
+        assert statuses == set(ConstructStatus) - {ConstructStatus.NO_VALID_R}
+        assert resampled >= 30
+
+    def test_sampler_runs_against_oracle(self):
+        resampled = persisted = 0
+        for (N, n), r, p in [((2, 5), 3, Fraction(1, 2)), ((3, 3), 2, Fraction(1, 2)),
+                             ((4, 3), 2, Fraction(1, 3)), ((3, 4), 2, Fraction(1, 3)),
+                             ((5, 3), 2, Fraction(1, 4))]:
+            for notion in CubeNotion:
+                for seed in range(2):
+                    for max_rounds in (1, 100):
+                        config = SamplerConfig(p=p, seed=seed, max_rounds=max_rounds, notion=notion)
+                        out = moser_tardos_sample(GridParams(N, n), r, config)
+                        assert out.success == self.oracle_cube_free(out.point_set, r, notion)
+                        report = verify_construction(out.point_set, r, notion)
+                        assert (report.verified, report.witness) == (out.success, out.last_violation)
+                        resampled += out.rounds > 0
+                        persisted += not out.success
+        assert resampled >= 40 and persisted >= 20
+
+
 class TestSparseConstruction:
     def test_golden_seeds(self):
         # Pre-build pilot, frozen: seeds 0..9 at N=2, n=12, eps=1/2 give
@@ -312,17 +372,23 @@ class TestDenseConstruction:
         # realized density within three binomial sigmas of p = 1/2
         assert abs(cert["cardinality"] / 256 - 0.5) <= 3 * (0.25 / 256) ** 0.5
 
-    def test_verifier_reuses_the_samplers_box(self, monkeypatch):
-        # a verified set that spans [2]^9 in every coordinate has the grid's
-        # box as its bounding box, so the verifier searches the sampler's box
-        boxes = []
-        search = cubes._search
-        monkeypatch.setattr(cubes, "_search", lambda box, *args: boxes.append(box) or search(box, *args))
-        res = construct_dense_small_M(9, 2, 1, seed=0)
-        assert res.status is ConstructStatus.VERIFIED
-        assert all(len({p[i] for p in res.point_set}) == 2 for i in range(9))
-        assert len(boxes) == res.certificate["rounds"] + 2  # the rounds, the last search, the verifier
-        assert all(box is boxes[0] for box in boxes)
+    def test_one_search_per_round(self, monkeypatch):
+        # the certificate comes from the sampler's own searches: a run of k
+        # rounds searches k + 1 times and no more, and the degenerate
+        # schedule searches not at all
+        runs = []
+        search = cubes._run_box_search
+        monkeypatch.setattr(cubes, "_run_box_search", lambda *args: runs.append(args) or search(*args))
+        for build, n, eps, max_rounds, rounds in [
+                (construct_dense_small_M, 9, 1, 100, 0), (construct_dense_small_M, 9, Fraction(1, 3), 100, 5),
+                (construct_dense_small_M, 9, Fraction(1, 3), 1, 1),
+                (construct_sparse_bounded_M, 12, Fraction(1, 2), 100, 0)]:
+            runs.clear()
+            res = build(n, 2, eps, seed=0, max_rounds=max_rounds)
+            assert res.certificate["rounds"] == rounds
+            assert len(runs) == rounds + 1, (build.__name__, n, eps)
+        runs.clear()
+        assert construct_dense_small_M(3, 2, 1).status is ConstructStatus.VERIFIED and runs == []
 
     def test_budget_blowup_is_inconclusive(self):
         with pytest.raises(SearchBudgetExceeded):

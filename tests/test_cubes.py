@@ -458,13 +458,20 @@ class TestKeptBox:
         assert _box_of(pset(3, 3, [(0, 0, 0), (2, 1, 2)]))[0] is not box
 
     def test_one_box_is_kept(self):
-        first = weakref.ref(GridBox.of_grid(GridParams(2, 6)))
-        f_exhaustive(2, 6, Fraction(1, 4), samples=2, seed=0)
-        assert first() is not None  # the same geometry: still the kept box
-        m_value(PointSet.full(GridParams(3, 2)))
-        gc.collect()  # a search's recursive closure is a cycle that holds its box
-        assert first() is None
-        assert cubes._grid_box.cache_info().currsize == 1
+        # with the cyclic collector off: a search leaves no cycle that holds
+        # its box, so a box no cache keeps is freed at once
+        gc.disable()
+        try:
+            for n, call in [(6, lambda: f_exhaustive(2, 6, Fraction(1, 4), samples=2, seed=0)),
+                            (4, lambda: f_exhaustive(2, 4, Fraction(1, 2)))]:
+                first = weakref.ref(GridBox.of_grid(GridParams(2, n)))
+                call()
+                assert first() is not None  # the same geometry: still the kept box
+                m_value(PointSet.full(GridParams(3, 2)))
+                assert first() is None
+                assert cubes._grid_box.cache_info().currsize == 1
+        finally:
+            gc.enable()
 
     def test_refused_box_leaves_the_kept_box(self):
         box = GridBox.of_grid(GridParams(2, 6))
