@@ -7,7 +7,7 @@ data-only rows for tabulation.  Exit codes are a stable contract:
     0  success
     1  property-suite violation (verify only)
     2  input/parse error
-    3  inconclusive: a search or sampler budget, or the distance's word cap, ran out
+    3  inconclusive: a search budget, or the minimum distance's word cap, ran out
     4  honest construction failure (no valid r, persistent cube, missed target)
 
 Every run is reproducible bit-for-bit from its manifest: the manifest holds
@@ -45,7 +45,7 @@ from .cubes import (
 )
 from .grid import format_point_set, parse_point_set
 from .suites import run_suite
-from .toric import MessageCapExceeded, code_stats, parse_polytope
+from .toric import code_stats, parse_polytope
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -306,11 +306,7 @@ def run(argv: list[str]) -> tuple[int, str]:
             raise ValueError(f"--budget must be >= 0, got {args.budget}")
         return _HANDLERS[args.command](args)
     except SearchBudgetExceeded as exc:
-        result = {"status": "inconclusive", "best_m": exc.best_m}
-        return EXIT_INCONCLUSIVE, _emit(args, result, [result])
-    except MessageCapExceeded as exc:
-        result = {"status": "inconclusive", "min_distance_lower": exc.lower,
-                  "min_distance_upper": exc.upper}
+        result = {"status": "inconclusive", **exc.bounds}
         return EXIT_INCONCLUSIVE, _emit(args, result, [result])
     except (ValueError, ArithmeticError, OSError) as exc:
         return EXIT_INPUT, json.dumps({"error": str(exc)}) + "\n"

@@ -44,6 +44,7 @@ from .cubes import (
     DEFAULT_BUDGET,
     DEFAULT_NOTION,
     GridBox,
+    _check_budget,
     find_cube,
     find_cube_in_box,
 )
@@ -116,7 +117,7 @@ def moser_tardos_sample(grid: GridParams, r: int, config: SamplerConfig) -> Samp
     while True:
         cells = find_cube_in_box(box, searched, r, config.notion, config.search_budget)
         if cells is None or rounds >= config.max_rounds:
-            current = PointSet(grid, map(box.point, box.cells_of(included)))
+            current = PointSet._of_checked(grid, map(box.point, box.cells_of(included)))
             return SampleOutcome(current, rounds, cells is None, box.cube(cells) if cells else None)
         # cell_of reverses the n base-N digits of an index, so it also takes
         # a cell to its grid.index_of index
@@ -155,6 +156,7 @@ def verify_construction(
 ) -> VerifyReport:
     """Search S for an r-cube and count S.  A budget blowup raises
     (inconclusive); it never reports verified."""
+    _check_budget(budget)
     witness = None
     if r >= 1 and len(s) > 0:
         witness = find_cube(s, r, notion, budget=budget)
@@ -284,6 +286,7 @@ def construct_dense_small_M(
     grid.require_materializable("sample")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    _check_budget(budget)
     r = choose_r_dense(n, eps)
     if r is None:
         return ConstructionResult(

@@ -101,12 +101,12 @@ DEFAULT_NOTION = CubeNotion.INDEPENDENT_GENERATORS
 
 
 class SearchBudgetExceeded(RuntimeError):
-    """The check budget ran out before the search could certify its answer."""
+    """A search's budget ran out before it could certify its answer.  bounds
+    holds what it proved, the fields of an inconclusive result."""
 
-    def __init__(self, message: str, best_m: int = 0, witness: Optional["AffineCube"] = None):
+    def __init__(self, message: str, **bounds: int):
         super().__init__(message)
-        self.best_m = best_m
-        self.witness = witness
+        self.bounds = bounds
 
 
 def _leading_positive(v: Sequence[int]) -> bool:
@@ -616,15 +616,12 @@ def _search(
     """_run_box_search on a nonempty S, when its answer is certain: the
     cells of the target-dimension cube or None (target mode), or of the
     maximal cube (target=None).  Raises SearchBudgetExceeded, with the best
-    cube so far, when the budget ran out before the answer was certain."""
+    dimension so far, when the budget ran out before the answer was certain."""
     out = _run_box_search(box, s_mask, notion, target, budget)
     if out.conclusive:
         return out
     raise SearchBudgetExceeded(
-        f"budget {budget} exhausted before the answer was certified",
-        best_m=out.best_m,
-        witness=box.cube(out.cells) if out.cells else None,
-    )
+        f"budget {budget} exhausted before the answer was certified", best_m=out.best_m)
 
 
 def find_cube_in_box(

@@ -92,6 +92,14 @@ class PointSet:
         raise AttributeError("PointSet is immutable")
 
     @classmethod
+    def _of_checked(cls, grid: GridParams, points: Iterable[Point]) -> "PointSet":
+        """A PointSet of tuples already inside grid, which are not checked again."""
+        s = cls.__new__(cls)
+        object.__setattr__(s, "grid", grid)
+        object.__setattr__(s, "_points", frozenset(points))
+        return s
+
+    @classmethod
     def from_indices(cls, grid: GridParams, indices: Iterable[int]) -> "PointSet":
         return cls(grid, (grid.point_of(i) for i in indices))
 
@@ -139,7 +147,7 @@ class PointSet:
     def intersection(self, other: "PointSet") -> "PointSet":
         if self.grid != other.grid:
             raise ValueError("intersection requires a common grid")
-        return PointSet(self.grid, self._points & other._points)
+        return PointSet._of_checked(self.grid, self._points & other._points)
 
 
 def split_by_prefix(s: PointSet, r: int) -> dict[Point, PointSet]:
@@ -155,7 +163,7 @@ def split_by_prefix(s: PointSet, r: int) -> dict[Point, PointSet]:
     buckets: dict[Point, set[Point]] = {}
     for p in s.tuple_set:
         buckets.setdefault(p[:r], set()).add(p[r:])
-    return {a: PointSet(inner, suffixes) for a, suffixes in buckets.items()}
+    return {a: PointSet._of_checked(inner, suffixes) for a, suffixes in buckets.items()}
 
 
 def count_heavy_prefixes(s: PointSet, r: int, c) -> int:

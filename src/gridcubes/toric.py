@@ -20,7 +20,8 @@ from itertools import product
 from math import comb, prod
 from typing import Optional, Sequence
 
-from .cubes import CubeNotion, DEFAULT_BUDGET, DEFAULT_NOTION, m_value
+from .cubes import (CubeNotion, DEFAULT_BUDGET, DEFAULT_NOTION, SearchBudgetExceeded,
+                    _check_budget, m_value)
 from .grid import GridParams, Point, PointSet, format_rows, read_rows
 
 BOX_CAP = 10 ** 7  # enumerable bounding-box volume
@@ -51,13 +52,13 @@ def is_prime(q: int) -> bool:
     return True
 
 
-class MessageCapExceeded(ValueError):
+class MessageCapExceeded(SearchBudgetExceeded):
     """Minimum distance stopped by MESSAGE_CAP, inconclusive: lower <= d <= upper."""
 
     def __init__(self, lower: int, upper: int):
         super().__init__(f"minimum distance past the cap of {MESSAGE_CAP} words weighed: "
-                         f"{lower} <= d <= {upper}")
-        self.lower, self.upper = lower, upper
+                         f"{lower} <= d <= {upper}",
+                         min_distance_lower=lower, min_distance_upper=upper)
 
 
 @dataclass(frozen=True)
@@ -585,6 +586,7 @@ def code_stats(
     The cube dimension is computed on the lattice-point set of P viewed
     inside the grid [q-1]^n, so q must be at least 3.
     """
+    _check_budget(budget)
     if q < 3:
         raise ValueError(
             f"code statistics need q >= 3, got q = {q}: the cube dimension is "

@@ -4,6 +4,9 @@ from typing import Sequence
 
 import pytest
 
+from gridcubes.cubes import CubeNotion, anchored_cubes
+from gridcubes.intlinalg import is_primitive_system, rational_rank
+
 
 def _gf_rank(matrix: Sequence[Sequence[int]], q: int) -> int:
     rows = [list(r) for r in matrix]
@@ -32,3 +35,22 @@ def gf_rank():
     """Rank over F_q by a Gauss-Jordan elimination of its own, independent
     of toric._systematic."""
     return _gf_rank
+
+
+def _has_cube_naive(s, r: int, notion) -> bool:
+    """Whether S holds an r-cube under notion: the generator tuples of
+    cubes.anchored_cubes at r alone, tested for rank and unimodularity
+    directly.  Unlike m_value_oracle_all it enumerates no other level."""
+    for gens in anchored_cubes(s, r):
+        if notion is CubeNotion.VERTEX_INJECTIVE:
+            return True
+        if rational_rank(gens) == r and (notion is CubeNotion.INDEPENDENT_GENERATORS
+                                         or is_primitive_system(gens)):
+            return True
+    return False
+
+
+@pytest.fixture
+def has_cube_naive():
+    """The naive target-mode oracle: does S hold an r-cube under notion."""
+    return _has_cube_naive

@@ -8,6 +8,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import product as iproduct
 from pathlib import Path
 
 import pytest
@@ -370,6 +371,57 @@ class TestToric:
         assert result_of(outs[0][1])["min_distance"] == 16
 
 
+class TestInconclusive:
+    """Every exit 3 is a SearchBudgetExceeded, whose bounds are the result
+    block: the best dimension of a cube search, or the bracket of a minimum
+    distance stopped by its word cap."""
+
+    FILES = {
+        # [3]^4 at density about 1/2: one random.Random(0) draw per cell, in
+        # lexicographic order
+        "set.txt": lambda: "3 4\n" + "".join(
+            " ".join(map(str, p)) + "\n"
+            for p, x in zip(iproduct(range(3), repeat=4), iter(random.Random(0).random, None))
+            if x < 0.5),
+        "square5.poly": lambda: "5 2\n0 0\n1 0\n0 1\n1 1\n",
+        "square7.poly": lambda: "7 2\n0 0\n2 0\n0 2\n2 2\n",
+    }
+
+    # exit code and output_checksum of each kind of exit 3, as printed when
+    # the word cap had an exception type and an except clause of its own
+    PINNED = [
+        ("--budget 5 mvalue set.txt", None,
+         "ed7daf605d1608494b234f438f16b81d20bbe1f60675698f7d60d9b61e40446c"),
+        ("--budget 3 fexact 2 4 1/2", None,
+         "ddb77b0b05ad1a15c91257c1b7d266b8221c349a367b3c4a7c8fcee54fb9d9ed"),
+        ("--budget 100 --seed 0 construct dense 9 2 1/3", None,
+         "11a3ff9e840011fc97b7d4a763634a7c043b822dc18434f41f1d1ee5979e6c13"),
+        ("--budget 1 toric square5.poly", None,
+         "ddb77b0b05ad1a15c91257c1b7d266b8221c349a367b3c4a7c8fcee54fb9d9ed"),
+        ("toric square7.poly", 2000,
+         "9f6a31131a36783b0c25fabc0d56fca4dfcf70554fdf179cbb23dd0ea0ca6342"),
+    ]
+
+    @pytest.mark.parametrize("args, cap, checksum", PINNED, ids=[case[0] for case in PINNED])
+    def test_output_pinned(self, args, cap, checksum, tmp_path, monkeypatch):
+        if cap is not None:
+            monkeypatch.setattr(toric, "MESSAGE_CAP", cap)
+        argv = []
+        for arg in args.split():
+            if arg in self.FILES:
+                (tmp_path / arg).write_text(self.FILES[arg]())
+                arg = str(tmp_path / arg)
+            argv.append(arg)
+        code, out = run(argv)
+        assert (code, json.loads(out)["manifest"]["output_checksum"]) == (3, checksum)
+
+    def test_word_cap_is_a_search_budget(self):
+        assert issubclass(toric.MessageCapExceeded, cubes.SearchBudgetExceeded)
+        assert not issubclass(toric.MessageCapExceeded, ValueError)
+        stop = toric.MessageCapExceeded(6, 16)
+        assert stop.bounds == {"min_distance_lower": 6, "min_distance_upper": 16}
+
+
 class TestVerify:
     def test_lemma_suite_passes(self):
         code, out = run(["verify", "intersection", "--count", "60"])
@@ -397,6 +449,13 @@ class TestVerify:
 
     def test_unknown_suite_exits_2(self):
         assert run(["verify", "bogus"])[0] == 2
+
+    def test_all_stdout_pinned(self):
+        # the whole stdout of `gridcubes verify all`, manifest included
+        code, out = run(["verify", "all"])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "b96f4bbc5e1a034f8d5638523aead22e6a72c79ca6e6f753a72487fdf02bc346")
 
 
 class TestBadNumericFlags:

@@ -215,6 +215,11 @@ class TestVerifyConstruction:
         report = verify_construction(PointSet.empty(GridParams(2, 4)), 2)
         assert report.verified and report.cardinality == 0
 
+    def test_negative_budget_rejected_before_the_empty_set_answers(self):
+        for s, r in ((PointSet.empty(GridParams(2, 3)), 2), (PointSet.full(GridParams(2, 2)), 0)):
+            with pytest.raises(ValueError, match="budget must be >= 0"):
+                verify_construction(s, r, budget=-1)
+
     def test_full_grid_fails_with_witness(self):
         s = PointSet.full(GridParams(2, 3))
         for r in (1, 2, 3):
@@ -292,7 +297,7 @@ class TestCertificateSlowPath:
         assert statuses == set(ConstructStatus) - {ConstructStatus.NO_VALID_R}
         assert resampled >= 30
 
-    def test_sampler_runs_against_oracle(self):
+    def test_sampler_runs_against_oracle(self, has_cube_naive):
         resampled = persisted = 0
         for (N, n), r, p in [((2, 5), 3, Fraction(1, 2)), ((3, 3), 2, Fraction(1, 2)),
                              ((4, 3), 2, Fraction(1, 3)), ((3, 4), 2, Fraction(1, 3)),
@@ -303,11 +308,27 @@ class TestCertificateSlowPath:
                         config = SamplerConfig(p=p, seed=seed, max_rounds=max_rounds, notion=notion)
                         out = moser_tardos_sample(GridParams(N, n), r, config)
                         assert out.success == self.oracle_cube_free(out.point_set, r, notion)
+                        assert out.success != has_cube_naive(out.point_set, r, notion)
                         report = verify_construction(out.point_set, r, notion)
                         assert (report.verified, report.witness) == (out.success, out.last_violation)
                         resampled += out.rounds > 0
                         persisted += not out.success
         assert resampled >= 40 and persisted >= 20
+
+    def test_sampler_sets_on_a_larger_grid(self, has_cube_naive):
+        # one round leaves 70 points of [8]^3, where m_value_oracle_all,
+        # which enumerates every level, takes over a minute; the naive
+        # check at r alone takes milliseconds
+        outcomes = set()
+        for notion in CubeNotion:
+            for max_rounds in (1, construct.DEFAULT_MAX_ROUNDS):
+                config = SamplerConfig(p=Fraction(1, 8), seed=0, max_rounds=max_rounds, notion=notion)
+                out = moser_tardos_sample(GridParams(8, 3), 2, config)
+                assert out.success != has_cube_naive(out.point_set, 2, notion)
+                report = verify_construction(out.point_set, 2, notion)
+                assert (report.verified, report.witness) == (out.success, out.last_violation)
+                outcomes.add((max_rounds, out.success, out.rounds > 0))
+        assert outcomes == {(1, False, True), (construct.DEFAULT_MAX_ROUNDS, True, True)}
 
 
 class TestSparseConstruction:
@@ -400,6 +421,11 @@ class TestDenseConstruction:
         for bad in (0, -7):
             with pytest.raises(ValueError, match="max_rounds"):
                 construct_dense_small_M(3, 2, 1, max_rounds=bad)
+        # so is a negative budget, which neither the c_n = 0 path nor the
+        # no-valid-r one hands a SamplerConfig
+        for n, eps in ((3, 1), (16, Fraction(1, 2))):
+            with pytest.raises(ValueError, match="budget must be >= 0"):
+                construct_dense_small_M(n, 2, eps, budget=-1)
 
 
 class TestHypergeometricBound:

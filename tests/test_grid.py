@@ -252,3 +252,24 @@ class TestPointSetObject:
         b = PointSet.full(GridParams(2, 3))
         with pytest.raises(ValueError):
             a.intersection(b)
+
+    def test_sets_of_checked_points_are_not_checked_again(self, monkeypatch):
+        # intersection, split_by_prefix and the sampler's returned set hold
+        # points of sets or boxes already inside their grid
+        from gridcubes.construct import SamplerConfig, moser_tardos_sample
+
+        rng = random.Random(3)
+        a, b = small_set(3, 3, rng), small_set(3, 3, rng)
+        expected = (set(a.tuple_set & b.tuple_set),
+                    {p: set(t.tuple_set) for p, t in split_by_prefix(a, 1).items()})
+        sample_grid = GridParams(2, 5)
+        config = SamplerConfig(p=Fraction(1, 2), seed=0, max_rounds=1)
+        sample = set(moser_tardos_sample(sample_grid, 3, config).point_set.tuple_set)
+
+        def refuse(grid, point):
+            raise AssertionError(f"checked {point} again")
+
+        monkeypatch.setattr(GridParams, "check_point", refuse)
+        assert set(a.intersection(b).tuple_set) == expected[0]
+        assert {p: set(t.tuple_set) for p, t in split_by_prefix(a, 1).items()} == expected[1]
+        assert set(moser_tardos_sample(sample_grid, 3, config).point_set.tuple_set) == sample

@@ -495,7 +495,7 @@ class TestMinimumDistance:
         matrix = tuple(tuple(rng.randrange(1009) for _ in range(12)) for _ in range(6))
         code = ToricCode(PrimeField(1009), segment(0), ((0,),) * 6, matrix, 12)
         assert gf_rank(matrix, 1009) == 6
-        with pytest.raises(ValueError, match=r"cap.* \d+ <= d <= \d+$"):
+        with pytest.raises(toric.MessageCapExceeded, match=r"cap.* \d+ <= d <= \d+$"):
             minimum_distance(code)
 
     def test_small_cap_refuses_before_weighing_past_it(self, monkeypatch):
@@ -517,7 +517,8 @@ class TestMinimumDistance:
             words.clear()
             with pytest.raises(toric.MessageCapExceeded) as stop:
                 minimum_distance(code)
-            assert stop.value.lower <= 16 <= stop.value.upper
+            bounds = stop.value.bounds
+            assert bounds["min_distance_lower"] <= 16 <= bounds["min_distance_upper"]
             assert len(words) == weighed
 
 @pytest.fixture(scope="module")
@@ -671,6 +672,14 @@ class TestCodeStats:
         assert (code.block_length, code.dimension, minimum_distance(code)) == (1, 1, 1)
         with pytest.raises(ValueError, match=r"q >= 3, got q = 2.*\[q-1\]\^n"):
             code_stats(LatticePolytope([(0,)]), 2)
+
+    def test_negative_budget_rejected_before_minimum_distance(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("computed a minimum distance")
+
+        monkeypatch.setattr(toric, "minimum_distance", refuse)
+        with pytest.raises(ValueError, match="budget must be >= 0"):
+            code_stats(segment(2), 5, budget=-1)
 
     def test_rates_at_most_one(self):
         for poly, q in [(segment(1), 3), (LatticePolytope([(0, 0), (1, 1)]), 5)]:
