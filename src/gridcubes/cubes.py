@@ -29,20 +29,25 @@ bit-parallel clique search, San Segundo et al. 2011).  find_cube and
 m_value search S's own bounding box; f_exhaustive and the resampling loop
 of construct search cell masks of one box of the whole grid, whose guard
 masks and decoded cells all their subsets share.  Every box comes from one
-cached constructor that keeps the last box built in the process, so the
-searches of later calls on the same geometry share them too: the next
-sampler call on a grid, and the next sampled f on it.  A process keeps
-at most one box beyond the one its running search holds.  A search pays
-for the cells it visits, not for |S|: it walks the bases low bit first
-straight off S's mask and stops at the first base with too few cells of
-S above it, and it decodes a cell only when it needs the cell's point,
-from the cell's two halves of coordinates, each decoded once per box.
-For a subset of [2]^n the three notions coincide and the search tests
-none of them.  A search answers in cells, its cube's base cell and
-generator cells; GridBox.cube makes an AffineCube of them only where a
-cube is printed or returned, so the f loop and the sampler build none.  A
-box of more than grid.MATERIALIZE_LIMIT cells is refused.  The API and
-PointSet stay tuple-only.
+cached constructor that keeps the boxes of the last eight geometries
+built in the process, so the searches of later calls on those geometries
+share them too: the next sampler call on a grid, the next sampled f on
+it, and the next M(S) of a set with the same bounding box, though other
+geometries come between, as in a pool that cycles through five.  A
+process keeps at most eight boxes beyond the one its running search
+holds.  A search pays for the cells it visits, not for |S|: it walks the
+bases low bit first straight off S's mask and stops at the first base
+with too few cells of S above it, and it decodes a cell only when it
+needs the cell's point, from the cell's two halves of coordinates, each
+decoded once per box.  A shift's notion tests run first only where they
+can raise the best dimension found; elsewhere they run only for a child
+that passes its count and is entered, since the count rejects most
+shifts and costs less.  For a subset of [2]^n the three notions coincide
+and the search tests none of them.  A search answers in cells, its cube's
+base cell and generator cells; GridBox.cube makes an AffineCube of them
+only where a cube is printed or returned, so the f loop and the sampler
+build none.  A box of more than grid.MATERIALIZE_LIMIT cells is refused.
+The API and PointSet stay tuple-only.
 
 Exhaustive f runs on the cells removed from the grid, not on its subsets:
 a qualifying set with no m-cube is the complement of a set of at most
@@ -69,7 +74,7 @@ import math
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from operator import mul
+from operator import mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
 from .exactmath import as_fraction
@@ -123,7 +128,7 @@ def _add(p: Point, d: Sequence[int]) -> Point:
 
 
 def _sub(p: Point, q: Point) -> tuple[int, ...]:
-    return tuple(a - b for a, b in zip(p, q))
+    return tuple(map(sub, p, q))
 
 
 @dataclass(frozen=True)
@@ -246,8 +251,9 @@ class GridBox:
     Everything a box holds, its decoded halves and cells and its guard
     masks, is a pure function of its lows and widths, so one box serves
     every search on its geometry with the same checks and answers, and the
-    package builds its boxes through _grid_box, which keeps the last one.
-    Nothing search-specific may be stored on a box.
+    package builds its boxes through _grid_box, which keeps the boxes of
+    the last eight geometries.  Nothing search-specific may be stored on a
+    box.
     """
 
     __slots__ = ("dim", "lows", "widths", "strides", "cells", "origin", "h",
@@ -386,13 +392,14 @@ class GridBox:
         return mask
 
 
-@functools.lru_cache(maxsize=1)
+@functools.lru_cache(maxsize=8)
 def _grid_box(lows: tuple[int, ...], widths: tuple[int, ...]) -> GridBox:
-    """The GridBox of these lows and widths, the last one asked for kept
-    per process: repeated searches on one geometry share its decoded cells
-    and guard masks across calls.  One and not more, since the searches
-    that repeat a geometry run back to back; a box refused over
-    MATERIALIZE_LIMIT raises and leaves the kept box in place."""
+    """The GridBox of these lows and widths, the boxes of the last eight
+    geometries asked for kept per process, least recently used freed
+    first: repeated searches on one geometry share its decoded cells and
+    guard masks across calls, even when the calls cycle through several
+    geometries, as a run of commands on five grids does.  A box refused
+    over MATERIALIZE_LIMIT raises and leaves the kept boxes in place."""
     return GridBox(lows, widths)
 
 
@@ -461,14 +468,21 @@ def _run_box_search(
     The box decodes each cell from its two halves (see GridBox), so nothing
     here costs a pass over S.
 
-    A check is one valid shift tried.  It tests injectivity, V and V + d
-    disjoint as vmask & (vmask << o) (vertex-injective notion only;
-    independence implies it), then independence and unimodularity: a node
-    carries the free columns left by eliminating its generators (see
-    intlinalg), d is rejected when red = reduce_against(d, cols) is None or,
-    for the unimodular notion, gcd(red) != 1, and the child gets
-    eliminate(red, cols).  At a base the free columns are the unit columns,
-    so red = d without a call; they are built only when tests run.  When
+    A check is one valid shift tried.  Its notion tests (admit) are
+    injectivity, V and V + d disjoint as vmask & (vmask << o)
+    (vertex-injective notion only; independence implies it), then
+    independence and unimodularity: a node carries the free columns left by
+    eliminating its generators (see intlinalg), d is rejected when
+    red = reduce_against(d, cols) is None or, for the unimodular notion,
+    gcd(red) != 1, and the child gets eliminate(red, cols).  At a base the
+    free columns are the unit columns, so red = d without a call; they are
+    built only when tests run.  Only a check with m >= best_m can raise
+    best_m, so only it runs its tests first; any other check runs them only
+    once its child has passed the guarded count and is about to be entered.
+    A failed test only keeps the child out, so the deferral changes no
+    check, witness or bound, and it spares the tests of the checks the
+    count ends, about nine in ten (as bit-parallel clique search pays for
+    per-vertex work only on the branches it takes).  When
     the box spans at most two values per coordinate, as every box of [2]^n
     does, every notion holds and no test runs: on the support of g_j both
     v and v + g_j lie in {a, a + 1}, so a valid d is zero there, and
@@ -498,6 +512,7 @@ def _run_box_search(
     unimodular = notion is CubeNotion.UNIMODULAR
     test_injective = injective_only and not two_valued
     test_linalg = not injective_only and not two_valued
+    tests = test_injective or test_linalg
     units = unit_columns(n) if test_linalg else None
 
     best_m = 0
@@ -520,6 +535,22 @@ def _run_box_search(
 
     fill_need()
 
+    def admit(k, o, z, m, vmask, cols):
+        """The notion's tests of shift k, cell k - z: None when it fails
+        them, else the reduced shift, that eliminate takes for the child's
+        free columns (() for the vertex-injective notion)."""
+        if test_injective:
+            return None if vmask & (vmask << o) else ()
+        # at m = 0 the free columns are the unit columns
+        red = _sub((decoded.get(k) or decode(k))[0], z)
+        if m:
+            red = reduce_against(red, cols)
+            if red is None:
+                return None
+        if unimodular and math.gcd(*red) != 1:
+            return None
+        return red
+
     def descend(z, iz, hz, lz, rest, left, ks, vmask, cols):
         nonlocal best_m, best, checks
         m = len(ks)
@@ -533,19 +564,10 @@ def _run_box_search(
             left -= 1
             k = low.bit_length() - 1
             o = k - iz
-            if test_injective and vmask & (vmask << o):
-                continue
-            red = None
-            if test_linalg:
-                # at m = 0 the free columns are the unit columns
-                red = _sub((decoded.get(k) or decode(k))[0], z)
-                if m:
-                    red = reduce_against(red, cols)
-                    if red is None:
-                        continue
-                if unimodular and math.gcd(*red) != 1:
+            tested = m >= best_m  # only such a check can raise best_m: test it now
+            if tested:
+                if tests and (red := admit(k, o, z, m, vmask, cols)) is None:
                     continue
-            if m + 1 > best_m:
                 best_m = m + 1
                 best = (iz, ks + (k,))
                 if best_m == target:
@@ -567,13 +589,16 @@ def _run_box_search(
                 gl = guard(guard_lo, lc - lz, range(h, n), k, z)
             child &= gh & gl
             count = child.bit_count()
-            if count >= stop_child:
-                descend(
-                    z, iz, hz, lz, child, count, ks + (k,),
-                    vmask | (vmask << o) if test_injective else vmask,
-                    eliminate(red, cols) if test_linalg else cols,
-                )
-                stop, stop_child = need[m], need[m + 1]
+            if count < stop_child:
+                continue
+            if tests and not tested and (red := admit(k, o, z, m, vmask, cols)) is None:
+                continue
+            descend(
+                z, iz, hz, lz, child, count, ks + (k,),
+                vmask | (vmask << o) if test_injective else vmask,
+                eliminate(red, cols) if test_linalg else cols,
+            )
+            stop, stop_child = need[m], need[m + 1]
 
     conclusive = True
     try:
@@ -798,9 +823,9 @@ def f_exhaustive(
     indices, and f is the least M among them.
 
     Every set searched is a cell mask of the GridBox of [N]^n that the
-    process keeps (see _grid_box), so the searches, of this call and of the
-    calls before it on the same grid, share its decoded points and guard
-    masks and no PointSet is built; the searches answer in cells, so no
+    process keeps (see _grid_box, which keeps eight geometries), so the
+    searches, of this call and of the earlier calls on the same grid,
+    share its decoded points and guard masks and no PointSet is built; the searches answer in cells, so no
     AffineCube is built either.  Each search has the whole budget.
     """
     _check_budget(budget)

@@ -56,10 +56,14 @@ class GridParams:
         return idx
 
     def point_of(self, index: int) -> Point:
-        coords = []
+        """The point of an index_of index, which must lie in [0, N^n)."""
+        coords, rest = [], index
         for _ in range(self.dim):
-            index, rem = divmod(index, self.base)
+            rest, rem = divmod(rest, self.base)
             coords.append(rem)
+        if rest:  # past N^n, or negative: the quotient never reaches 0
+            N, n = self.base, self.dim
+            raise ValueError(f"index {index} outside [0, {N}^{n}) of grid [{N}]^{n}")
         return tuple(coords)
 
     def require_materializable(self, action: str) -> None:
@@ -101,7 +105,9 @@ class PointSet:
 
     @classmethod
     def from_indices(cls, grid: GridParams, indices: Iterable[int]) -> "PointSet":
-        return cls(grid, (grid.point_of(i) for i in indices))
+        """The points of these index_of indices; an index outside [0, N^n)
+        raises ValueError."""
+        return cls(grid, map(grid.point_of, indices))
 
     @classmethod
     def full(cls, grid: GridParams) -> "PointSet":
@@ -223,7 +229,7 @@ def read_rows(text: str, kind: str, header: str, row: str, make: Callable[[int, 
         if len(parts) != n:
             raise ValueError(f"expected {n} coordinates, got {ln!r}")
         try:
-            p = tuple(int(x) for x in parts)
+            p = tuple(map(int, parts))
         except ValueError as exc:
             raise ValueError(f"non-integer coordinate in {ln!r}") from exc
         if p in rows:

@@ -233,6 +233,37 @@ class TestSearchChecksGate:
                 assert over.checks <= over_checks
 
 
+class TestReduceCallsGate:
+    """An upper bound on the search's reduce_against calls.  A check that
+    cannot raise the best dimension runs its notion tests only when its
+    child passes the guarded count and is entered; testing every check
+    first took 2,401 calls on this sweep, for the same 33,960 checks."""
+
+    CASES = [(3, 4, 40), (3, 5, 60), (5, 3, 50)]  # (N, n, |S|), three seeded sets each
+    MAX_CALLS = 194
+
+    def test_reduce_calls_bounded(self, monkeypatch):
+        calls = 0
+        reduce_against = cubes.reduce_against
+
+        def spy(*args):
+            nonlocal calls
+            calls += 1
+            return reduce_against(*args)
+
+        monkeypatch.setattr(cubes, "reduce_against", spy)
+        for N, n, size in self.CASES:
+            grid = GridParams(N, n)
+            rng = random.Random(0)
+            for _ in range(3):
+                s = PointSet.from_indices(grid, rng.sample(range(grid.size), size))
+                for notion in CubeNotion:
+                    best = _run_box_search(*_box_of(s), notion, None, DEFAULT_BUDGET)
+                    over = _run_box_search(*_box_of(s), notion, best.best_m + 1, DEFAULT_BUDGET)
+                    assert best.conclusive and over.conclusive and over.cells is None
+        assert 0 < calls <= self.MAX_CALLS
+
+
 # A search outcome with its cells decoded to the witness cube, in the form
 # (and under the name) whose repr TestSearchDigest pins.
 Decoded = namedtuple("_SearchOutcome", "best_m witness conclusive checks")
@@ -447,8 +478,9 @@ class TestBoxIndexing:
 
 class TestKeptBox:
     """The package builds its boxes through cubes._grid_box, which keeps the
-    last one: searches on one geometry share a box across calls, which may
-    change no answer and no check count, and one box at most is kept."""
+    boxes of the last eight geometries asked for: searches on one geometry
+    share a box across calls, which may change no answer and no check
+    count, and a ninth geometry frees the least recently used box."""
 
     def test_one_geometry_one_box(self):
         grid = GridParams(3, 3)
@@ -458,18 +490,25 @@ class TestKeptBox:
         assert _box_of(pset(3, 3, [(0, 0, 0), (2, 1, 2)]))[0] is not box
 
     def test_one_box_is_kept(self):
-        # with the cyclic collector off: a search leaves no cycle that holds
-        # its box, so a box no cache keeps is freed at once
+        # one box per geometry, for eight geometries; with the cyclic
+        # collector off: a search leaves no cycle that holds its box, so a
+        # box no cache keeps is freed at once
         gc.disable()
         try:
-            for n, call in [(6, lambda: f_exhaustive(2, 6, Fraction(1, 4), samples=2, seed=0)),
-                            (4, lambda: f_exhaustive(2, 4, Fraction(1, 2)))]:
-                first = weakref.ref(GridBox.of_grid(GridParams(2, n)))
-                call()
-                assert first() is not None  # the same geometry: still the kept box
-                m_value(PointSet.full(GridParams(3, 2)))
-                assert first() is None
-                assert cubes._grid_box.cache_info().currsize == 1
+            cubes._grid_box.cache_clear()
+            kept = {n: weakref.ref(GridBox.of_grid(GridParams(2, n))) for n in range(4, 12)}
+            assert cubes._grid_box.cache_info().currsize == 8
+            f_exhaustive(2, 6, Fraction(1, 4), samples=2, seed=0)
+            f_exhaustive(2, 4, Fraction(1, 2))  # [2]^4 was the least recently used
+            assert all(ref() is not None for ref in kept.values())
+            m_value(PointSet.full(GridParams(3, 2)))  # a ninth geometry
+            assert kept.pop(5)() is None  # [2]^5 is now the least recently used
+            assert all(ref() is not None for ref in kept.values())
+            assert cubes._grid_box.cache_info().currsize == 8
+            for N in range(4, 11):  # seven more geometries free the other seven boxes
+                m_value(PointSet.full(GridParams(N, 2)))
+                assert cubes._grid_box.cache_info().currsize == 8
+            assert all(ref() is None for ref in kept.values())
         finally:
             gc.enable()
 

@@ -39,6 +39,17 @@ class TestGridParams:
         for idx in range(grid.size):
             assert grid.index_of(grid.point_of(idx)) == idx
 
+    def test_index_outside_the_grid_is_refused(self):
+        # both ends of [0, N^n): no index wraps around to a cell of the grid
+        grid = GridParams(2, 2)
+        assert PointSet.from_indices(grid, [0, 3]).points() == [(0, 0), (1, 1)]
+        for idx in (4, 5, -1, -4):
+            with pytest.raises(ValueError, match=rf"index {idx} outside \[0, 2\^2\)"):
+                PointSet.from_indices(grid, [0, idx])
+        assert GridParams(5, 0).point_of(0) == ()
+        with pytest.raises(ValueError, match="index 1 outside"):
+            GridParams(5, 0).point_of(1)
+
     def test_materialize_limit(self):
         # N >= 2, so n > 24 is refused without building N^n, and the message
         # names N^n rather than its digits
