@@ -94,10 +94,12 @@ def moser_tardos_sample(grid: GridParams, r: int, config: SamplerConfig) -> Samp
     cell mask of the grid's GridBox, kept by cubes._grid_box with the
     boxes of seven other geometries, so every round's search, and every
     search of a later call on the same grid, even after searches on other
-    geometries, shares the box's decoded cells and guard masks; a round
-    reads the violating cube's vertex cells straight from the search's
-    answer, and the PointSet, and the last violation's AffineCube when
-    rounds run out, are built once, at return.
+    geometries, shares what the box keeps: its decoded cells, guard masks
+    and unit columns, and the index map that takes grid.index_of indices
+    to cells, built by the first call on the grid.  A round reads the
+    violating cube's vertex cells straight from the search's answer, and
+    the PointSet, and the last violation's AffineCube when rounds run out,
+    are built once, at return.
     A round searches the set with the cells below the last cube's base
     cleared (see above), and finds the cube a search of the whole set
     would, so the rounds, the random stream and the outcome do not change;

@@ -28,26 +28,26 @@ mask against indices that wrap around the box, gives each child (as in
 bit-parallel clique search, San Segundo et al. 2011).  find_cube and
 m_value search S's own bounding box; f_exhaustive and the resampling loop
 of construct search cell masks of one box of the whole grid, whose guard
-masks and decoded cells all their subsets share.  Every box comes from one
-cached constructor that keeps the boxes of the last eight geometries
-built in the process, so the searches of later calls on those geometries
-share them too: the next sampler call on a grid, the next sampled f on
-it, and the next M(S) of a set with the same bounding box, though other
-geometries come between, as in a pool that cycles through five.  A
-process keeps at most eight boxes beyond the one its running search
-holds.  A search pays for the cells it visits, not for |S|: it walks the
-bases low bit first straight off S's mask and stops at the first base
-with too few cells of S above it, and it decodes a cell only when it
-needs the cell's point, from the cell's two halves of coordinates, each
-decoded once per box.  A shift's notion tests run first only where they
-can raise the best dimension found; elsewhere they run only for a child
-that passes its count and is entered, since the count rejects most
-shifts and costs less.  For a subset of [2]^n the three notions coincide
-and the search tests none of them.  A search answers in cells, its cube's
-base cell and generator cells; GridBox.cube makes an AffineCube of them
-only where a cube is printed or returned, so the f loop and the sampler
-build none.  A box of more than grid.MATERIALIZE_LIMIT cells is refused.
-The API and PointSet stay tuple-only.
+masks, decoded cells, unit columns and index map all their subsets
+share.  Every box comes from one cached constructor that keeps the boxes
+of the last eight geometries built in the process, so the searches of
+later calls on those geometries share them too: the next sampler call on
+a grid, the next sampled f on it, and the next M(S) of a set with the
+same bounding box, though other geometries come between, as in a pool
+that cycles through five.  A process keeps at most eight boxes beyond
+the one its running search holds.  A search pays for the cells it
+visits, not for |S|: it walks the bases low bit first straight off S's
+mask and stops at the first base with too few cells of S above it, and it
+decodes a cell only when it needs the cell's point, from the cell's two
+halves of coordinates, each decoded once per box.  A shift's notion tests
+run first only where they can raise the best dimension found; elsewhere
+they run only for a child that passes its count and is entered, since the
+count rejects most shifts and costs less.  For a subset of [2]^n the three
+notions coincide and the search tests none of them.  A search answers in
+cells, its cube's base cell and generator cells; GridBox.cube makes an
+AffineCube of them only where a cube is printed or returned, so the f loop
+and the sampler build none.  A box of more than grid.MATERIALIZE_LIMIT
+cells is refused.  The API and PointSet stay tuple-only.
 
 Exhaustive f runs on the cells removed from the grid, not on its subsets:
 a qualifying set with no m-cube is the complement of a set of at most
@@ -248,16 +248,24 @@ class GridBox:
     share (see _run_box_search).  A box of more than MATERIALIZE_LIMIT
     cells raises ValueError before any mask is built.
 
-    Everything a box holds, its decoded halves and cells and its guard
-    masks, is a pure function of its lows and widths, so one box serves
-    every search on its geometry with the same checks and answers, and the
-    package builds its boxes through _grid_box, which keeps the boxes of
-    the last eight geometries.  Nothing search-specific may be stored on a
-    box.
+    It keeps three more things, each built once: whether it spans at most
+    two values per coordinate (two_valued, where no notion test runs), its
+    unit columns (units, built on first use by a search that tests
+    independence and never changed: eliminate copies them, reduce_against
+    only reads them), and the function of index_map with its two digit
+    tables of at most N^ceil(n/2) entries, built on its first call.
+
+    Everything a box holds, its decoded halves and cells, its guard masks
+    and the three above, is a pure function of its lows and widths, so one
+    box serves every search on its geometry with the same checks and
+    answers, and the package builds its boxes through _grid_box, which
+    keeps the boxes of the last eight geometries.  Nothing search-specific
+    may be stored on a box.
     """
 
-    __slots__ = ("dim", "lows", "widths", "strides", "cells", "origin", "h",
-                 "split", "high", "low", "decoded", "guard_hi", "guard_lo", "__weakref__")
+    __slots__ = ("dim", "lows", "widths", "strides", "cells", "origin", "h", "split", "high",
+                 "low", "decoded", "guard_hi", "guard_lo", "two_valued", "units", "cell_of",
+                 "__weakref__")
 
     def __init__(self, lows: Sequence[int], widths: Sequence[int]):
         cells = math.prod(widths)
@@ -282,6 +290,9 @@ class GridBox:
         self.decoded: dict[int, tuple[Point, int, int]] = {}
         self.guard_hi: dict[int, int] = {}
         self.guard_lo: dict[int, int] = {}
+        self.two_valued = max(widths, default=2) <= 2
+        self.units: Optional[tuple[tuple[int, ...], ...]] = None
+        self.cell_of: Optional[Callable[[int], int]] = None
 
     @staticmethod
     def of_grid(grid: GridParams) -> "GridBox":
@@ -356,12 +367,24 @@ class GridBox:
             k = bits.find("1", k + 1)
         return out
 
+    def _build_units(self) -> tuple[tuple[int, ...], ...]:
+        """The free columns at a base (see intlinalg), built on first use
+        and kept as a tuple, which no search changes."""
+        self.units = units = tuple(unit_columns(self.dim))
+        return units
+
     def index_map(self) -> Callable[[int], int]:
         """For the box of a whole grid: the cell of a grid.index_of index,
-        which puts the first coordinate least significant.  The digits are
-        reversed by one table over the first n // 2 coordinates and one over
-        the rest, so neither has more than N^ceil(n/2) entries: sqrt(N^n)
-        for even n, N^((n+1)/2) for odd n (N^2 at n = 3, N at n = 1)."""
+        which puts the first coordinate least significant.  Built on the
+        first call and kept, so every call returns the same function, and
+        a sampler call or a sampled f on the grid builds no table."""
+        return self.cell_of or self._digit_map()
+
+    def _digit_map(self) -> Callable[[int], int]:
+        """index_map's function: the digits are reversed by one table over
+        the first n // 2 coordinates and one over the rest, so neither has
+        more than N^ceil(n/2) entries: sqrt(N^n) for even n, N^((n+1)/2) for
+        odd n (N^2 at n = 3, N at n = 1)."""
         tables = []
         for part in (slice(0, self.dim // 2), slice(self.dim // 2, None)):
             table = [0]
@@ -370,7 +393,8 @@ class GridBox:
             tables.append(table)
         low, high = tables
         split = len(low)
-        return lambda index: low[index % split] + high[index // split]
+        self.cell_of = cell_of = lambda index: low[index % split] + high[index // split]
+        return cell_of
 
     def guard(self, cache: dict, key: int, coords: range, k: int, z: Point) -> int:
         """Cells x with x_i + d_i in the box for i in coords, d = cell k - z."""
@@ -396,8 +420,9 @@ class GridBox:
 def _grid_box(lows: tuple[int, ...], widths: tuple[int, ...]) -> GridBox:
     """The GridBox of these lows and widths, the boxes of the last eight
     geometries asked for kept per process, least recently used freed
-    first: repeated searches on one geometry share its decoded cells and
-    guard masks across calls, even when the calls cycle through several
+    first: repeated searches on one geometry share what its box keeps
+    across calls, its decoded cells, guard masks, two-valued flag, unit
+    columns and index map, even when the calls cycle through several
     geometries, as a run of commands on five grids does.  A box refused
     over MATERIALIZE_LIMIT raises and leaves the kept boxes in place."""
     return GridBox(lows, widths)
@@ -412,15 +437,32 @@ def _box_of(s: PointSet) -> tuple[GridBox, int]:
     return box, box.mask(map(box.cell, pts))
 
 
+@functools.lru_cache(maxsize=1024)
+def _need(size: int, goal: int, n: int, independent: bool) -> tuple[int, ...]:
+    """need[m] for every m <= log2(size) + 1: the fewest valid shifts left
+    that let a node with m generators of a search on `size` cells try one,
+    when its cubes count only above dimension goal (best_m, or target - 1),
+    in n dimensions, under an independent notion or not; k more generators
+    need 2^k - 1 of them.  Searches on sets of one size share their tables,
+    the last 1,024 kept, each of at most log2(MATERIALIZE_LIMIT) + 2
+    entries."""
+    need = []
+    for m in range(size.bit_length() + 1):
+        f = goal - m
+        # doubling can multiply |V| = 2^m by at most size // 2^m in total
+        cap = (size >> m).bit_length() - 1
+        if cap <= f or (independent and n - m <= f):
+            need.append(size + 1)
+        else:
+            need.append((1 << (f + 1)) - 1 if f >= 0 else 1)
+    return tuple(need)
+
+
 class _SearchOutcome(NamedTuple):
     best_m: int
     cells: Optional[_Cells]  # target mode: the target-dimension cube, if found
     conclusive: bool
     checks: int
-
-
-class _Stop(Exception):
-    pass
 
 
 def _run_box_search(
@@ -475,29 +517,33 @@ def _run_box_search(
     eliminating its generators (see intlinalg), d is rejected when
     red = reduce_against(d, cols) is None or, for the unimodular notion,
     gcd(red) != 1, and the child gets eliminate(red, cols).  At a base the
-    free columns are the unit columns, so red = d without a call; they are
-    built only when tests run.  Only a check with m >= best_m can raise
-    best_m, so only it runs its tests first; any other check runs them only
-    once its child has passed the guarded count and is about to be entered.
-    A failed test only keeps the child out, so the deferral changes no
-    check, witness or bound, and it spares the tests of the checks the
-    count ends, about nine in ten (as bit-parallel clique search pays for
-    per-vertex work only on the branches it takes).  When
-    the box spans at most two values per coordinate, as every box of [2]^n
-    does, every notion holds and no test runs: on the support of g_j both
-    v and v + g_j lie in {a, a + 1}, so a valid d is zero there, and
-    distinct nonzero {-1, 0, 1} vectors with disjoint supports are
-    injective, independent and extend to a basis, and the search builds no
-    generator tuple at all.
+    free columns are the unit columns, so red = d without a call; the box
+    keeps them, built by the first search that tests independence.  Only a
+    check with m >= best_m can raise best_m, so only it runs its tests
+    first; any other check runs them only once its child has passed the
+    guarded count and is about to be entered.  A failed test only keeps the
+    child out, so the deferral changes no check, witness or bound, and it
+    spares the tests of the checks the count ends, about nine in ten (as
+    bit-parallel clique search pays for per-vertex work only on the
+    branches it takes).  When the box spans at most two values per
+    coordinate (box.two_valued), as every box of [2]^n does, every notion
+    holds and no test runs: on the support of g_j both v and v + g_j lie
+    in {a, a + 1}, so a valid d is zero there, and distinct nonzero
+    {-1, 0, 1} vectors with disjoint supports are injective, independent
+    and extend to a basis, and the search builds no generator tuple at all.
 
     k more generators need 2^k - 1 valid shifts (their nonzero subset sums),
     2^k <= |S| / |V|, and k <= n - m for the independent notions, so a node
     stops once too few shifts are left for m + k to beat the best or reach
-    the target.  That count is need[m], one list per search over the depths
-    m <= log2 |S| + 1, built at the start and rebuilt in place only when
-    best_m grows (never in target mode).  A child that would stop before
-    its first check is not entered; the guard only removes bits, so its
-    count is first bounded without it.
+    the target.  That count is need[m], over the depths m <= log2 |S| + 1,
+    read from one table per (|S|, goal, n, independent notion or not) that
+    _need builds once and keeps; a search rebinds need only when best_m
+    grows (never in target mode).  A child that would stop before its
+    first check is not entered; the guard only removes bits, so its count
+    is first bounded without it.  A stop, the target found or the budget
+    spent, returns True up the recursion rather than raising: unwinding an
+    exception costs as much as several checks, and most searches of the f
+    loop and the sampler make only a few.
     """
     decoded, decode = box.decoded, box.decode
     first = (s_mask & -s_mask).bit_length() - 1  # -1 for the empty set
@@ -507,33 +553,16 @@ def _run_box_search(
     guard_hi, guard_lo, guard = box.guard_hi, box.guard_lo, box.guard
 
     size = s_mask.bit_count()
-    two_valued = max(box.widths, default=2) <= 2
-    injective_only = notion is CubeNotion.VERTEX_INJECTIVE
+    independent = notion is not CubeNotion.VERTEX_INJECTIVE
     unimodular = notion is CubeNotion.UNIMODULAR
-    test_injective = injective_only and not two_valued
-    test_linalg = not injective_only and not two_valued
-    tests = test_injective or test_linalg
-    units = unit_columns(n) if test_linalg else None
+    test_injective = not independent and not box.two_valued
+    test_linalg = independent and not box.two_valued
+    units = (box.units or box._build_units()) if test_linalg else None
 
     best_m = 0
     best = (first, ())  # base and generator cells of the best cube
     checks = 0
-    need = [0] * (size.bit_length() + 1)  # need[m] for every m <= log2(size) + 1
-
-    def fill_need():
-        """need[m]: the fewest valid shifts left that let a node with m
-        generators try one; k more generators need 2^k - 1 of them."""
-        goal = best_m if target is None else target - 1
-        for m in range(len(need)):
-            f = goal - m
-            # doubling can multiply |V| = 2^m by at most size // 2^m in total
-            cap = (size >> m).bit_length() - 1
-            if cap <= f or (not injective_only and n - m <= f):
-                need[m] = size + 1
-            else:
-                need[m] = (1 << (f + 1)) - 1 if f >= 0 else 1
-
-    fill_need()
+    need = _need(size, 0 if target is None else target - 1, n, independent)
 
     def admit(k, o, z, m, vmask, cols):
         """The notion's tests of shift k, cell k - z: None when it fails
@@ -551,14 +580,21 @@ def _run_box_search(
             return None
         return red
 
-    def descend(z, iz, hz, lz, rest, left, ks, vmask, cols):
-        nonlocal best_m, best, checks
+    if box.two_valued:
+        admit = None  # every notion holds: no test runs
+
+    # descend's closure holds 19 names.  At exactly 20, CPython 3.11 and
+    # 3.12 keep up to 2,000 freed closure tuples that they never reuse,
+    # about 400 KB of peak memory.
+    def descend(z, iz, hz, lz, rest, left, ks, vmask, cols) -> bool:
+        """Search the subtree of a node; True when the search stops there."""
+        nonlocal best_m, best, checks, need
         m = len(ks)
         stop, stop_child = need[m], need[m + 1]
         while left >= stop:
             checks += 1
             if checks > budget:
-                raise _Stop
+                return True
             low = rest & -rest
             rest ^= low
             left -= 1
@@ -566,14 +602,14 @@ def _run_box_search(
             o = k - iz
             tested = m >= best_m  # only such a check can raise best_m: test it now
             if tested:
-                if tests and (red := admit(k, o, z, m, vmask, cols)) is None:
+                if admit and (red := admit(k, o, z, m, vmask, cols)) is None:
                     continue
                 best_m = m + 1
                 best = (iz, ks + (k,))
                 if best_m == target:
-                    raise _Stop
+                    return True
                 if target is None:
-                    fill_need()
+                    need = _need(size, best_m, n, independent)
                     stop, stop_child = need[m], need[m + 1]
             if left < stop_child:
                 continue  # the child's shifts are among the ones left
@@ -591,14 +627,16 @@ def _run_box_search(
             count = child.bit_count()
             if count < stop_child:
                 continue
-            if tests and not tested and (red := admit(k, o, z, m, vmask, cols)) is None:
+            if admit and not tested and (red := admit(k, o, z, m, vmask, cols)) is None:
                 continue
-            descend(
+            if descend(
                 z, iz, hz, lz, child, count, ks + (k,),
                 vmask | (vmask << o) if test_injective else vmask,
                 eliminate(red, cols) if test_linalg else cols,
-            )
+            ):
+                return True
             stop, stop_child = need[m], need[m + 1]
+        return False
 
     conclusive = True
     try:
@@ -611,9 +649,9 @@ def _run_box_search(
                 break  # left falls by one per base, and need[0] never falls
             iz = low.bit_length() - 1
             z, hz, lz = decoded.get(iz) or decode(iz)
-            descend(z, iz, hz, lz, rest, left, (), low, units)
-    except _Stop:
-        conclusive = best_m == target
+            if descend(z, iz, hz, lz, rest, left, (), low, units):
+                conclusive = best_m == target  # else the budget ran out
+                break
     finally:
         del descend  # the recursive closure holds itself, and through it the box
     if target is not None and best_m != target:
@@ -645,8 +683,12 @@ def _search(
     out = _run_box_search(box, s_mask, notion, target, budget)
     if out.conclusive:
         return out
-    raise SearchBudgetExceeded(
-        f"budget {budget} exhausted before the answer was certified", best_m=out.best_m)
+    raise _exhausted(budget, out.best_m)
+
+
+def _exhausted(budget: int, best_m: int) -> SearchBudgetExceeded:
+    return SearchBudgetExceeded(
+        f"budget {budget} exhausted before the answer was certified", best_m=best_m)
 
 
 def find_cube_in_box(
@@ -654,10 +696,15 @@ def find_cube_in_box(
 ) -> Optional[_Cells]:
     """find_cube for the set of cells in s_mask, on a box shared with other
     subsets (the f loop's and the sampler's), answered in cells; m and
-    budget are the caller's to check."""
+    budget are the caller's to check.  It runs the search itself, not
+    through _search, as the f loop and the sampler call it thousands of
+    times on sets that take a few checks."""
     if _too_small(s_mask.bit_count(), box.dim, m, notion):
         return None
-    return _search(box, s_mask, notion, m, budget).cells
+    out = _run_box_search(box, s_mask, notion, m, budget)
+    if out.conclusive:
+        return out.cells
+    raise _exhausted(budget, out.best_m)
 
 
 def find_cube(
@@ -823,10 +870,12 @@ def f_exhaustive(
     indices, and f is the least M among them.
 
     Every set searched is a cell mask of the GridBox of [N]^n that the
-    process keeps (see _grid_box, which keeps eight geometries), so the
-    searches, of this call and of the earlier calls on the same grid,
-    share its decoded points and guard masks and no PointSet is built; the searches answer in cells, so no
-    AffineCube is built either.  Each search has the whole budget.
+    process keeps (see _grid_box, which keeps eight geometries).  So the
+    searches of this call and of the earlier calls on the same grid share
+    what the box keeps: its decoded points, guard masks and unit columns,
+    and the index map of the sampled variant.  No PointSet is built, and
+    since the searches answer in cells, no AffineCube either.  Each search
+    has the whole budget.
     """
     _check_budget(budget)
     c = as_fraction(c)

@@ -596,7 +596,9 @@ def code_stats(
     # build_code guarantees rank k, so at k = n every nonzero word meets the
     # Singleton bound n - k + 1 = 1
     dmin = 1 if code.dimension == code.block_length else minimum_distance(code, threads=threads)
-    pts = PointSet(GridParams(q - 1, p.dim), p.lattice_points())
+    # build_code refused any vertex outside [0, q-2]^n, so every lattice
+    # point, in the vertices' hull, lies in the grid [q-1]^n already
+    pts = PointSet._of_checked(GridParams(q - 1, p.dim), p.lattice_points())
     m, _ = m_value(pts, notion, budget=budget)
     return CodeStats(
         block_length=code.block_length,

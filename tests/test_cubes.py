@@ -36,6 +36,7 @@ from gridcubes.cubes import (
     m_value_oracle_all,
 )
 from gridcubes.grid import MATERIALIZE_LIMIT, GridParams, PointSet
+from gridcubes.intlinalg import unit_columns
 
 VI = CubeNotion.VERTEX_INJECTIVE
 IND = CubeNotion.INDEPENDENT_GENERATORS
@@ -559,6 +560,78 @@ class TestKeptBox:
         for i in order:
             assert calls[i]() == cold[i], i
         assert sum(isinstance(out, cubes._SearchOutcome) for out in cold) == 864
+
+
+def need_in_place(size, goal, n, independent):
+    """The thresholds of a search built as the search once built them, a
+    list rebuilt in place: the slow path of cubes._need."""
+    need = [0] * (size.bit_length() + 1)
+    for m in range(len(need)):
+        f = goal - m
+        cap = (size >> m).bit_length() - 1
+        if cap <= f or (independent and n - m <= f):
+            need[m] = size + 1
+        else:
+            need[m] = (1 << (f + 1)) - 1 if f >= 0 else 1
+    return need
+
+
+class TestKeptTables:
+    """What a box's geometry fixes is built once and kept: the box keeps its
+    index map and unit columns, and the thresholds of a search come from one
+    bounded table cache."""
+
+    GRIDS = [(2, 0), (2, 5), (2, 6), (3, 4), (5, 3), (7, 1)]
+
+    def test_index_map_is_kept(self):
+        for N, n in self.GRIDS:
+            grid = GridParams(N, n)
+            box = GridBox.of_grid(grid)
+            cell_of = box.index_map()
+            assert box.index_map() is cell_of, (N, n)
+            for i in range(grid.size):
+                assert cell_of(i) == box.cell(grid.point_of(i)), (N, n, i)
+
+    def test_each_box_builds_its_tables_once(self, monkeypatch):
+        built = []
+        digit_map = GridBox._digit_map
+        monkeypatch.setattr(GridBox, "_digit_map", lambda box: built.append(box) or digit_map(box))
+        cubes._grid_box.cache_clear()
+        grid = GridParams(2, 6)
+        for seed in range(200):
+            config = SamplerConfig(p=Fraction(1, 2), seed=seed, notion=list(CubeNotion)[seed % 3])
+            moser_tardos_sample(grid, 3, config)
+        for seed in range(20):
+            f_exhaustive(2, 6, Fraction(1, 2), list(CubeNotion)[seed % 3], samples=20, seed=seed)
+        assert built == [GridBox.of_grid(grid)]
+
+    def test_thresholds_match_the_in_place_loop(self):
+        for independent in (False, True):
+            for n in range(13):
+                for goal in range(11):
+                    for size in range(1, 301):
+                        got = cubes._need(size, goal, n, independent)
+                        assert list(got) == need_in_place(size, goal, n, independent), (size, goal, n)
+        info = cubes._need.cache_info()
+        assert info.maxsize is not None and info.currsize <= info.maxsize
+
+    def test_searches_leave_the_unit_columns(self):
+        rng = random.Random(31)
+        for N, n in [(3, 4), (3, 5), (5, 3)]:
+            grid = GridParams(N, n)
+            box = GridBox.of_grid(grid)
+            for _ in range(6):
+                s = PointSet.from_indices(grid, rng.sample(range(grid.size), rng.randint(8, grid.size // 2)))
+                own_box, own_mask = _box_of(s)
+                s_mask = box.mask(map(box.cell, s))
+                for notion in CubeNotion:
+                    best = _run_box_search(box, s_mask, notion, None, DEFAULT_BUDGET)
+                    _run_box_search(own_box, own_mask, notion, None, DEFAULT_BUDGET)
+                    for target in range(1, best.best_m + 2):
+                        _run_box_search(box, s_mask, notion, target, DEFAULT_BUDGET)
+                    for kept in (box, own_box):
+                        assert kept.units in (None, tuple(unit_columns(n)))
+            assert box.units == tuple(unit_columns(n)) and all(type(c) is tuple for c in box.units)
 
 
 class TestMValue:
