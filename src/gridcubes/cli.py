@@ -13,6 +13,9 @@ data-only rows for tabulation.  Exit codes are a stable contract:
 Every run is reproducible bit-for-bit from its manifest: the manifest holds
 the canonical argument vector, the seed, the version, and a checksum of the
 result block.
+
+Every command runs in one process.  --threads is still accepted, and a
+value below 1 exits 2, but nothing else reads it.
 """
 
 from __future__ import annotations
@@ -107,10 +110,9 @@ def _canonical_argv(parser: argparse.ArgumentParser, args: argparse.Namespace) -
     """Every parsed value in parser order: positionals always, options when
     not None, the subcommand's own arguments after its name.
 
-    --threads stays out: it only splits toric's minimum-distance scan, whose
-    minimum does not depend on the split, and the cube search runs in one
-    process, so results do not depend on the thread count at any budget and
-    a manifest replay at the default thread count reproduces them.
+    --threads stays out: it is checked (at least 1) and read by nothing
+    else, since every command runs in one process, so a manifest replay at
+    the default thread count reproduces any run.
     """
     argv: list[str] = []
     for action in parser._actions:
@@ -253,7 +255,7 @@ def _cmd_construct(args) -> tuple[int, str]:
 def _cmd_toric(args) -> tuple[int, str]:
     notion = CubeNotion.from_string(args.notion)
     q, poly = parse_polytope(_read_text(args.file))
-    stats = code_stats(poly, q, notion, threads=args.threads, budget=args.budget)
+    stats = code_stats(poly, q, notion, budget=args.budget)
     result = {
         "q": q,
         "n": poly.dim,

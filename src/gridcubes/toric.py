@@ -9,13 +9,9 @@ by phase-1 simplex pivoting in integers (fraction-free), never floats.
 
 from __future__ import annotations
 
-import os
 import struct
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import partial
 from itertools import product
 from math import comb, prod
 from typing import Optional, Sequence
@@ -27,13 +23,9 @@ from .grid import GridParams, Point, PointSet, format_rows, read_rows
 BOX_CAP = 10 ** 7  # enumerable bounding-box volume
 BLOCK_CAP = 10 ** 6  # largest torus we evaluate on
 ENTRY_CAP = 4 * 10 ** 6  # largest generator matrix, k (q-1)^n entries
-MESSAGE_CAP = 10 ** 7  # words weighed for one minimum distance
+MESSAGE_CAP = 10 ** 7  # words weighed for one minimum distance with q^k above it
 WORD_LANES = 64  # a word counts once toward MESSAGE_CAP per WORD_LANES lanes
-# Brouwer-Zimmermann prices its choices in words weighed, each about 0.6 us
-# on a 2-core x86-64 VM with Python 3.11:
-SCAN_COST = 4  # one count of the scan's symbols, which weighs q messages
-SET_ENTRIES = 4  # entries reduced per word while a systematic set is built
-PROBE = 16  # the first set is tried when it costs at most 1/PROBE of the scan
+SET_ENTRIES = 4  # entries reduced per word weighed while a systematic set is built
 _LANE_FORMAT = {1: "B", 2: "H", 4: "I"}  # struct code per lane width
 
 
@@ -236,12 +228,6 @@ class _Lanes:
     def pack(self, vec: Sequence[int]) -> int:
         return int.from_bytes(struct.pack(self.fmt, *vec), "little")
 
-    def unpack(self, x: int):
-        """The symbols of x: bytes for one-byte lanes, else a tuple."""
-        if self.width == 1:
-            return x.to_bytes(self.block, "little")
-        return struct.unpack(self.fmt, x.to_bytes(self.block * self.width, "little"))
-
     def add(self, x: int, r: int) -> int:
         """x + r, reduced lane by lane."""
         x += r
@@ -262,62 +248,6 @@ class _Lanes:
     def weight(self, x: int) -> int:
         """Number of nonzero lanes."""
         return ((x + self.nonzero) & self.high).bit_count()
-
-
-def _min_weight_scan(matrix, q: int, prefixes: Sequence[tuple[int, ...]]) -> int:
-    """Minimum Hamming weight over the projective messages (first nonzero
-    symbol 1) whose leading symbols are one of prefixes.
-
-    Scaling a column by a nonzero constant keeps every weight, so each column
-    where the last row R is nonzero is scaled to make R[j] = -1.  The q
-    messages that share the partial codeword P of the other rows and differ
-    only in the last symbol m are then zero at such a column exactly when
-    P[j] = m, and at a column with R[j] = 0 exactly when P[j] = 0, so one
-    count of the symbols of P weighs all q of them.
-
-    P is packed on _Lanes with the live columns (R[j] != 0) first, so adding
-    a row is one int addition and one branch-free reduction.  A leaf is
-    weighed from P's bytes by C-level counts, one per symbol; wider lanes,
-    which only q > 128 and so k <= 3 reach, use a Counter.
-    """
-    *head, last = matrix
-    block = len(last)
-    cols = sorted(range(block), key=lambda j: not last[j])  # R[j] != 0 first
-    live = block - last.count(0)
-    scale = [pow(-last[j], q - 2, q) if last[j] else 1 for j in cols]
-    lanes = _Lanes(q, block)
-    rows = [lanes.pack([row[j] * c % q for j, c in zip(cols, scale)]) for row in head]
-    lightest, unpack, narrow = lanes.lightest, lanes.unpack, lanes.width == 1
-    syms = range(q)
-
-    def weigh(x, started=True):
-        v = unpack(x)
-        if narrow:
-            p = v[:live]
-            most = max(map(p.count, syms)) if started else p.count(1)
-            return block - v.count(0, live) - most
-        cnt = Counter(v[:live])
-        most = max(cnt.values(), default=0) if started else cnt[1]
-        return block - v[live:].count(0) - most
-
-    def rec(i, x, started):
-        # the least weight once rows i.. are chosen too; until a symbol is
-        # nonzero they take (0, 1)
-        if i == len(rows):
-            return weigh(x, started)
-        count = q - 1 if started else 1
-        if i + 1 == len(rows):  # the last head row: its q leaves in one frame
-            return lightest(x, rows[i], count, weigh, weigh(x, started))
-        return lightest(x, rows[i], count, lambda y: rec(i + 1, y, True), rec(i + 1, x, started))
-
-    best = block + 1
-    for prefix in prefixes:
-        x = 0
-        for m_i, r in zip(prefix, rows):
-            for _ in range(m_i):
-                x = lanes.add(x, r)
-        best = min(best, rec(len(prefix), x, any(prefix)))
-    return best
 
 
 def _systematic(matrix, q: int, order: Sequence[int]) -> tuple[list[list[int]], list[Optional[int]]]:
@@ -383,9 +313,9 @@ def _gain(k: int, r: int, w: int) -> int:
 
 
 def _plan(q: int, k: int, full: int, partial: Sequence[int], done: int, bound: int,
-          w: int, setup: int = 0) -> tuple[int, int]:
-    """The cheapest way to finish Brouwer-Zimmermann from level w, as (price
-    in words, sets kept).
+          w: int, setup: int = 0) -> int:
+    """How many sets to keep for the cheapest way, in words weighed, to
+    finish Brouwer-Zimmermann from level w.
 
     Levels 1..w-1 are done on `full` information sets and on sets of the
     ranks `partial` (decreasing), with lower bound `done`.  Keeping the
@@ -403,7 +333,7 @@ def _plan(q: int, k: int, full: int, partial: Sequence[int], done: int, bound: i
         if best is not None and words >= best[0]:
             break  # a later level costs more on any number of sets
         if s == k:
-            return words, 1
+            return 1
         need = bound - done
         i = min(full, -(-need // (s + 1 - earned)))
         need -= i * (s + 1 - earned)
@@ -416,7 +346,7 @@ def _plan(q: int, k: int, full: int, partial: Sequence[int], done: int, bound: i
         cost = i * words + (i - 1) * setup
         if need <= 0 and (best is None or cost < best[0]):
             best = (cost, i)
-    return best
+    return best[1]
 
 
 def _weigh_level(lanes: _Lanes, rows: Sequence[int], w: int) -> int:
@@ -441,27 +371,9 @@ def _weigh_level(lanes: _Lanes, rows: Sequence[int], w: int) -> int:
     return min(rec(i + 1, rows[i], w - 1) for i in range(k - w + 1))
 
 
-def _scan(matrix, q: int, k: int, threads: int) -> int:
-    """_min_weight_scan over every projective message, split by the
-    projective prefixes of the first min(2, k - 1) symbols, up to q + 2 of
-    them, dealt round-robin to at most min(threads, CPU count) worker
-    processes; a single worker scans in-process."""
-    prefixes = [()]
-    for _ in range(min(2, k - 1)):
-        prefixes = [p + (v,) for p in prefixes for v in (range(q) if any(p) else (0, 1))]
-    scan = partial(_min_weight_scan, matrix, q)
-    workers = min(threads, os.cpu_count() or 1, len(prefixes))
-    if workers == 1:
-        return scan(prefixes)
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return min(pool.map(scan, [prefixes[i::workers] for i in range(workers)]))
-
-
-def _brouwer_zimmermann(matrix, q: int, scan_cost: Optional[int]) -> Optional[int]:
+def _brouwer_zimmermann(matrix, q: int) -> int:
     """Minimum weight of the code of matrix by Brouwer-Zimmermann (K.-H.
-    Zimmermann 1996; M. Grassl 2006), or None as soon as the scan, priced
-    at scan_cost words, is the cheaper way to finish; scan_cost is None
-    where the scan is past the cap.
+    Zimmermann 1996; M. Grassl 2006).
 
     The matrix is put in systematic form on greedily chosen disjoint column
     sets (_information_sets); a rank-deficient matrix answers 0 at once.  At
@@ -474,41 +386,33 @@ def _brouwer_zimmermann(matrix, q: int, scan_cost: Optional[int]) -> Optional[in
     bound n - k + 1), or after level k.
 
     Prices are in words weighed; building a set costs one word per
-    SET_ENTRIES entries reduced, k n per pivot.  Before any set is built,
-    BZ goes ahead if it would beat the scan even with d at the Singleton
-    bound, or if the first set and its k rows cost at most 1/PROBE of the
-    scan: those rows then give a real upper bound.  After the first set,
-    _plan prices the rest against the least weight found, picks how many
-    sets to build, and before each later level drops the sets it no longer
-    needs.  MESSAGE_CAP counts each word weighed once per WORD_LANES of its
-    n - k lanes past the message, and each later set at its setup price
-    before its elimination runs, once its k level-1 words are sure to fit
-    (the first set's always do under ENTRY_CAP); where the cap would be
-    passed and the scan cannot take over, MessageCapExceeded carries the
-    bounds found.
+    SET_ENTRIES entries reduced, k n per pivot.  After the first set, _plan
+    prices the rest against the least weight found, picks how many sets to
+    build, and before each later level drops the sets it no longer needs.
+    MESSAGE_CAP counts each word weighed once per WORD_LANES of its n - k
+    lanes past the message, and each later set at its setup price before
+    its elimination runs, once its k level-1 words are sure to fit (the
+    first set's always do under ENTRY_CAP).  Only a code of more than
+    MESSAGE_CAP messages (q^k) is stopped by the cap, with
+    MessageCapExceeded carrying the bounds found; a smaller code always
+    finishes.
     """
     k, n = len(matrix), len(matrix[0])
     setup = k * k * n // SET_ENTRIES
     unit = max(1, -(-(n - k) // WORD_LANES))  # what one word counts toward the cap
+    capped = q ** k > MESSAGE_CAP
     best = n - k + 1
     spare = (n % k,) if n % k else ()  # what the columns past n // k sets might give
-    if scan_cost is not None:
-        sure = _plan(q, k, n // k, spare, 0, best, 1, setup)[0] + setup
-        if scan_cost <= min(sure, PROBE * (setup + k)):
-            return None
     lanes = _Lanes(q, n)
     sets = []  # (rank, packed whole rows) of each set kept
     low = weighed = 0  # the lower bound; what the cap has counted
 
     def admit(cost, ahead=0):
-        # count `cost` toward the cap if it and `ahead` fit; False hands over to the scan
+        # count `cost` toward the cap, and stop the run if it and `ahead` do not fit
         nonlocal weighed
-        if weighed + cost + ahead > MESSAGE_CAP:
-            if scan_cost is None:
-                raise MessageCapExceeded(low, best)
-            return False
+        if capped and weighed + cost + ahead > MESSAGE_CAP:
+            raise MessageCapExceeded(low, best)
         weighed += cost
-        return True
 
     for r, rows in _information_sets(matrix, q):  # each set, and its level 1: its k rows
         weighed += k * unit
@@ -519,22 +423,18 @@ def _brouwer_zimmermann(matrix, q: int, scan_cost: Optional[int]) -> Optional[in
             return best  # at k = 1 one set at level 1 has seen every message
         if len(sets) == 1:
             # price the rest, with the sets not built yet taken as information sets
-            words, count = _plan(q, k, n // k, spare, 0, best, 2, setup)
-            if scan_cost is not None and scan_cost < words:
-                return None
+            count = _plan(q, k, n // k, spare, 0, best, 2, setup)
         if len(sets) == count:
             break
         # the next set's elimination is paid for, and its level 1 must fit, before it
         # is built; its level 1 counts once the set is found
-        if not admit(setup, k * unit):
-            return None
+        admit(setup, k * unit)
     if not sets:
         return 0
     for w in range(2, k + 1):
         full = sum(r == k for r, _ in sets)
-        words, count = _plan(q, k, full, [r for r, _ in sets[full:]], low, best, w)
-        if (scan_cost is not None and scan_cost < words) or not admit(count * _level_words(q, k, w) * unit):
-            return None
+        count = _plan(q, k, full, [r for r, _ in sets[full:]], low, best, w)
+        admit(count * _level_words(q, k, w) * unit)
         del sets[count:]  # a dropped set keeps its part of low
         for r, rows in sets:
             best = min(best, _weigh_level(lanes, rows, w))
@@ -544,24 +444,13 @@ def _brouwer_zimmermann(matrix, q: int, scan_cost: Optional[int]) -> Optional[in
                 return best
 
 
-def minimum_distance(code: ToricCode, threads: int = 1) -> int:
-    """Exact minimum Hamming distance of the code: Brouwer-Zimmermann
-    (_brouwer_zimmermann), which hands over to the projective scan (_scan)
-    wherever its cost rule finds the scan cheaper.
-
-    The scan is priced at its (q^k - 1)/(q - 1) messages, weighed q at a
-    time at SCAN_COST words, and may run only while q^k <= MESSAGE_CAP.
-    Which path runs depends only on q, k, n, the sets found and the running
-    bounds, never on threads, which splits only the scan: BZ and the cube
-    search run in one process.  When neither path fits the cap,
-    MessageCapExceeded carries the bounds found so far.
+def minimum_distance(code: ToricCode) -> int:
+    """Exact minimum Hamming distance of the code, by Brouwer-Zimmermann
+    (_brouwer_zimmermann) in this process.  Past q^k > MESSAGE_CAP, a run
+    that would weigh more than MESSAGE_CAP words raises MessageCapExceeded
+    with the bounds found so far.
     """
-    if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
-    q, k = code.field.q, code.dimension
-    scan_cost = (q ** k - 1) // (q - 1) * SCAN_COST // q if q ** k <= MESSAGE_CAP else None
-    d = _brouwer_zimmermann(code.matrix, q, scan_cost)
-    return _scan(code.matrix, q, k, threads) if d is None else d
+    return _brouwer_zimmermann(code.matrix, code.field.q)
 
 
 @dataclass(frozen=True)
@@ -578,7 +467,7 @@ def code_stats(
     p: LatticePolytope,
     q: int,
     notion: CubeNotion = DEFAULT_NOTION,
-    threads: int = 1,
+    *,
     budget: int = DEFAULT_BUDGET,
 ) -> CodeStats:
     """All six statistics of the code of P over F_q.
@@ -595,7 +484,7 @@ def code_stats(
     code = build_code(p, q)
     # build_code guarantees rank k, so at k = n every nonzero word meets the
     # Singleton bound n - k + 1 = 1
-    dmin = 1 if code.dimension == code.block_length else minimum_distance(code, threads=threads)
+    dmin = 1 if code.dimension == code.block_length else minimum_distance(code)
     # build_code refused any vertex outside [0, q-2]^n, so every lattice
     # point, in the vertices' hull, lies in the grid [q-1]^n already
     pts = PointSet._of_checked(GridParams(q - 1, p.dim), p.lattice_points())

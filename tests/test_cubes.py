@@ -37,6 +37,7 @@ from gridcubes.cubes import (
 )
 from gridcubes.grid import MATERIALIZE_LIMIT, GridParams, PointSet
 from gridcubes.intlinalg import unit_columns
+from gridcubes.toric import LatticePolytope, build_code, code_stats, minimum_distance
 
 VI = CubeNotion.VERTEX_INJECTIVE
 IND = CubeNotion.INDEPENDENT_GENERATORS
@@ -207,6 +208,15 @@ class TestFindCube:
         for small, m in ((s, 3), (s, 31), (PointSet.empty(GridParams(2, 2)), 1)):
             with pytest.raises(ValueError):
                 find_cube(small, m, budget=-5)
+
+    def test_toric_takes_no_thread_count(self):
+        # the minimum distance runs in one process too; budget is
+        # keyword-only, so a stale positional thread count cannot become it
+        seg = LatticePolytope([(0,), (2,)])
+        with pytest.raises(TypeError):
+            minimum_distance(build_code(seg, 5), threads=2)
+        with pytest.raises(TypeError):
+            code_stats(seg, 5, VI, 2)
 
 
 class TestSearchChecksGate:

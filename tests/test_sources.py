@@ -1,8 +1,12 @@
 """The package's sources parse at the Python floor that pyproject.toml
-declares, so a newer syntax cannot slip in unnoticed."""
+declares, so a newer syntax cannot slip in unnoticed; the CLI loads no
+process-pool machinery."""
 
 import ast
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import gridcubes
@@ -17,3 +21,14 @@ def test_sources_parse_at_the_floor():
     assert len(sources) >= 10
     for path in sources:
         ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+
+
+def test_cli_loads_no_process_pool():
+    # every command runs in one process, so importing the CLI in a fresh
+    # interpreter leaves both packages unloaded
+    env = dict(os.environ, PYTHONPATH=str(Path(gridcubes.__file__).parent.parent))
+    code = ("import sys, gridcubes.cli; "
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr

@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import struct
 from collections import Counter
 from fractions import Fraction
 from itertools import product as iproduct
@@ -50,28 +51,66 @@ def _monomial(u, t, q):
     return val
 
 
-@pytest.fixture
-def inline_pool(monkeypatch):
-    """Run minimum_distance's pool in-process with 3 CPUs; returns the worker
-    counts asked for."""
-    requested = []
+def min_weight_scan(matrix, q: int, prefixes) -> int:
+    """Minimum Hamming weight over the projective messages (first nonzero
+    symbol 1) whose leading symbols are one of prefixes: an oracle for
+    Brouwer-Zimmermann that shares only _Lanes with it.
 
-    class InlinePool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
+    Scaling a column by a nonzero constant keeps every weight, so each column
+    where the last row R is nonzero is scaled to make R[j] = -1.  The q
+    messages that share the partial codeword P of the other rows and differ
+    only in the last symbol m are then zero at such a column exactly when
+    P[j] = m, and at a column with R[j] = 0 exactly when P[j] = 0, so one
+    count of the symbols of P weighs all q of them.
 
-        def __enter__(self):
-            return self
+    P is packed on _Lanes with the live columns (R[j] != 0) first, so adding
+    a row is one int addition and one branch-free reduction.  A leaf is
+    weighed from P's bytes by C-level counts, one per symbol; wider lanes,
+    which only q > 128 and so k <= 3 reach, use a Counter.
+    """
+    *head, last = matrix
+    block = len(last)
+    cols = sorted(range(block), key=lambda j: not last[j])  # R[j] != 0 first
+    live = block - last.count(0)
+    scale = [pow(-last[j], q - 2, q) if last[j] else 1 for j in cols]
+    lanes = toric._Lanes(q, block)
+    rows = [lanes.pack([row[j] * c % q for j, c in zip(cols, scale)]) for row in head]
+    lightest, narrow = lanes.lightest, lanes.width == 1
+    syms = range(q)
 
-        def __exit__(self, *exc):
-            return False
+    def unpack(x):  # the symbols of x: bytes for one-byte lanes, else a tuple
+        if narrow:
+            return x.to_bytes(block, "little")
+        return struct.unpack(lanes.fmt, x.to_bytes(block * lanes.width, "little"))
 
-        def map(self, fn, chunks):
-            return map(fn, chunks)
+    def weigh(x, started=True):
+        v = unpack(x)
+        if narrow:
+            p = v[:live]
+            most = max(map(p.count, syms)) if started else p.count(1)
+            return block - v.count(0, live) - most
+        cnt = Counter(v[:live])
+        most = max(cnt.values(), default=0) if started else cnt[1]
+        return block - v[live:].count(0) - most
 
-    monkeypatch.setattr(toric, "ProcessPoolExecutor", InlinePool)
-    monkeypatch.setattr(toric.os, "cpu_count", lambda: 3)
-    return requested
+    def rec(i, x, started):
+        # the least weight once rows i.. are chosen too; until a symbol is
+        # nonzero they take (0, 1)
+        if i == len(rows):
+            return weigh(x, started)
+        count = q - 1 if started else 1
+        if i + 1 == len(rows):  # the last head row: its q leaves in one frame
+            return lightest(x, rows[i], count, weigh, weigh(x, started))
+        return lightest(x, rows[i], count, lambda y: rec(i + 1, y, True), rec(i + 1, x, started))
+
+    best = block + 1
+    for prefix in prefixes:
+        x = 0
+        for m_i, r in zip(prefix, rows):
+            for _ in range(m_i):
+                x = lanes.add(x, r)
+        best = min(best, rec(len(prefix), x, any(prefix)))
+    return best
 
 
 class TestPrimeField:
@@ -416,12 +455,6 @@ class TestMinimumDistance:
         for q, k in [(3, 1), (5, 2), (7, 3)]:
             assert minimum_distance(build_code(segment(k), q)) >= 1
 
-    def test_threads_agree(self):
-        code = build_code(segment(3), 7)
-        assert minimum_distance(code) == minimum_distance(code, threads=3)
-        with pytest.raises(ValueError):
-            minimum_distance(code, threads=0)
-
     def test_against_flat_enumeration(self):
         rng = random.Random(77)
         done = 0
@@ -439,36 +472,14 @@ class TestMinimumDistance:
             assert minimum_distance(code) == naive_min_distance(code.matrix, q)
             done += 1
 
-    def test_hand_built_matrices_against_flat_enumeration(self, hand_built, inline_pool, monkeypatch):
-        # k = 1 (no head row), 2, 3 give prefix depths 0, 1, 2 and k = 4 one
-        # free row below them; a last row with zero entries (never built from
-        # a polytope) reaches the R[j] = 0 columns, and random rows may be
-        # dependent, so distance 0 is covered too.  q = 127 is the largest
-        # prime on 1-byte lanes and q = 131 takes 2-byte lanes; blocks of 9 or
-        # more columns pack into ints of several machine words (up to 16 for
-        # the large fields, whose flat enumeration is slow).  Where the scan
-        # runs, seen by wrapping _min_weight_scan, its pool gets the workers
-        # asked for; Brouwer-Zimmermann runs in-process.
-        scans = []
-        scan = toric._min_weight_scan
-        monkeypatch.setattr(toric, "_min_weight_scan", lambda *a: scans.append(1) or scan(*a))
-        for q, k, matrix, want in hand_built:
-            code = ToricCode(PrimeField(q), segment(0), ((0,),) * k,
-                             tuple(map(tuple, matrix)), len(matrix[0]))
-            pieces = {1: 1, 2: 2}.get(k, q + 2)
-            for threads in (1, 2, 3, 5):
-                inline_pool.clear()
-                scans.clear()
-                assert minimum_distance(code, threads=threads) == want
-                workers = min(threads, 3, pieces)
-                assert inline_pool == ([workers] if scans and workers > 1 else [])
-
     def test_lane_reduction_against_flat_weights(self):
-        # at k <= 2 a row is added at most once, so the lane reduction first
-        # runs at k = 3: the prefix (1, m) adds the middle row m times, and
-        # the prefix (1,) leaves it free.  Both are weighed against the words
-        # of the messages (1, m, s), computed one column at a time.  q = 32771
-        # takes 4-byte lanes, which only k = 1 reaches through minimum_distance.
+        # the lane arithmetic Brouwer-Zimmermann weighs its words with, on
+        # three rows R0, R1, R2: add() puts R1 onto R0 m times, lightest()
+        # then weighs R0 + m R1 + s R2 for every s, and weight() one row,
+        # against the words computed one column at a time.  q = 127 is the
+        # largest prime on 1-byte lanes, q = 131 takes 2-byte lanes and
+        # q = 32771 4-byte lanes; blocks of 9 or more columns pack into ints
+        # of several machine words.
         rng = random.Random(506)
         for q, reps in ((127, 3), (131, 3), (32771, 1)):
             for _ in range(reps):
@@ -481,14 +492,25 @@ class TestMinimumDistance:
                            for s in range(q))
                     for m in ms
                 }
+                lanes = toric._Lanes(q, block)
+                first, middle, last = map(lanes.pack, matrix)
+
+                def weigh_last(x):
+                    return lanes.lightest(x, last, q - 1, lanes.weight, lanes.weight(x))
+
                 for m in (q - 1, rng.choice(ms)):
-                    assert toric._min_weight_scan(matrix, q, [(1, m)]) == flat[m]
+                    x = first
+                    for _ in range(m):
+                        x = lanes.add(x, middle)
+                    assert x == lanes.pack([(a + m * b) % q for a, b in zip(*matrix[:2])])
+                    assert weigh_last(x) == flat[m]
                 if q < 1000:
-                    assert toric._min_weight_scan(matrix, q, [(1,)]) == min(flat.values())
-                assert toric._min_weight_scan(matrix[2:], q, [()]) == block - matrix[2].count(0)
+                    assert lanes.lightest(first, middle, q - 1, weigh_last,
+                                          weigh_last(first)) == min(flat.values())
+                assert lanes.weight(last) == block - matrix[2].count(0)
 
     def test_message_cap(self, gf_rank):
-        # a full-rank [12, 6] code over F_1009: the scan is past the cap
+        # a full-rank [12, 6] code over F_1009: past the cap in messages
         # (1009^6 > 10^7), and Brouwer-Zimmermann's level 3 on its two
         # information sets needs 2 C(6, 3) 1008^2 > 10^7 words
         rng = random.Random(94)
@@ -520,6 +542,28 @@ class TestMinimumDistance:
             bounds = stop.value.bounds
             assert bounds["min_distance_lower"] <= 16 <= bounds["min_distance_upper"]
             assert len(words) == weighed
+
+    def test_cap_stops_only_codes_past_it_in_messages(self, monkeypatch):
+        # the simplex of the origin and the unit vectors of dimension 4 over
+        # F_7: k = 5, n = 1,296, q^k = 16,807.  Each word counts
+        # ceil(1,291 / 64) = 21 toward the cap, and the run weighs more than
+        # 16,807 / 21 words.  With the cap at q^k the code is not past it, so
+        # the run finishes; one below, it stops with the bounds it had, 4 <=
+        # d <= 1,080.
+        code = build_code(LatticePolytope([(0,) * 4] + [tuple(int(i == j) for i in range(4))
+                                                        for j in range(4)]), 7)
+        qk = 7 ** code.dimension
+        weight = toric._Lanes.weight
+        words = []
+        monkeypatch.setattr(toric._Lanes, "weight", lambda lanes, x: words.append(1) or weight(lanes, x))
+        monkeypatch.setattr(toric, "MESSAGE_CAP", qk)
+        assert minimum_distance(code) == min_weight_scan(code.matrix, 7, [(0,), (1,)]) == 1080
+        assert len(words) * 21 > qk
+        monkeypatch.setattr(toric, "MESSAGE_CAP", qk - 1)
+        with pytest.raises(toric.MessageCapExceeded) as stop:
+            minimum_distance(code)
+        assert stop.value.bounds == {"min_distance_lower": 4, "min_distance_upper": 1080}
+
 
 @pytest.fixture(scope="module")
 def hand_built():
@@ -556,12 +600,19 @@ def hand_built():
 
 
 class TestBrouwerZimmermann:
-    """_brouwer_zimmermann with no scan to hand over to, against independent
+    """minimum_distance, which is _brouwer_zimmermann, against independent
     answers."""
 
     def test_hand_built_against_flat_enumeration(self, hand_built):
+        # k = 1 to 4; columns that are zero or lie in a subspace of lower
+        # rank give sets of rank < k, and random rows may be dependent, so
+        # distance 0 is covered too.  q = 127 takes 1-byte lanes and q = 131
+        # 2-byte lanes; blocks of 9 or more columns pack into ints of several
+        # machine words.
         for q, k, matrix, want in hand_built:
-            assert toric._brouwer_zimmermann(matrix, q, None) == want, (q, matrix)
+            code = ToricCode(PrimeField(q), segment(0), ((0,),) * k,
+                             tuple(map(tuple, matrix)), len(matrix[0]))
+            assert minimum_distance(code) == want, (q, matrix)
 
     def test_seeded_polytopes_against_scan(self):
         # 200 distinct codes of polytopes of dimension 1-3 with q^k <= 10^5,
@@ -580,8 +631,8 @@ class TestBrouwerZimmermann:
             seen.add((q, pts))
             code = build_code(poly, q)
             prefixes = [()] if code.dimension == 1 else [(0,), (1,)]
-            want = toric._min_weight_scan(code.matrix, q, prefixes)
-            assert toric._brouwer_zimmermann(code.matrix, q, None) == want, (q, poly.vertices)
+            want = min_weight_scan(code.matrix, q, prefixes)
+            assert toric._brouwer_zimmermann(code.matrix, q) == want, (q, poly.vertices)
 
     def test_sets_are_whole_systematic_forms(self, hand_built, monkeypatch):
         # each set yielded is the rows _systematic returned, the identity on
@@ -601,27 +652,14 @@ class TestBrouwerZimmermann:
                 sets += 1
         assert sets > 4
 
-    def test_hands_over_to_the_scan_after_the_first_set(self, monkeypatch):
-        # after its first set, BZ prices the rest above the scan and returns
-        # None; seen by counting the sets drawn and the scans run.  The box
-        # [0,a] x [0,b] has distance (q-1-a)(q-1-b).
-        sets, scans = [], []
-        info, scan = toric._information_sets, toric._scan
-
-        def counted(matrix, q):
-            for found in info(matrix, q):
-                sets.append(1)
-                yield found
-
-        monkeypatch.setattr(toric, "_information_sets", counted)
-        monkeypatch.setattr(toric, "_scan", lambda *a: scans.append(1) or scan(*a))
+    def test_boxes_under_the_cap(self):
+        # q^k <= 10^7, so the word cap never stops these runs; the box
+        # [0,a] x [0,b] has distance (q-1-a)(q-1-b)
         seg = build_code(segment(3), 17)
         rect = build_code(LatticePolytope([(0, 0), (1, 0), (0, 2), (1, 2)]), 11)
         for code, want in ((seg, naive_min_distance(seg.matrix, 17)), (rect, 9 * 8)):
-            sets.clear()
-            scans.clear()
+            assert code.field.q ** code.dimension <= 10 ** 7
             assert minimum_distance(code) == want
-            assert (len(sets), len(scans)) == (1, 1)
 
     def test_boxes_past_the_old_cap(self):
         # the box [0,a] x [0,b] gives RS[q-1, a+1] (x) RS[q-1, b+1], whose
@@ -699,8 +737,8 @@ class TestReedSolomonFamily:
                 assert (code.block_length, code.dimension, dmin) == (q - 1, k + 1, q - 1 - k)
 
     def test_segments_past_the_old_cap(self):
-        # q^(k+1) > 10^7: the scan may not run, and Brouwer-Zimmermann must
-        # still give the Reed-Solomon distance q - 1 - k
+        # q^(k+1) > 10^7, where the word cap may stop a run: Brouwer-Zimmermann
+        # must still give the Reed-Solomon distance q - 1 - k
         for q in (11, 13):
             for k in range(q - 1):
                 if q ** (k + 1) > 10 ** 7:
