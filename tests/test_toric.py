@@ -472,6 +472,20 @@ class TestMinimumDistance:
             assert minimum_distance(code) == naive_min_distance(code.matrix, q)
             done += 1
 
+    def test_hand_built_matrices_against_flat_enumeration(self, hand_built, monkeypatch):
+        # the codes of the hand-built matrices, distance 0 among them: each
+        # answer is that of one Brouwer-Zimmermann run, in this process, on
+        # the code's matrix over its field
+        runs = []
+        bz = toric._brouwer_zimmermann
+        monkeypatch.setattr(toric, "_brouwer_zimmermann", lambda *a: runs.append(a) or bz(*a))
+        for q, k, matrix, want in hand_built:
+            code = ToricCode(PrimeField(q), segment(0), ((0,),) * k,
+                             tuple(map(tuple, matrix)), len(matrix[0]))
+            runs.clear()
+            assert minimum_distance(code) == want, (q, matrix)
+            assert runs == [(code.matrix, q)]
+
     def test_lane_reduction_against_flat_weights(self):
         # the lane arithmetic Brouwer-Zimmermann weighs its words with, on
         # three rows R0, R1, R2: add() puts R1 onto R0 m times, lightest()
@@ -610,9 +624,7 @@ class TestBrouwerZimmermann:
         # 2-byte lanes; blocks of 9 or more columns pack into ints of several
         # machine words.
         for q, k, matrix, want in hand_built:
-            code = ToricCode(PrimeField(q), segment(0), ((0,),) * k,
-                             tuple(map(tuple, matrix)), len(matrix[0]))
-            assert minimum_distance(code) == want, (q, matrix)
+            assert toric._brouwer_zimmermann(matrix, q) == want, (q, matrix)
 
     def test_seeded_polytopes_against_scan(self):
         # 200 distinct codes of polytopes of dimension 1-3 with q^k <= 10^5,
