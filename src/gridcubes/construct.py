@@ -45,8 +45,8 @@ from .cubes import (
     DEFAULT_NOTION,
     GridBox,
     _check_budget,
+    _search,
     find_cube,
-    find_cube_in_box,
 )
 from .exactmath import as_fraction, pow_at_least, require_bits
 from .grid import GridParams, PointSet
@@ -118,7 +118,7 @@ def moser_tardos_sample(grid: GridParams, r: int, config: SamplerConfig) -> Samp
     rounds = 0
     searched = included  # the cells of included at or above the last cube's base
     while True:
-        cells = find_cube_in_box(box, searched, r, config.notion, config.search_budget)
+        cells = _search(box, searched, config.notion, r, config.search_budget).cells
         if cells is None or rounds >= config.max_rounds:
             current = PointSet._of_checked(grid, map(box.point, box.cells_of(included)))
             return SampleOutcome(current, rounds, cells is None, box.cube(cells) if cells else None)
@@ -157,12 +157,12 @@ def verify_construction(
     notion: CubeNotion = DEFAULT_NOTION,
     budget: int = DEFAULT_BUDGET,
 ) -> VerifyReport:
-    """Search S for an r-cube and count S.  A budget blowup raises
-    (inconclusive); it never reports verified."""
+    """Search S for an r-cube, r >= 1, and count S.  A budget blowup
+    raises (inconclusive); it never reports verified."""
     _check_budget(budget)
-    witness = None
-    if r >= 1 and len(s) > 0:
-        witness = find_cube(s, r, notion, budget=budget)
+    if r < 1:
+        raise ValueError(f"r must be >= 1, got {r}")  # every nonempty set holds a 0-cube
+    witness = find_cube(s, r, notion, budget=budget)
     return VerifyReport(witness is None, witness, s.density(), len(s))
 
 

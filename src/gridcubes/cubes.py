@@ -38,12 +38,12 @@ that cycles through five.  A process keeps at most eight boxes beyond
 the one its running search holds.  A search pays for the cells it
 visits, not for |S|: it walks the bases low bit first straight off S's
 mask and stops at the first base with too few cells of S above it, and it
-decodes a cell only when it needs the cell's point, from the cell's two
-halves of coordinates, each decoded once per box.  A shift's notion tests
-run first only where they can raise the best dimension found; elsewhere
-they run only for a child that passes its count and is entered, since the
-count rejects most shifts and costs less.  For a subset of [2]^n the three
-notions coincide and the search tests none of them.  A search answers in
+decodes a cell only when it needs the cell's point, once per box.  A
+shift's notion tests run first only where they can raise the best
+dimension found; elsewhere they run only for a child that passes its count
+and is entered, since the count rejects most shifts and costs less.  For a
+subset of [2]^n the three notions coincide and the search tests none of
+them.  Every search of the package enters through _search, and answers in
 cells, its cube's base cell and generator cells; GridBox.cube makes an
 AffineCube of them only where a cube is printed or returned, so the f loop
 and the sampler build none.  A box of more than grid.MATERIALIZE_LIMIT
@@ -237,13 +237,10 @@ class GridBox:
     first coordinate most significant, so bit order is lex order: a subset
     of the box is one int mask over its cells.
 
-    A cell is decoded on first use, from its two halves, coordinates
-    0..h-1 and h..n-1 with h = ceil(n/2): its index is j * split + i, split
-    the number of cells of the second half, and each half index is decoded
-    once per box, together with its half code, so a box of [N]^n decodes
-    at most N^ceil(n/2) + N^floor(n/2) halves, whatever the number of its
-    cells a search visits.  A decoded cell is kept, because a search looks
-    up the same cells again and again and one lookup costs less than two.
+    A cell is decoded on first use, in one pass over its digits, to its
+    point and the codes of its two halves of coordinates, 1..h-1 and
+    h..n-1 with h = ceil(n/2), that key the guard masks.  A decoded cell
+    is kept, because a search looks up the same cells again and again.
     The box also keeps the guard masks that the searches over its subsets
     share (see _run_box_search).  A box of more than MATERIALIZE_LIMIT
     cells raises ValueError before any mask is built.
@@ -255,17 +252,16 @@ class GridBox:
     only reads them), and the function of index_map with its two digit
     tables of at most N^ceil(n/2) entries, built on its first call.
 
-    Everything a box holds, its decoded halves and cells, its guard masks
-    and the three above, is a pure function of its lows and widths, so one
-    box serves every search on its geometry with the same checks and
-    answers, and the package builds its boxes through _grid_box, which
-    keeps the boxes of the last eight geometries.  Nothing search-specific
+    Everything a box holds, its decoded cells, its guard masks and the
+    three above, is a pure function of its lows and widths, so one box
+    serves every search on its geometry with the same checks and answers,
+    and the package builds its boxes through _grid_box, which keeps the
+    boxes of the last eight geometries.  Nothing search-specific
     may be stored on a box.
     """
 
-    __slots__ = ("dim", "lows", "widths", "strides", "cells", "origin", "h", "split", "high",
-                 "low", "decoded", "guard_hi", "guard_lo", "two_valued", "units", "cell_of",
-                 "__weakref__")
+    __slots__ = ("dim", "lows", "widths", "strides", "cells", "origin", "h", "decoded",
+                 "guard_hi", "guard_lo", "two_valued", "units", "cell_of", "__weakref__")
 
     def __init__(self, lows: Sequence[int], widths: Sequence[int]):
         cells = math.prod(widths)
@@ -283,10 +279,7 @@ class GridBox:
         self.strides = strides
         self.cells = cells
         self.origin = sum(map(mul, lows, strides))
-        self.h = h = (n + 1) // 2
-        self.split = math.prod(widths[h:])
-        self.high: dict[int, tuple[Point, int]] = {}
-        self.low: dict[int, tuple[Point, int]] = {}
+        self.h = (n + 1) // 2
         self.decoded: dict[int, tuple[Point, int, int]] = {}
         self.guard_hi: dict[int, int] = {}
         self.guard_lo: dict[int, int] = {}
@@ -302,28 +295,22 @@ class GridBox:
     def cell(self, p: Sequence[int]) -> int:
         return sum(map(mul, p, self.strides)) - self.origin
 
-    def _part(self, table: dict, j: int, start: int, stop: int) -> tuple[Point, int]:
-        """Coordinates start..stop-1 of the cells whose index in that half
-        is j, with their code over coordinates max(1, start)..stop-1."""
-        digits, rest = [], j
-        for w in reversed(self.widths[start:stop]):
-            rest, x = divmod(rest, w)
-            digits.append(x)
-        p = tuple(map(sum, zip(self.lows[start:stop], reversed(digits))))
-        code = 0
-        for i in range(max(1, start), stop):
-            code = code * (2 * self.widths[i] - 1) + p[i - start]
-        table[j] = part = (p, code)
-        return part
-
     def decode(self, k: int) -> tuple[Point, int, int]:
         """The point at cell k with its codes over coordinates 1..h-1 and
         h..n-1, in base 2w_i - 1 (a difference of codes names one half of
-        d), from the two decoded halves; kept in self.decoded."""
-        j, i = divmod(k, self.split)
-        high = self.high.get(j) or self._part(self.high, j, 0, self.h)
-        low = self.low.get(i) or self._part(self.low, i, self.h, self.dim)
-        self.decoded[k] = cell = (high[0] + low[0], high[1], low[1])
+        d), in one pass over k's digits, last coordinate first; kept in
+        self.decoded."""
+        p = [0] * self.dim
+        rest, code, scale, low = k, 0, 1, 0
+        for i in range(self.dim - 1, -1, -1):
+            if i == self.h - 1:  # the second half's code is complete
+                low, code, scale = code, 0, 1
+            rest, x = divmod(rest, self.widths[i])
+            p[i] = x = x + self.lows[i]
+            if i:
+                code += x * scale
+                scale *= 2 * self.widths[i] - 1
+        self.decoded[k] = cell = (tuple(p), code, low)
         return cell
 
     def point(self, k: int) -> Point:
@@ -375,26 +362,23 @@ class GridBox:
 
     def index_map(self) -> Callable[[int], int]:
         """For the box of a whole grid: the cell of a grid.index_of index,
-        which puts the first coordinate least significant.  Built on the
-        first call and kept, so every call returns the same function, and
-        a sampler call or a sampled f on the grid builds no table."""
-        return self.cell_of or self._digit_map()
-
-    def _digit_map(self) -> Callable[[int], int]:
-        """index_map's function: the digits are reversed by one table over
-        the first n // 2 coordinates and one over the rest, so neither has
-        more than N^ceil(n/2) entries: sqrt(N^n) for even n, N^((n+1)/2) for
-        odd n (N^2 at n = 3, N at n = 1)."""
-        tables = []
-        for part in (slice(0, self.dim // 2), slice(self.dim // 2, None)):
-            table = [0]
-            for stride, width in zip(self.strides[part], self.widths[part]):
-                table = [t + x * stride for x in range(width) for t in table]
-            tables.append(table)
-        low, high = tables
-        split = len(low)
-        self.cell_of = cell_of = lambda index: low[index % split] + high[index // split]
-        return cell_of
+        which puts the first coordinate least significant.  The digits are
+        reversed by one table over the first n // 2 coordinates and one over
+        the rest, so neither has more than N^ceil(n/2) entries: sqrt(N^n)
+        for even n, N^((n+1)/2) for odd n (N^2 at n = 3, N at n = 1).  Built
+        on the first call and kept, so every call returns the same function,
+        and a sampler call or a sampled f on the grid builds no table."""
+        if self.cell_of is None:
+            tables = []
+            for part in (slice(0, self.dim // 2), slice(self.dim // 2, None)):
+                table = [0]
+                for stride, width in zip(self.strides[part], self.widths[part]):
+                    table = [t + x * stride for x in range(width) for t in table]
+                tables.append(table)
+            low, high = tables
+            split = len(low)
+            self.cell_of = lambda index: low[index % split] + high[index // split]
+        return self.cell_of
 
     def guard(self, cache: dict, key: int, coords: range, k: int, z: Point) -> int:
         """Cells x with x_i + d_i in the box for i in coords, d = cell k - z."""
@@ -507,8 +491,8 @@ def _run_box_search(
     codes are decoded when its node is entered, a shift's point only when
     the independence test of a check or the first build of a guard needs
     it, and a shift's half codes when its child is counted with the guard.
-    The box decodes each cell from its two halves (see GridBox), so nothing
-    here costs a pass over S.
+    The box decodes each cell once (see GridBox), so nothing here costs a
+    pass over S.
 
     A check is one valid shift tried.  Its notion tests (admit) are
     injectivity, V and V + d disjoint as vmask & (vmask << o)
@@ -667,7 +651,7 @@ def _check_budget(budget: int) -> None:
 def _too_small(size: int, dim: int, m: int, notion: CubeNotion) -> bool:
     """True when no m-cube fits a set of `size` points of a dim-dimensional
     grid: too few points for 2^m vertices, or more independent generators
-    than dimensions.  Every target-mode search asks this first."""
+    than dimensions.  _search asks this of every target-mode search."""
     if m > VERTEX_CAP or size < 2 ** m:
         return True
     return notion is not CubeNotion.VERTEX_INJECTIVE and m > dim
@@ -676,35 +660,20 @@ def _too_small(size: int, dim: int, m: int, notion: CubeNotion) -> bool:
 def _search(
     box: GridBox, s_mask: int, notion: CubeNotion, target: Optional[int], budget: int
 ) -> _SearchOutcome:
-    """_run_box_search on a nonempty S, when its answer is certain: the
-    cells of the target-dimension cube or None (target mode), or of the
-    maximal cube (target=None).  Raises SearchBudgetExceeded, with the best
-    dimension so far, when the budget ran out before the answer was certain."""
+    """The one way into _run_box_search, for every search of the package,
+    when its answer is certain: the cells of the target-dimension cube or
+    None (target mode), or of the maximal cube (target=None) of a nonempty
+    S.  A target that no set of |S| cells can hold is answered None without
+    a search.  Raises SearchBudgetExceeded, with the best dimension so far,
+    when the budget ran out before the answer was certain; the caller checks
+    the budget and the target."""
+    if target is not None and _too_small(s_mask.bit_count(), box.dim, target, notion):
+        return _SearchOutcome(0, None, True, 0)
     out = _run_box_search(box, s_mask, notion, target, budget)
     if out.conclusive:
         return out
-    raise _exhausted(budget, out.best_m)
-
-
-def _exhausted(budget: int, best_m: int) -> SearchBudgetExceeded:
-    return SearchBudgetExceeded(
-        f"budget {budget} exhausted before the answer was certified", best_m=best_m)
-
-
-def find_cube_in_box(
-    box: GridBox, s_mask: int, m: int, notion: CubeNotion, budget: int
-) -> Optional[_Cells]:
-    """find_cube for the set of cells in s_mask, on a box shared with other
-    subsets (the f loop's and the sampler's), answered in cells; m and
-    budget are the caller's to check.  It runs the search itself, not
-    through _search, as the f loop and the sampler call it thousands of
-    times on sets that take a few checks."""
-    if _too_small(s_mask.bit_count(), box.dim, m, notion):
-        return None
-    out = _run_box_search(box, s_mask, notion, m, budget)
-    if out.conclusive:
-        return out.cells
-    raise _exhausted(budget, out.best_m)
+    raise SearchBudgetExceeded(
+        f"budget {budget} exhausted before the answer was certified", best_m=out.best_m)
 
 
 def find_cube(
@@ -826,7 +795,7 @@ def _least_m_over_removals(box: GridBox, k_min: int, notion: CubeNotion, budget:
         """A set with no mu-cube left from s_mask by at most t removals of
         cells outside barred, or None; s_mask has no mu-cube based below
         cell base."""
-        cells = find_cube_in_box(box, s_mask & (-1 << base), mu, notion, budget)
+        cells = _search(box, s_mask & (-1 << base), notion, mu, budget).cells
         if cells is None:
             return s_mask
         if t:
@@ -897,7 +866,7 @@ def f_exhaustive(
     mu: Optional[int] = None
     for _ in range(samples):
         s_mask = box.mask(map(cell_of, rng.sample(range(cells), k_min)))
-        if mu is not None and find_cube_in_box(box, s_mask, mu, notion, budget) is not None:
+        if mu is not None and _search(box, s_mask, notion, mu, budget).cells is not None:
             continue  # M(sub) >= mu, cannot lower the minimum
         mu = _search(box, s_mask, notion, None, budget).best_m
         if mu == 0:

@@ -23,8 +23,8 @@ from gridcubes.cubes import (
     AffineCube,
     CubeNotion,
     SearchBudgetExceeded,
+    _search,
     find_cube,
-    find_cube_in_box,
     m_value_oracle_all,
 )
 from gridcubes.grid import GridParams, PointSet
@@ -124,12 +124,12 @@ class TestMoserTardos:
         # above the last round's cube's base
         searches = []
 
-        def spy(box, s_mask, m, notion, budget):
-            cells = find_cube_in_box(box, s_mask, m, notion, budget)
-            searches.append((s_mask, cells))
-            return cells
+        def spy(box, s_mask, notion, m, budget):
+            out = _search(box, s_mask, notion, m, budget)
+            searches.append((s_mask, out.cells))
+            return out
 
-        monkeypatch.setattr(construct, "find_cube_in_box", spy)
+        monkeypatch.setattr(construct, "_search", spy)
         cut = 0
         for (N, n), r, p in [((2, 8), 3, Fraction(1, 2)), ((3, 4), 2, Fraction(1, 2)),
                              ((4, 3), 2, Fraction(1, 2)), ((2, 6), 2, Fraction(3, 4))]:
@@ -186,11 +186,11 @@ class TestMoserTardos:
         # searches the box the first one decoded and guarded
         boxes = []
 
-        def spy(box, s_mask, m, notion, budget):
+        def spy(box, s_mask, notion, m, budget):
             boxes.append(box)
-            return find_cube_in_box(box, s_mask, m, notion, budget)
+            return _search(box, s_mask, notion, m, budget)
 
-        monkeypatch.setattr(construct, "find_cube_in_box", spy)
+        monkeypatch.setattr(construct, "_search", spy)
         grid = GridParams(2, 6)
         calls = []
         for seed in (1, 2):
@@ -219,6 +219,13 @@ class TestVerifyConstruction:
         for s, r in ((PointSet.empty(GridParams(2, 3)), 2), (PointSet.full(GridParams(2, 2)), 0)):
             with pytest.raises(ValueError, match="budget must be >= 0"):
                 verify_construction(s, r, budget=-1)
+
+    def test_r_below_one_rejected(self):
+        # every nonempty set holds a 0-cube, so no r < 1 can be verified
+        for s in (PointSet.full(GridParams(2, 2)), PointSet.empty(GridParams(2, 2))):
+            for r in (0, -1):
+                with pytest.raises(ValueError, match="r must be >= 1"):
+                    verify_construction(s, r)
 
     def test_full_grid_fails_with_witness(self):
         s = PointSet.full(GridParams(2, 3))

@@ -8,7 +8,7 @@ import sys
 import weakref
 from collections import namedtuple
 from fractions import Fraction
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -30,7 +30,6 @@ from gridcubes.cubes import (
     extend_cube,
     f_exhaustive,
     find_cube,
-    find_cube_in_box,
     is_cube_in,
     m_value,
     m_value_oracle_all,
@@ -349,6 +348,79 @@ class TestEncodingEdges:
                     assert find_cube(s, m + 1, notion) is None
 
 
+class TestCellCodes:
+    """A box's cell codes and guard masks against brute force, on own boxes
+    of translated sets (nonzero lows, unequal widths): decode gives the
+    mixed-radix point of a cell, a difference of half codes names exactly
+    one half of a shift, and a guard mask is the set of cells that the
+    shift keeps inside the box on coordinates 1..n-1."""
+
+    # the lows and widths of each box; n = 0, 1, 2, 3 and 5
+    BOXES = [((), ()), ((3,), (5,)), ((2, 7), (3, 4)), ((1, 0, 4), (2, 3, 4)),
+             ((1, 2, 0, 3, 5), (2, 3, 2, 3, 2))]
+
+    def boxes(self):
+        rng = random.Random(77)
+        for lows, widths in self.BOXES:
+            n = len(widths)
+            highs = tuple(lo + w - 1 for lo, w in zip(lows, widths))
+            inner = [tuple(rng.randint(lo, hi) for lo, hi in zip(lows, highs)) for _ in range(6)]
+            s = PointSet(GridParams(12, n), [lows, highs, *inner])
+            box, s_mask = _box_of(s)
+            assert (tuple(box.lows), tuple(box.widths)) == (lows, widths)
+            yield box, s_mask
+
+    def test_decode_gives_the_mixed_radix_point(self):
+        for box, _ in self.boxes():
+            ranges = [range(lo, lo + w) for lo, w in zip(box.lows, box.widths)]
+            points = list(product(*ranges))  # lex order, first coordinate most significant
+            assert len(points) == box.cells
+            for k, p in enumerate(points):
+                assert box.decode(k)[0] == p == box.point(k)
+                assert box.cell(p) == k
+
+    def test_code_differences_name_half_shifts(self):
+        for box, _ in self.boxes():
+            n, h = box.dim, box.h
+            codes = [box.decode(k) for k in range(box.cells)]
+            for half, coords in ((1, range(1, h)), (2, range(h, n))):
+                by_key, by_shift = {}, {}
+                for a, b in product(codes, repeat=2):
+                    key = b[half] - a[half]
+                    shift = tuple(b[0][i] - a[0][i] for i in coords)
+                    by_key.setdefault(key, set()).add(shift)
+                    by_shift.setdefault(shift, set()).add(key)
+                assert all(len(v) == 1 for v in by_key.values()), (box.widths, half)
+                assert all(len(v) == 1 for v in by_shift.values()), (box.widths, half)
+
+    def test_guard_masks_are_the_cells_kept_inside(self):
+        kept = 0
+        for box, s_mask in self.boxes():
+            n, h = box.dim, box.h
+            for notion in CubeNotion:  # the searches fill the box's kept masks
+                _run_box_search(box, s_mask, notion, None, DEFAULT_BUDGET)
+
+            def inside(d, coords):
+                return sum(1 << j for j in range(box.cells)
+                           if all(0 <= box.point(j)[i] + d[i] - box.lows[i] < box.widths[i] for i in coords))
+
+            for iz, k in product(range(box.cells), repeat=2):
+                z, hz, lz = box.decode(iz)
+                p, hc, lc = box.decode(k)
+                d = _sub(p, z)
+                hi, lo = inside(d, range(1, h)), inside(d, range(h, n))
+                assert box.guard({}, 0, range(1, h), k, z) == hi
+                assert box.guard({}, 0, range(h, n), k, z) == lo
+                assert hi & lo == inside(d, range(1, n))
+                if hc - hz in box.guard_hi:
+                    assert box.guard_hi[hc - hz] == hi
+                    kept += 1
+                if lc - lz in box.guard_lo:
+                    assert box.guard_lo[lc - lz] == lo
+                    kept += 1
+        assert kept >= 1000
+
+
 class TestNotionCollapseAtTwo:
     """In {0,1}^n a valid shift has support disjoint from every earlier
     generator, so the three notions agree and the search skips their tests;
@@ -602,18 +674,18 @@ class TestKeptTables:
             for i in range(grid.size):
                 assert cell_of(i) == box.cell(grid.point_of(i)), (N, n, i)
 
-    def test_each_box_builds_its_tables_once(self, monkeypatch):
-        built = []
-        digit_map = GridBox._digit_map
-        monkeypatch.setattr(GridBox, "_digit_map", lambda box: built.append(box) or digit_map(box))
+    def test_each_box_builds_its_tables_once(self):
+        maps = []
         cubes._grid_box.cache_clear()
         grid = GridParams(2, 6)
         for seed in range(200):
             config = SamplerConfig(p=Fraction(1, 2), seed=seed, notion=list(CubeNotion)[seed % 3])
             moser_tardos_sample(grid, 3, config)
+            maps.append(GridBox.of_grid(grid).cell_of)
         for seed in range(20):
             f_exhaustive(2, 6, Fraction(1, 2), list(CubeNotion)[seed % 3], samples=20, seed=seed)
-        assert built == [GridBox.of_grid(grid)]
+            maps.append(GridBox.of_grid(grid).cell_of)
+        assert maps[0] is not None and all(cell_of is maps[0] for cell_of in maps)
 
     def test_thresholds_match_the_in_place_loop(self):
         for independent in (False, True):
@@ -820,7 +892,7 @@ def f_by_subsets(box, k_min, notion, budget=DEFAULT_BUDGET):
     masks = map(box.mask, combinations(range(box.cells), k_min))
     mu = None
     for s_mask in masks:
-        if mu is not None and find_cube_in_box(box, s_mask, mu, notion, budget) is not None:
+        if mu is not None and _search(box, s_mask, notion, mu, budget).cells is not None:
             continue  # M(sub) >= mu, cannot lower the minimum
         mu = _search(box, s_mask, notion, None, budget).best_m
         if mu == 0:
@@ -927,12 +999,14 @@ class TestFExhaustive:
         # or above that cube's base; a branch is told from its removals left
         searches = []
 
-        def spy(box, s_mask, m, notion, budget):
-            cells = find_cube_in_box(box, s_mask, m, notion, budget)
-            searches.append((sys._getframe(1).f_locals["t"], s_mask, cells))
-            return cells
+        def spy(box, s_mask, notion, m, budget):
+            out = _search(box, s_mask, notion, m, budget)
+            caller = sys._getframe(1).f_locals
+            if "t" in caller:  # a removal branch's search
+                searches.append((caller["t"], s_mask, out.cells))
+            return out
 
-        monkeypatch.setattr(cubes, "find_cube_in_box", spy)
+        monkeypatch.setattr(cubes, "_search", spy)
         children = cut = 0
         for N, n, k in [(2, 4, 8), (2, 4, 10), (4, 2, 8), (4, 2, 12), (3, 2, 5), (16, 1, 6), (2, 3, 4)]:
             for notion in CubeNotion:

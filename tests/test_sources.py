@@ -1,6 +1,6 @@
 """The package's sources parse at the Python floor that pyproject.toml
 declares, so a newer syntax cannot slip in unnoticed; the CLI loads no
-process-pool machinery."""
+process-pool machinery; every cube search enters through one function."""
 
 import ast
 import os
@@ -32,3 +32,22 @@ def test_cli_loads_no_process_pool():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert (proc.returncode, proc.stdout) == (0, "[]\n"), proc.stderr
+
+
+def test_one_entry_to_the_cube_search():
+    # cubes._search is the one place that runs the search core, so whatever
+    # every search must do (raise on a spent budget, answer a target too
+    # big for the set unsearched) is done once
+    callers = []
+
+    def visit(node, module, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        elif "_run_box_search" in (getattr(node, "id", None), getattr(node, "attr", None)):
+            callers.append((module, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, module, function)
+
+    for path in sorted(Path(gridcubes.__file__).parent.glob("*.py")):
+        visit(ast.parse(path.read_text(), filename=str(path)), path.stem, None)
+    assert callers == [("cubes", "_search")]
