@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from math import comb, prod
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .cubes import (CubeNotion, DEFAULT_BUDGET, DEFAULT_NOTION, SearchBudgetExceeded,
                     _check_budget, m_value)
@@ -205,12 +205,15 @@ class _Lanes:
     `width` bytes per symbol, the first symbol lowest: one byte for
     q <= 128, else two or four.
 
-    The sum of two packed vectors holds at most 2q - 2 < 2^(8 width) per
-    lane, so it never carries into the next lane.  Adding 2^top - q to every
-    lane (top = 8 width - 1) sets a lane's top bit exactly when it is >= q,
-    which lightest() turns into one branch-free subtraction of q; adding
-    2^top - 1 sets it exactly when the lane is nonzero, which weight()
-    counts.
+    Every lane of a packed vector lies in [0, q), inside [0, 2^top) with
+    top = 8 width - 1, and the sum of two holds at most 2q - 2 < 2^(8 width)
+    per lane, so it never carries into the next lane.  Adding `bias`,
+    2^top - q, to every lane sets a lane's top bit exactly when it is >= q,
+    which add() turns into one branch-free subtraction of q.  A vector so
+    biased, as multiples() yields them, keeps every lane in [0, 2^top).
+    Adding `nonzero`, 2^top - 1, sets a lane's top bit exactly when it is
+    nonzero, which weight() counts; on x ^ m, for x and m both plain or
+    both biased, it counts the lanes where x and m differ.
     """
 
     __slots__ = ("q", "block", "width", "fmt", "top", "high", "bias", "nonzero")
@@ -233,17 +236,18 @@ class _Lanes:
         x += r
         return x - (((x + self.bias) & self.high) >> self.top) * self.q
 
-    def lightest(self, x: int, r: int, count: int, weigh, least: int) -> int:
-        """min(least, weigh(x + c r) for c = 1..count), each word one add()
-        after the last; weigh may weigh a whole subtree."""
-        q, top, high, bias = self.q, self.top, self.high, self.bias
-        for _ in range(count):
-            x += r  # add(), inlined: this loop runs once per word
-            x -= (((x + bias) & high) >> top) * q
-            w = weigh(x)
-            if w < least:
-                least = w
-        return least
+    def multiples(self, r: int) -> Iterator[int]:
+        """c r for c = 1..q-1, which are the -c r for c = 1..q-1, biased:
+        each is one addition of r after the last, and a biased lane passes
+        2^top - 1, setting its top bit, exactly where the plain one passes
+        q - 1, so one subtraction of q reduces it."""
+        q, top, high = self.q, self.top, self.high
+        m = r + self.bias
+        for _ in range(q - 2):
+            yield m
+            m += r
+            m -= ((m & high) >> top) * q
+        yield m
 
     def weight(self, x: int) -> int:
         """Number of nonzero lanes."""
@@ -349,26 +353,64 @@ def _plan(q: int, k: int, full: int, partial: Sequence[int], done: int, bound: i
     return best[1]
 
 
+def _kept_multiples(lanes: _Lanes, rows: Sequence[int], w: int) -> dict[int, tuple[int, ...]]:
+    """The multiples (_Lanes.multiples) of each row j that more than one
+    prefix of level w weighs against, by j.  Row j is the last row of
+    C(j, w-1) (q-1)^(w-2) prefixes, so the rows are taken from the last,
+    while the rows kept total at most ENTRY_CAP lanes."""
+    q, lanes_per_row = lanes.q, (lanes.q - 1) * lanes.block
+    kept = {}
+    room = ENTRY_CAP
+    for j in reversed(range(w - 1, len(rows))):
+        if lanes_per_row > room or comb(j, w - 1) * (q - 1) ** (w - 2) < 2:
+            break
+        kept[j] = tuple(lanes.multiples(rows[j]))
+        room -= lanes_per_row
+    return kept
+
+
 def _weigh_level(lanes: _Lanes, rows: Sequence[int], w: int) -> int:
     """Least weight of a word whose projective message has weight w on one
-    systematic set, given as its packed whole rows."""
-    k, q, lightest, weight = len(rows), lanes.q, lanes.lightest, lanes.weight
+    systematic set, given as its packed whole rows.
 
-    def rec(start, x, left):
-        # the least weight once `left` more rows of rows[start:] are added,
-        # each with a nonzero coefficient
-        least = lanes.block + 1
-        if left == 1:
-            for r in rows[start:]:
-                least = lightest(x, r, q - 1, weight, least)
-            return least
-        for i in range(start, k - left + 1):
-            least = lightest(x, rows[i], q - 1, lambda y: rec(i + 1, y, left - 1), least)
-        return least
-
+    A word x + c r, with x its first w - 1 rows (first coefficient 1) and r
+    its last row, is zero in a lane exactly where x equals m = -c r, so
+    with both biased alike it weighs one XOR and one masked bit count.  The
+    m of a row are made once per call and kept (_kept_multiples), or afresh
+    for each prefix for the rows not kept.
+    """
+    k, q, add = len(rows), lanes.q, lanes.add
     if w == 1:
-        return min(map(weight, rows))
-    return min(rec(i + 1, rows[i], w - 1) for i in range(k - w + 1))
+        return min(map(lanes.weight, rows))
+    high, bias, nonzero, multiples = lanes.high, lanes.bias, lanes.nonzero, lanes.multiples
+
+    def prefixes(start, x, left):
+        # (index past the last row, word) for each way to add `left` more rows
+        # of rows[start:] to x, each with a nonzero coefficient, that leaves a
+        # row after them for the last
+        if not left:
+            yield start, x
+            return
+        for i in range(start, k - left):
+            y, r = x, rows[i]
+            for _ in range(q - 1):
+                y = add(y, r)
+                if left == 1:  # yielded here, without a generator per prefix
+                    yield i + 1, y
+                else:
+                    yield from prefixes(i + 1, y, left - 1)
+
+    kept = _kept_multiples(lanes, rows, w)
+    least = lanes.block + 1
+    for i in range(k - w + 1):
+        for start, x in prefixes(i + 1, rows[i], w - 2):
+            x += bias
+            for j in range(start, k):
+                for m in kept.get(j) or multiples(rows[j]):
+                    v = (((x ^ m) + nonzero) & high).bit_count()
+                    if v < least:
+                        least = v
+    return least
 
 
 def _brouwer_zimmermann(matrix, q: int) -> int:
@@ -378,10 +420,11 @@ def _brouwer_zimmermann(matrix, q: int) -> int:
     The matrix is put in systematic form on greedily chosen disjoint column
     sets (_information_sets); a rank-deficient matrix answers 0 at once.  At
     level w = 1, 2, ... the projective messages of weight w are weighed on
-    every set, each word one lane addition away from its parent (_Lanes).  A
-    codeword not yet seen then has message weight >= w + 1 on every set, so
-    weight >= w + 1 on an information set's columns and >= w + 1 - (k - r)
-    on the own columns of a set of rank r < k.  The run stops once that
+    every set, each word one XOR of the sum of its first w - 1 rows against
+    a multiple of its last (_weigh_level).  A codeword not yet seen then
+    has message weight >= w + 1 on every set, so weight >= w + 1 on an
+    information set's columns and >= w + 1 - (k - r) on the own columns of
+    a set of rank r < k.  The run stops once that
     lower bound reaches the least weight found (at first the Singleton
     bound n - k + 1), or after level k.
 

@@ -51,6 +51,59 @@ def _monomial(u, t, q):
     return val
 
 
+def lightest(lanes, x: int, r: int, count: int, weigh, least: int) -> int:
+    """min(least, weigh(x + c r) for c = 1..count), each word one add()
+    after the last; weigh may weigh a whole subtree."""
+    q, top, high, bias = lanes.q, lanes.top, lanes.high, lanes.bias
+    for _ in range(count):
+        x += r  # add(), inlined: this loop runs once per word
+        x -= (((x + bias) & high) >> top) * q
+        w = weigh(x)
+        if w < least:
+            least = w
+    return least
+
+
+def weigh_level_scan(lanes, rows, w: int) -> int:
+    """Least weight of a word whose projective message has weight w on the
+    packed rows, each word one add() away from its parent and weighed by
+    weight(): an oracle for toric._weigh_level."""
+    k, q, weight = len(rows), lanes.q, lanes.weight
+
+    def rec(start, x, left):
+        # the least weight once `left` more rows of rows[start:] are added,
+        # each with a nonzero coefficient
+        least = lanes.block + 1
+        if left == 1:
+            for r in rows[start:]:
+                least = lightest(lanes, x, r, q - 1, weight, least)
+            return least
+        for i in range(start, k - left + 1):
+            least = lightest(lanes, x, rows[i], q - 1, lambda y: rec(i + 1, y, left - 1), least)
+        return least
+
+    if w == 1:
+        return min(map(weight, rows))
+    return min(rec(i + 1, rows[i], w - 1) for i in range(k - w + 1))
+
+
+def random_systematic(rng, q: int, k: int) -> list[list[int]]:
+    """k random rows, the identity on k random columns, with zero columns
+    among the others and, one time in three, a zero row."""
+    block = rng.randint(k + 2, k + 14)
+    rows = [[rng.randrange(q) for _ in range(block)] for _ in range(k)]
+    cols = rng.sample(range(block), k + 2)
+    for i, c in enumerate(cols[:k]):
+        for h in range(k):
+            rows[h][c] = int(h == i)
+    for c in cols[k:]:
+        for row in rows:
+            row[c] = 0
+    if rng.randrange(3) == 0:
+        rows[rng.randrange(k)] = [0] * block
+    return rows
+
+
 def min_weight_scan(matrix, q: int, prefixes) -> int:
     """Minimum Hamming weight over the projective messages (first nonzero
     symbol 1) whose leading symbols are one of prefixes: an oracle for
@@ -75,7 +128,7 @@ def min_weight_scan(matrix, q: int, prefixes) -> int:
     scale = [pow(-last[j], q - 2, q) if last[j] else 1 for j in cols]
     lanes = toric._Lanes(q, block)
     rows = [lanes.pack([row[j] * c % q for j, c in zip(cols, scale)]) for row in head]
-    lightest, narrow = lanes.lightest, lanes.width == 1
+    narrow = lanes.width == 1
     syms = range(q)
 
     def unpack(x):  # the symbols of x: bytes for one-byte lanes, else a tuple
@@ -100,8 +153,9 @@ def min_weight_scan(matrix, q: int, prefixes) -> int:
             return weigh(x, started)
         count = q - 1 if started else 1
         if i + 1 == len(rows):  # the last head row: its q leaves in one frame
-            return lightest(x, rows[i], count, weigh, weigh(x, started))
-        return lightest(x, rows[i], count, lambda y: rec(i + 1, y, True), rec(i + 1, x, started))
+            return lightest(lanes, x, rows[i], count, weigh, weigh(x, started))
+        return lightest(lanes, x, rows[i], count, lambda y: rec(i + 1, y, True),
+                        rec(i + 1, x, started))
 
     best = block + 1
     for prefix in prefixes:
@@ -488,40 +542,85 @@ class TestMinimumDistance:
 
     def test_lane_reduction_against_flat_weights(self):
         # the lane arithmetic Brouwer-Zimmermann weighs its words with, on
-        # three rows R0, R1, R2: add() puts R1 onto R0 m times, lightest()
-        # then weighs R0 + m R1 + s R2 for every s, and weight() one row,
-        # against the words computed one column at a time.  q = 127 is the
-        # largest prime on 1-byte lanes, q = 131 takes 2-byte lanes and
-        # q = 32771 4-byte lanes; blocks of 9 or more columns pack into ints
-        # of several machine words.
+        # three rows R0, R1, R2: add() puts R1 onto R0 m times, giving x;
+        # multiples() gives c R2 for c = 1..q-1, biased, and the masked bit
+        # count of x, biased alike, XOR one of them weighs x - c R2;
+        # weight() weighs one row.  All against the words computed one
+        # column at a time, with lanes at 0 and at q - 1 in x, in R2 and in
+        # the multiples.  q = 127 is the largest prime on 1-byte lanes,
+        # q = 131 takes 2-byte lanes and q = 32771 4-byte lanes; blocks of 9
+        # or more columns pack into ints of several machine words.
         rng = random.Random(506)
         for q, reps in ((127, 3), (131, 3), (32771, 1)):
             for _ in range(reps):
                 block = rng.randint(9, 16)
                 matrix = [[rng.randrange(q) for _ in range(block)] for _ in range(3)]
-                matrix[-1][rng.randrange(block)] = 0
-                ms = range(q) if q < 1000 else (q - 1, rng.randrange(q))
-                flat = {
-                    m: min(sum(1 for a, b, c in zip(*matrix) if (a + m * b + s * c) % q)
-                           for s in range(q))
-                    for m in ms
-                }
+                zero, full = rng.sample(range(block), 2)
+                for row, at_zero, at_full in zip(matrix, (0, 0, 0), (q - 1, 0, q - 1)):
+                    row[zero], row[full] = at_zero, at_full
                 lanes = toric._Lanes(q, block)
                 first, middle, last = map(lanes.pack, matrix)
-
-                def weigh_last(x):
-                    return lanes.lightest(x, last, q - 1, lanes.weight, lanes.weight(x))
-
-                for m in (q - 1, rng.choice(ms)):
+                mults = list(lanes.multiples(last))
+                assert mults == [lanes.pack([c * v % q for v in matrix[2]]) + lanes.bias
+                                 for c in range(1, q)]
+                for m in (q - 1, rng.randrange(q)):
                     x = first
                     for _ in range(m):
                         x = lanes.add(x, middle)
-                    assert x == lanes.pack([(a + m * b) % q for a, b in zip(*matrix[:2])])
-                    assert weigh_last(x) == flat[m]
-                if q < 1000:
-                    assert lanes.lightest(first, middle, q - 1, weigh_last,
-                                          weigh_last(first)) == min(flat.values())
+                    word = [(a + m * b) % q for a, b in zip(*matrix[:2])]
+                    assert x == lanes.pack(word) and word[zero] == 0 and word[full] == q - 1
+                    assert lanes.weight(x) == block - word.count(0)
+                    flat = [sum(1 for a, v in zip(word, matrix[2]) if (a - c * v) % q)
+                            for c in range(1, q)]
+                    x += lanes.bias
+                    assert [(((x ^ y) + lanes.nonzero) & lanes.high).bit_count()
+                            for y in mults] == flat
                 assert lanes.weight(last) == block - matrix[2].count(0)
+
+    def test_weigh_level_against_word_by_word(self):
+        # the kernel against weigh_level_scan, which weighs each word with
+        # weight() one add() after its parent, at every level w <= k on
+        # random systematic rows with zero columns and zero rows: k up to 6
+        # for q <= 7, 3 for q = 127 and 131, 2 for q = 32771 (4-byte lanes)
+        rng = random.Random(3001)
+        for q in (2, 3, 5, 7, 127, 131, 32771):
+            for k in range(1, (6 if q < 8 else 3 if q < 1000 else 2) + 1):
+                for _ in range(3 if q < 8 else 1):
+                    rows = random_systematic(rng, q, k)
+                    lanes = toric._Lanes(q, len(rows[0]))
+                    packed = [lanes.pack(row) for row in rows]
+                    for w in range(1, k + 1):
+                        assert (toric._weigh_level(lanes, packed, w)
+                                == weigh_level_scan(lanes, packed, w)), (q, rows, w)
+
+    def test_entry_cap_bounds_the_multiples_kept(self, monkeypatch):
+        # a random [22, 5] code over F_7 with ENTRY_CAP at two and a half
+        # rows of multiples (6 words of 22 lanes each): at level 2, where
+        # row j is the last row of j prefixes, a call keeps rows 4 and 3 and
+        # streams rows 1 and 2, row 2 for want of room.  Each level's least
+        # weight is the word-by-word scan's, and d the flat enumeration's
+        q, block = 7, 22
+        monkeypatch.setattr(toric, "ENTRY_CAP", 5 * (q - 1) * block // 2)
+        rng = random.Random(3002)
+        matrix = [[rng.randrange(q) for _ in range(block)] for _ in range(5)]
+        calls = []
+        keep, weigh = toric._kept_multiples, toric._weigh_level
+
+        def spy_keep(lanes, rows, w):
+            calls.append((w, keep(lanes, rows, w)))
+            return calls[-1][1]
+
+        def spy_weigh(lanes, rows, w):
+            least = weigh(lanes, rows, w)
+            assert least == weigh_level_scan(lanes, rows, w)
+            return least
+
+        monkeypatch.setattr(toric, "_kept_multiples", spy_keep)
+        monkeypatch.setattr(toric, "_weigh_level", spy_weigh)
+        assert toric._brouwer_zimmermann(matrix, q) == naive_min_distance(matrix, q)
+        assert (2, [3, 4]) in [(w, sorted(kept)) for w, kept in calls]
+        for w, kept in calls:
+            assert sum(map(len, kept.values())) * block <= toric.ENTRY_CAP
 
     def test_message_cap(self, gf_rank):
         # a full-rank [12, 6] code over F_1009: past the cap in messages
@@ -537,7 +636,7 @@ class TestMinimumDistance:
     def test_small_cap_refuses_before_weighing_past_it(self, monkeypatch):
         # the square [0,2]^2 over F_7 (k = 9, n = 36: words of 27 lanes,
         # each counted once; d = 16), where 7^9 > 3,000 leaves no scan.
-        # Each word weighed is one call of _Lanes.weight.  A cap of 2,000
+        # Each call of _weigh_level weighs _level_words words.  A cap of 2,000
         # words: level 1 on three information sets counts 9 + 2 (729 + 9)
         # = 1,485, with 729 for each later set's elimination, and a fourth
         # set would take 738 more, so the words weighed are the 27 of level
@@ -545,9 +644,10 @@ class TestMinimumDistance:
         # level 2 on them, 4 C(9, 2) 6 = 864 words, does not, and is refused
         # before any of its words is weighed: 36 words, all of level 1.
         code = build_code(LatticePolytope([(0, 0), (2, 0), (0, 2), (2, 2)]), 7)
-        weight = toric._Lanes.weight
-        words = []
-        monkeypatch.setattr(toric._Lanes, "weight", lambda lanes, x: words.append(1) or weight(lanes, x))
+        weigh = toric._weigh_level
+        words = []  # the words of each _weigh_level call
+        monkeypatch.setattr(toric, "_weigh_level", lambda lanes, rows, w: words.append(
+            toric._level_words(lanes.q, len(rows), w)) or weigh(lanes, rows, w))
         for cap, weighed in ((2000, 3 * 9), (3000, 4 * 9)):
             monkeypatch.setattr(toric, "MESSAGE_CAP", cap)
             words.clear()
@@ -555,7 +655,7 @@ class TestMinimumDistance:
                 minimum_distance(code)
             bounds = stop.value.bounds
             assert bounds["min_distance_lower"] <= 16 <= bounds["min_distance_upper"]
-            assert len(words) == weighed
+            assert sum(words) == weighed
 
     def test_cap_stops_only_codes_past_it_in_messages(self, monkeypatch):
         # the simplex of the origin and the unit vectors of dimension 4 over
@@ -567,12 +667,13 @@ class TestMinimumDistance:
         code = build_code(LatticePolytope([(0,) * 4] + [tuple(int(i == j) for i in range(4))
                                                         for j in range(4)]), 7)
         qk = 7 ** code.dimension
-        weight = toric._Lanes.weight
-        words = []
-        monkeypatch.setattr(toric._Lanes, "weight", lambda lanes, x: words.append(1) or weight(lanes, x))
+        weigh = toric._weigh_level
+        words = []  # the words of each _weigh_level call
+        monkeypatch.setattr(toric, "_weigh_level", lambda lanes, rows, w: words.append(
+            toric._level_words(lanes.q, len(rows), w)) or weigh(lanes, rows, w))
         monkeypatch.setattr(toric, "MESSAGE_CAP", qk)
         assert minimum_distance(code) == min_weight_scan(code.matrix, 7, [(0,), (1,)]) == 1080
-        assert len(words) * 21 > qk
+        assert sum(words) * 21 > qk
         monkeypatch.setattr(toric, "MESSAGE_CAP", qk - 1)
         with pytest.raises(toric.MessageCapExceeded) as stop:
             minimum_distance(code)
