@@ -9,7 +9,7 @@ codes of small lattice polytopes.
 __version__ = "0.1.0"
 
 from .bounds import (
-    BoundParams,
+    alpha_of,
     beta,
     c_n_schedule,
     check_eq_ep,
@@ -55,7 +55,6 @@ from .grid import (
 from .toric import (
     CodeStats,
     LatticePolytope,
-    MessageCapExceeded,
     PrimeField,
     ToricCode,
     build_code,

@@ -19,7 +19,6 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from .exactmath import (
-    as_fraction,
     floor_log,
     floor_log_log,
     log_float,
@@ -28,27 +27,17 @@ from .exactmath import (
 )
 
 
-@dataclass(frozen=True)
-class BoundParams:
-    """Parameter bundle (N, c, eps, alpha) with alpha = 2 + eps/3."""
-
-    N: int
-    c: Fraction
-    eps: Fraction
-    alpha: Fraction
-
-    @classmethod
-    def make(cls, N: int, c, eps) -> "BoundParams":
-        c = _density(c, N)
-        eps = as_fraction(eps)
-        if eps <= 0:
-            raise ValueError(f"eps must be positive, got {eps}")
-        return cls(N=N, c=c, eps=eps, alpha=2 + eps / 3)
+def alpha_of(eps) -> Fraction:
+    """alpha = 2 + eps/3, the base of the closed form's logarithm, for eps > 0."""
+    eps = Fraction(eps)
+    if eps <= 0:
+        raise ValueError(f"eps must be positive, got {eps}")
+    return 2 + eps / 3
 
 
 def _density(c, N: int) -> Fraction:
     """c as a Fraction, checked to lie in (0, 1], for a base N >= 2."""
-    c = as_fraction(c)
+    c = Fraction(c)
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     if not 0 < c <= 1:
@@ -195,7 +184,7 @@ def lower_bound_closed_form(n: int, c, N: int, alpha) -> ClosedFormBound:
     contributes +1 to the bound.
     """
     c = _density(c, N)
-    alpha = as_fraction(alpha)
+    alpha = Fraction(alpha)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if c == 1:
@@ -230,8 +219,8 @@ def lower_bound_closed_form(n: int, c, N: int, alpha) -> ClosedFormBound:
 
 def beta(c, N: int, alpha) -> float:
     """The additive constant in f >= log_alpha(n) - beta(c), reporting only."""
-    c = as_fraction(c)
-    alpha = as_fraction(alpha)
+    c = Fraction(c)
+    alpha = Fraction(alpha)
     if N < 2:
         raise ValueError(f"N must be >= 2, got {N}")
     if not 0 < c < 1:
@@ -280,7 +269,7 @@ def check_eq_ep(n: int, eps, N: int) -> EqEpReport:
     factor groups with (1+eps): that is the only reading under which the
     inequality follows from n(r+1) with r < (1+eps) log2(n).
     """
-    eps = as_fraction(eps)
+    eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     c_n = c_n_schedule(n, N)
@@ -308,7 +297,7 @@ def choose_r_dense(n: int, eps) -> Optional[int]:
     2^(qr) < n^(q+p).  Returns None when the open interval contains no
     integer (small n).
     """
-    eps = as_fraction(eps)
+    eps = Fraction(eps)
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
     if eps <= 0:
@@ -323,7 +312,7 @@ def choose_r_dense(n: int, eps) -> Optional[int]:
 
 def choose_r_sparse(eps) -> int:
     """Smallest r with 2^(r-1)/(r+3) > 1/eps, by exact upward scan."""
-    eps = as_fraction(eps)
+    eps = Fraction(eps)
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")
     r = 1
@@ -335,7 +324,7 @@ def choose_r_sparse(eps) -> int:
 def lll_condition(L: int, p, r: int) -> bool:
     """Exact decision of 4 L p^(2^r) < 1, as 4 L a^(2^r) < b^(2^r) for
     p = a/b, refused where those powers would pass BITS_CAP bits."""
-    p = as_fraction(p)
+    p = Fraction(p)
     if L < 1:
         raise ValueError(f"L must be >= 1, got {L}")
     if not 0 < p < 1:
@@ -359,8 +348,8 @@ def count_affine_maps_bound(N: int, n: int, r: int) -> int:
 
 def bound_table_rows(N: int, ns, c, eps) -> list[dict]:
     """Rows (N, n, c, iterated_bound, closed_form_bound, alpha, beta) for CSV."""
-    c = as_fraction(c)
-    params = BoundParams.make(N, c, eps)
+    c = _density(c, N)
+    alpha = alpha_of(eps)
     rows = []
     for n in ns:
         iterated = lower_bound_iterated(n, c, N)
@@ -368,8 +357,8 @@ def bound_table_rows(N: int, ns, c, eps) -> list[dict]:
             closed: Optional[int] = None
             b: Optional[float] = None
         else:
-            closed = lower_bound_closed_form(n, c, N, params.alpha).value
-            b = beta(c, N, params.alpha)
+            closed = lower_bound_closed_form(n, c, N, alpha).value
+            b = beta(c, N, alpha)
         rows.append(
             {
                 "N": N,
@@ -377,7 +366,7 @@ def bound_table_rows(N: int, ns, c, eps) -> list[dict]:
                 "c": str(c),
                 "iterated_bound": iterated,
                 "closed_form_bound": closed,
-                "alpha": str(params.alpha),
+                "alpha": str(alpha),
                 "beta": b,
             }
         )

@@ -33,7 +33,6 @@ from . import __version__
 from .bounds import bound_table_rows
 from .construct import (
     DEFAULT_MAX_ROUNDS,
-    DEFAULT_SEED,
     ConstructStatus,
     construct_dense_small_M,
     construct_sparse_bounded_M,
@@ -42,6 +41,7 @@ from .cubes import (
     CubeNotion,
     DEFAULT_BUDGET,
     DEFAULT_NOTION,
+    DEFAULT_SEED,
     SearchBudgetExceeded,
     f_exhaustive,
     m_value,

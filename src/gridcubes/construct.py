@@ -43,15 +43,15 @@ from .cubes import (
     CubeNotion,
     DEFAULT_BUDGET,
     DEFAULT_NOTION,
+    DEFAULT_SEED,
     GridBox,
     _check_budget,
     _search,
     find_cube,
 )
-from .exactmath import as_fraction, pow_at_least, require_bits
+from .exactmath import pow_at_least, require_bits
 from .grid import GridParams, PointSet
 
-DEFAULT_SEED = 1729
 PRINT_DIGITS = 4300  # Python's default limit on the digits of a printed int
 DEFAULT_MAX_ROUNDS = 10 ** 5
 
@@ -67,7 +67,7 @@ class SamplerConfig:
     search_budget: int = DEFAULT_BUDGET
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "p", as_fraction(self.p))
+        object.__setattr__(self, "p", Fraction(self.p))
         if not 0 < self.p < 1:
             raise ValueError(f"inclusion probability must lie in (0, 1), got {self.p}")
         if self.max_rounds < 1:
@@ -232,7 +232,7 @@ def sparse_exponent_chain(n: int, N: int, eps, r: int) -> dict:
     additionally needs eps*n >= 2.  Both are reported, together with the
     exact LLL comparison at L = N^(n(r+1)).
     """
-    eps = as_fraction(eps)
+    eps = Fraction(eps)
     exponent = n * (r + 3) - 2 ** (r - 1) * eps * n
     middle_ok = eps * n >= 2
     p = Fraction(1, N ** floor(eps * n)) if floor(eps * n) >= 1 else None
@@ -251,7 +251,7 @@ def containment_probability(N: int, n: int, r: int, c) -> Fraction:
     """Probability that a uniform exact-density-c subset contains a fixed
     2^r-point set: the product of (cN^n - i)/(N^n - i) over i < 2^r.
     Needs r >= 0, 0 <= c <= 1 and c N^n an integer (the subset's size)."""
-    c = as_fraction(c)
+    c = Fraction(c)
     cells = N ** n
     if r < 0:
         raise ValueError(f"r must be >= 0, got {r}")
@@ -284,7 +284,7 @@ def construct_dense_small_M(
     of c_n.  At desk scale the feasibility inequality may simply fail, and
     an honest failure (or a budget blowup, raised) is a legitimate outcome.
     """
-    eps = as_fraction(eps)
+    eps = Fraction(eps)
     grid = GridParams(N, n)
     grid.require_materializable("sample")
     if max_rounds < 1:
@@ -336,7 +336,7 @@ def construct_sparse_bounded_M(
     The size test is an exact big-integer comparison; missing it is an
     outcome distinct from a persisting cube.
     """
-    eps = as_fraction(eps)
+    eps = Fraction(eps)
     grid = GridParams(N, n)
     grid.require_materializable("sample")
     r = choose_r_sparse(eps)

@@ -73,15 +73,16 @@ import functools
 import math
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import combinations
 from operator import mul, sub
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence
 
-from .exactmath import as_fraction
 from .grid import MATERIALIZE_LIMIT, GridParams, Point, PointSet
 from .intlinalg import eliminate, is_primitive_system, rational_rank, reduce_against, unit_columns
 
 DEFAULT_BUDGET = 10 ** 8
+DEFAULT_SEED = 1729  # the seed of sampled f and of the constructions when none is given
 
 ORACLE_GRID_CAP = 512  # the naive oracle refuses anything bigger
 VERTEX_CAP = 30  # 2^m vertices must stay enumerable
@@ -107,7 +108,10 @@ DEFAULT_NOTION = CubeNotion.INDEPENDENT_GENERATORS
 
 class SearchBudgetExceeded(RuntimeError):
     """A search's budget ran out before it could certify its answer.  bounds
-    holds what it proved, the fields of an inconclusive result."""
+    holds what it proved, the fields of an inconclusive result: best_m, the
+    best cube dimension a cube search found, or min_distance_lower and
+    min_distance_upper, the bracket on d of a minimum distance stopped by
+    toric.MESSAGE_CAP."""
 
     def __init__(self, message: str, **bounds: int):
         super().__init__(message)
@@ -651,7 +655,7 @@ def _check_budget(budget: int) -> None:
 def _too_small(size: int, dim: int, m: int, notion: CubeNotion) -> bool:
     """True when no m-cube fits a set of `size` points of a dim-dimensional
     grid: too few points for 2^m vertices, or more independent generators
-    than dimensions.  _search asks this of every target-mode search."""
+    than dimensions.  find_cube asks it before building a box."""
     if m > VERTEX_CAP or size < 2 ** m:
         return True
     return notion is not CubeNotion.VERTEX_INJECTIVE and m > dim
@@ -663,12 +667,11 @@ def _search(
     """The one way into _run_box_search, for every search of the package,
     when its answer is certain: the cells of the target-dimension cube or
     None (target mode), or of the maximal cube (target=None) of a nonempty
-    S.  A target that no set of |S| cells can hold is answered None without
-    a search.  Raises SearchBudgetExceeded, with the best dimension so far,
-    when the budget ran out before the answer was certain; the caller checks
-    the budget and the target."""
-    if target is not None and _too_small(s_mask.bit_count(), box.dim, target, notion):
-        return _SearchOutcome(0, None, True, 0)
+    S.  A target that no set of |S| cells can hold stops the core at its
+    first base, with no check (see _need).  Raises SearchBudgetExceeded,
+    whose bounds hold best_m, the best dimension so far, when the budget ran
+    out before the answer was certain; the caller checks the budget and the
+    target."""
     out = _run_box_search(box, s_mask, notion, target, budget)
     if out.conclusive:
         return out
@@ -825,7 +828,7 @@ def f_exhaustive(
     c,
     notion: CubeNotion = DEFAULT_NOTION,
     samples: Optional[int] = None,
-    seed: Optional[int] = None,
+    seed: int = DEFAULT_SEED,
     budget: int = DEFAULT_BUDGET,
 ) -> int:
     """Exact f_N(n, c): the minimum of M(S) over subsets of density >= c.
@@ -847,7 +850,7 @@ def f_exhaustive(
     has the whole budget.
     """
     _check_budget(budget)
-    c = as_fraction(c)
+    c = Fraction(c)
     if not 0 < c <= 1:
         raise ValueError(f"density threshold must lie in (0, 1], got {c}")
     grid = GridParams(N, n)

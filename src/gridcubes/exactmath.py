@@ -28,24 +28,9 @@ def require_bits(bits: int, what: str) -> None:
         raise ArithmeticError(f"{what} needs more than {BITS_CAP} bits")
 
 
-def as_fraction(x) -> Fraction:
-    """Coerce ints, Fractions and fraction strings like '3/4' to Fraction."""
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, int):
-        return Fraction(x)
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
-        # Floats are accepted for convenience but converted exactly, so a
-        # value like 0.1 carries its binary representation with it.
-        return Fraction(x)
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
-
-
 def log_float(x: Rational) -> float:
     """Natural log of a positive rational, safe for huge numerators."""
-    f = as_fraction(x)
+    f = Fraction(x)
     if f <= 0:
         raise ValueError(f"log of non-positive value {f}")
     return math.log(f.numerator) - math.log(f.denominator)
@@ -57,8 +42,8 @@ def floor_log(x: Rational, base: Rational) -> int:
     A float gives the first candidate; exact comparisons against rational
     powers of the base settle it.
     """
-    xf = as_fraction(x)
-    bf = as_fraction(base)
+    xf = Fraction(x)
+    bf = Fraction(base)
     if xf <= 0:
         raise ValueError(f"floor_log of non-positive value {xf}")
     if bf <= 1:
@@ -96,8 +81,8 @@ def pow_at_least(x: Rational, exponent: Rational, base: int) -> bool:
     is not an integer and the test is x^b >= base^a in big integers, refused
     where x^b or base^a would pass BITS_CAP bits.
     """
-    x = as_fraction(x)
-    e = as_fraction(exponent)
+    x = Fraction(x)
+    e = Fraction(exponent)
     if x < 0:
         raise ValueError("x must be non-negative")
     if x == 0:

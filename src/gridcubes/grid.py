@@ -12,7 +12,6 @@ from fractions import Fraction
 from itertools import product
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
-from .exactmath import as_fraction
 
 Point = tuple[int, ...]
 T = TypeVar("T")
@@ -174,7 +173,7 @@ def split_by_prefix(s: PointSet, r: int) -> dict[Point, PointSet]:
 
 def count_heavy_prefixes(s: PointSet, r: int, c) -> int:
     """Number of prefixes a in [N]^r whose fiber has density >= c/2."""
-    c = as_fraction(c)
+    c = Fraction(c)
     if not 0 < c <= 1:
         raise ValueError(f"density threshold must lie in (0, 1], got {c}")
     half = c / 2

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Callable
 
-from .bounds import lower_bound_closed_form, lower_bound_iterated, BoundParams
+from .bounds import alpha_of, lower_bound_closed_form, lower_bound_iterated
 from .construct import containment_probability
 from .cubes import (
     CubeNotion,
@@ -214,8 +214,7 @@ def monotonicity_suite(seed: int = 0, count: int = 0) -> dict:
             if lower_bound_iterated(n, c, 2) > values[c]:
                 violations += 1
             if c < 1 and n >= 2:
-                params = BoundParams.make(2, c, Fraction(1, 2))
-                if lower_bound_closed_form(n, c, 2, params.alpha).value > values[c]:
+                if lower_bound_closed_form(n, c, 2, alpha_of(Fraction(1, 2))).value > values[c]:
                     violations += 1
     return {"checks": checks, "violations": violations}
 

@@ -44,15 +44,6 @@ def is_prime(q: int) -> bool:
     return True
 
 
-class MessageCapExceeded(SearchBudgetExceeded):
-    """Minimum distance stopped by MESSAGE_CAP, inconclusive: lower <= d <= upper."""
-
-    def __init__(self, lower: int, upper: int):
-        super().__init__(f"minimum distance past the cap of {MESSAGE_CAP} words weighed: "
-                         f"{lower} <= d <= {upper}",
-                         min_distance_lower=lower, min_distance_upper=upper)
-
-
 @dataclass(frozen=True)
 class PrimeField:
     """A prime modulus q; the code layer does its arithmetic with % q."""
@@ -436,9 +427,9 @@ def _brouwer_zimmermann(matrix, q: int) -> int:
     lanes past the message, and each later set at its setup price before
     its elimination runs, once its k level-1 words are sure to fit (the
     first set's always do under ENTRY_CAP).  Only a code of more than
-    MESSAGE_CAP messages (q^k) is stopped by the cap, with
-    MessageCapExceeded carrying the bounds found; a smaller code always
-    finishes.
+    MESSAGE_CAP messages (q^k) is stopped by the cap: it raises
+    SearchBudgetExceeded whose bounds are min_distance_lower <= d <=
+    min_distance_upper, the bounds found.  A smaller code always finishes.
     """
     k, n = len(matrix), len(matrix[0])
     setup = k * k * n // SET_ENTRIES
@@ -454,7 +445,9 @@ def _brouwer_zimmermann(matrix, q: int) -> int:
         # count `cost` toward the cap, and stop the run if it and `ahead` do not fit
         nonlocal weighed
         if capped and weighed + cost + ahead > MESSAGE_CAP:
-            raise MessageCapExceeded(low, best)
+            raise SearchBudgetExceeded(
+                f"minimum distance past the cap of {MESSAGE_CAP} words weighed: "
+                f"{low} <= d <= {best}", min_distance_lower=low, min_distance_upper=best)
         weighed += cost
 
     for r, rows in _information_sets(matrix, q):  # each set, and its level 1: its k rows
@@ -490,7 +483,7 @@ def _brouwer_zimmermann(matrix, q: int) -> int:
 def minimum_distance(code: ToricCode) -> int:
     """Exact minimum Hamming distance of the code, by Brouwer-Zimmermann
     (_brouwer_zimmermann) in this process.  Past q^k > MESSAGE_CAP, a run
-    that would weigh more than MESSAGE_CAP words raises MessageCapExceeded
+    that would weigh more than MESSAGE_CAP words raises SearchBudgetExceeded
     with the bounds found so far.
     """
     return _brouwer_zimmermann(code.matrix, code.field.q)

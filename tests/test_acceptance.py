@@ -12,7 +12,7 @@ import time
 from fractions import Fraction
 
 from gridcubes.bounds import (
-    BoundParams,
+    alpha_of,
     c_n_schedule,
     choose_r_sparse,
     lll_condition,
@@ -126,7 +126,7 @@ def test_criterion_5_bound_consistency():
             ok &= lower_bound_iterated(n, c, 2) <= truth[c]
             if c < 1 and n >= 2:
                 for eps in (Fraction(1, 2), 1):
-                    alpha = BoundParams.make(2, c, eps).alpha
+                    alpha = alpha_of(eps)
                     ok &= max(0, lower_bound_closed_form(n, c, 2, alpha).value) <= truth[c]
         detail.append(f"n={n}: " + ", ".join(f"f({c})={truth[c]}" for c in cs))
     elapsed = time.time() - start

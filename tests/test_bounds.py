@@ -9,7 +9,7 @@ import pytest
 
 from gridcubes import bounds, exactmath
 from gridcubes.bounds import (
-    BoundParams,
+    alpha_of,
     beta,
     bound_table_rows,
     c_n_schedule,
@@ -313,7 +313,7 @@ class TestClosedForm:
             for c in C_GRID[:-1]:
                 truth = f_exhaustive(2, n, c, CubeNotion.INDEPENDENT_GENERATORS)
                 for eps in (Fraction(1, 10), Fraction(1, 2), 1, 3):
-                    alpha = BoundParams.make(2, c, eps).alpha
+                    alpha = alpha_of(eps)
                     assert lower_bound_closed_form(n, c, 2, alpha).value <= truth
 
     def test_reproducible(self):

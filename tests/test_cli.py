@@ -415,11 +415,15 @@ class TestInconclusive:
         code, out = run(argv)
         assert (code, json.loads(out)["manifest"]["output_checksum"]) == (3, checksum)
 
-    def test_word_cap_is_a_search_budget(self):
-        assert issubclass(toric.MessageCapExceeded, cubes.SearchBudgetExceeded)
-        assert not issubclass(toric.MessageCapExceeded, ValueError)
-        stop = toric.MessageCapExceeded(6, 16)
-        assert stop.bounds == {"min_distance_lower": 6, "min_distance_upper": 16}
+    def test_word_cap_is_a_search_budget(self, monkeypatch):
+        # the square [0,2]^2 over F_7 (d = 16) under a cap of 2,000 words
+        monkeypatch.setattr(toric, "MESSAGE_CAP", 2000)
+        code = toric.build_code(toric.LatticePolytope([(0, 0), (2, 0), (0, 2), (2, 2)]), 7)
+        with pytest.raises(cubes.SearchBudgetExceeded) as stop:
+            toric.minimum_distance(code)
+        assert not isinstance(stop.value, ValueError)
+        assert stop.value.bounds == {"min_distance_lower": 6, "min_distance_upper": 16}
+        assert str(stop.value).endswith("6 <= d <= 16")
 
 
 class TestVerify:

@@ -218,6 +218,37 @@ class TestFindCube:
             code_stats(seg, 5, VI, 2)
 
 
+class TestTooBigTargets:
+    def test_core_answers_unsearched(self):
+        # a target no set of |S| cells can hold, past log2 |S| or, for the
+        # independent notions, past n, stops the core at its first base
+        # with no check, so even budget 0 is conclusive; find_cube's
+        # pre-check, which spares it the box, draws the same line
+        none = cubes._SearchOutcome(0, None, True, 0)
+        rng = random.Random(31)
+        for N, n, masks in ((2, 3, range(1 << 8)), (3, 2, range(1 << 9)),
+                            (2, 5, [rng.getrandbits(32) for _ in range(300)])):
+            grid = GridParams(N, n)
+            box = GridBox.of_grid(grid)
+            for s_mask in masks:
+                size = s_mask.bit_count()
+                pts = PointSet(grid, [box.point(k) for k in GridBox.cells_of(s_mask)])
+                for notion in CubeNotion:
+                    top = size.bit_length() - 1  # floor(log2 |S|), -1 for the empty set
+                    if notion is not VI:
+                        top = min(top, n)
+                    targets = [0] if size == 0 else []
+                    targets += range(max(top + 1, 1), n + 3)
+                    targets.append(cubes.VERTEX_CAP + 1)
+                    for target in targets:
+                        assert _run_box_search(box, s_mask, notion, target, 0) == none
+                        assert _search(box, s_mask, notion, target, 0) == none
+                        assert cubes._too_small(size, n, target, notion)
+                        assert find_cube(pts, target, notion, budget=0) is None
+                    for target in range(1, top + 1):
+                        assert not cubes._too_small(size, n, target, notion)
+
+
 class TestSearchChecksGate:
     """Upper bounds on the search's checks (valid shifts tried).  A change
     that improves pruning lowers a bound; none is raised without a
@@ -922,6 +953,21 @@ class TestFExhaustive:
     def test_sampled_variant_runs(self):
         v = f_exhaustive(2, 5, Fraction(1, 2), IND, samples=5, seed=3)
         assert 0 <= v <= 5
+
+    def test_sampled_default_seed(self, monkeypatch):
+        # with no seed the draws are those of seed 1729, the CLI's default,
+        # not of system entropy
+        draws = []
+        sample = random.Random.sample
+        monkeypatch.setattr(random.Random, "sample",
+                            lambda rng, *args: draws.append(sample(rng, *args)) or draws[-1])
+        runs = []
+        for seed in ({}, {}, {"seed": 1729}):
+            draws.clear()
+            value = f_exhaustive(2, 6, Fraction(1, 4), IND, samples=6, **seed)
+            runs.append((value, list(draws)))
+        assert runs[0] == runs[1] == runs[2] and len(runs[0][1]) == 6
+        assert cubes.DEFAULT_SEED == 1729
 
     def test_invalid_density(self):
         with pytest.raises(ValueError):

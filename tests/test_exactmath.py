@@ -7,23 +7,31 @@ import pytest
 
 from gridcubes import exactmath
 from gridcubes.exactmath import (
-    as_fraction,
     floor_log,
     floor_log_log,
+    log_float,
     pow_at_least,
 )
 
 
-class TestAsFraction:
+class TestRationalArguments:
+    # a rational argument may be an int, a Fraction, a fraction string like
+    # '3/4' or a float, taken at its exact binary value
     def test_accepted_forms(self):
-        assert as_fraction(3) == 3
-        assert as_fraction("3/4") == Fraction(3, 4)
-        assert as_fraction(Fraction(1, 2)) == Fraction(1, 2)
-        assert as_fraction(0.5) == Fraction(1, 2)
+        assert floor_log(3, 2) == floor_log("3", 2) == 1
+        assert floor_log("3/4", 2) == floor_log(Fraction(3, 4), 2) == -1
+        assert floor_log(Fraction(1, 2), "2") == -1
+        assert floor_log(0.5, 2) == -1 and floor_log(0.1, 2) == -4
+        assert pow_at_least("3/4", 0.5, 2) is False
+        assert pow_at_least(0.5, "-1", 2) is True
 
     def test_rejects_junk(self):
-        with pytest.raises(TypeError):
-            as_fraction(object())
+        for junk in (object(), None, [1]):
+            for call in (lambda: floor_log(junk, 2), lambda: floor_log(2, junk),
+                         lambda: log_float(junk), lambda: pow_at_least(junk, 1, 2),
+                         lambda: pow_at_least(2, junk, 2)):
+                with pytest.raises(TypeError):
+                    call()
 
 
 class TestFloorLog:

@@ -35,9 +35,9 @@ def test_cli_loads_no_process_pool():
 
 
 def test_one_entry_to_the_cube_search():
-    # cubes._search is the one place that runs the search core, so whatever
-    # every search must do (raise on a spent budget, answer a target too
-    # big for the set unsearched) is done once
+    # cubes._search is the one place that runs the search core, so what
+    # every search must do (raise on a spent budget) is done once; a target
+    # too big for the set the core answers itself, with no check
     callers = []
 
     def visit(node, module, function):

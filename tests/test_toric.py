@@ -9,8 +9,10 @@ from itertools import product as iproduct
 from math import prod
 
 import pytest
+import toric_sweep
 
 from gridcubes import toric
+from gridcubes.cubes import SearchBudgetExceeded
 from gridcubes.toric import (
     LatticePolytope,
     PrimeField,
@@ -630,7 +632,7 @@ class TestMinimumDistance:
         matrix = tuple(tuple(rng.randrange(1009) for _ in range(12)) for _ in range(6))
         code = ToricCode(PrimeField(1009), segment(0), ((0,),) * 6, matrix, 12)
         assert gf_rank(matrix, 1009) == 6
-        with pytest.raises(toric.MessageCapExceeded, match=r"cap.* \d+ <= d <= \d+$"):
+        with pytest.raises(SearchBudgetExceeded, match=r"cap.* \d+ <= d <= \d+$"):
             minimum_distance(code)
 
     def test_small_cap_refuses_before_weighing_past_it(self, monkeypatch):
@@ -651,7 +653,7 @@ class TestMinimumDistance:
         for cap, weighed in ((2000, 3 * 9), (3000, 4 * 9)):
             monkeypatch.setattr(toric, "MESSAGE_CAP", cap)
             words.clear()
-            with pytest.raises(toric.MessageCapExceeded) as stop:
+            with pytest.raises(SearchBudgetExceeded) as stop:
                 minimum_distance(code)
             bounds = stop.value.bounds
             assert bounds["min_distance_lower"] <= 16 <= bounds["min_distance_upper"]
@@ -675,9 +677,18 @@ class TestMinimumDistance:
         assert minimum_distance(code) == min_weight_scan(code.matrix, 7, [(0,), (1,)]) == 1080
         assert sum(words) * 21 > qk
         monkeypatch.setattr(toric, "MESSAGE_CAP", qk - 1)
-        with pytest.raises(toric.MessageCapExceeded) as stop:
+        with pytest.raises(SearchBudgetExceeded) as stop:
             minimum_distance(code)
         assert stop.value.bounds == {"min_distance_lower": 4, "min_distance_upper": 1080}
+
+    def test_sweep_subset_digest(self):
+        # every eighth code of the committed sweep (tests/toric_sweep.py),
+        # seven of them stopped by the cap: the same d, or the same bounds
+        # and message, as when the digest was committed
+        codes = toric_sweep.codes()[::toric_sweep.SUBSET_STRIDE]
+        lines = [toric_sweep.outcome(q, vertices) for _, q, vertices in codes]
+        assert sum(" <= d <= " in line for line in lines) == 7
+        assert toric_sweep.digest(lines) == toric_sweep.SUBSET_DIGEST
 
 
 @pytest.fixture(scope="module")
