@@ -404,6 +404,13 @@ def _weigh_level(lanes: _Lanes, rows: Sequence[int], w: int) -> int:
     return least
 
 
+def _past_cap(low: int, high: int) -> SearchBudgetExceeded:
+    """The stop of a minimum distance at MESSAGE_CAP, with low <= d <= high."""
+    return SearchBudgetExceeded(
+        f"minimum distance past the cap of {MESSAGE_CAP} words weighed: "
+        f"{low} <= d <= {high}", min_distance_lower=low, min_distance_upper=high)
+
+
 def _brouwer_zimmermann(matrix, q: int) -> int:
     """Minimum weight of the code of matrix by Brouwer-Zimmermann (K.-H.
     Zimmermann 1996; M. Grassl 2006).
@@ -445,9 +452,7 @@ def _brouwer_zimmermann(matrix, q: int) -> int:
         # count `cost` toward the cap, and stop the run if it and `ahead` do not fit
         nonlocal weighed
         if capped and weighed + cost + ahead > MESSAGE_CAP:
-            raise SearchBudgetExceeded(
-                f"minimum distance past the cap of {MESSAGE_CAP} words weighed: "
-                f"{low} <= d <= {best}", min_distance_lower=low, min_distance_upper=best)
+            raise _past_cap(low, best)
         weighed += cost
 
     for r, rows in _information_sets(matrix, q):  # each set, and its level 1: its k rows
@@ -489,6 +494,48 @@ def minimum_distance(code: ToricCode) -> int:
     return _brouwer_zimmermann(code.matrix, code.field.q)
 
 
+def _product_distance(code: ToricCode) -> int:
+    """Minimum distance of the code of its polytope P, by the product rule
+    on P's lattice points S, with Brouwer-Zimmermann on the core left.
+
+    Coordinate i splits off S when |pi_i S| |pi_-i S| = |S|, pi_i the
+    projection onto it and pi_-i onto the others: then S = pi_i S x pi_-i S
+    and the code is C(pi_i S) (x) C(pi_-i S), whose distance is the product
+    of the factors' (F. J. MacWilliams and N. J. A. Sloane 1977, ch. 18).
+    pi_i S is the lattice points of a fiber of P, an interval of some width
+    w, whose code is Reed-Solomon with d = q - 1 - w (J. P. Hansen 2000).
+    One pass peels every coordinate that splits, since once i has split
+    off, another coordinate splits off pi_-i S exactly when it splits off
+    S.  P is then a box times the hull of the core points, so the core
+    polytope, the projection of P's vertices onto the coordinates left, has
+    exactly the projected points as its lattice points.  d is D times the
+    core code's minimum_distance, D (scale) the product of the intervals'
+    distances, and a core stopped by MESSAGE_CAP gives its bounds times D.
+    """
+    p, q = code.polytope, code.field.q
+    keep = list(range(p.dim))  # the core's coordinates
+    pts = set(code.monomials)  # S projected onto them
+    scale = 1
+    for j in reversed(range(p.dim)):  # deleting position j leaves positions < j in place
+        axis = {u[j] for u in pts}
+        rest = {u[:j] + u[j + 1:] for u in pts}
+        if len(axis) * len(rest) == len(pts):
+            scale *= q - 1 - (max(axis) - min(axis))
+            pts = rest
+            del keep[j]
+    if not keep:
+        return scale
+    if len(keep) < p.dim:
+        core = LatticePolytope(sorted({tuple(v[i] for i in keep) for v in p.vertices}))
+        core._points = tuple(sorted(pts))
+        code = build_code(core, q)
+    try:
+        return scale * minimum_distance(code)
+    except SearchBudgetExceeded as stop:
+        low, high = stop.bounds["min_distance_lower"], stop.bounds["min_distance_upper"]
+        raise _past_cap(scale * low, scale * high) from None
+
+
 @dataclass(frozen=True)
 class CodeStats:
     block_length: int
@@ -508,8 +555,13 @@ def code_stats(
 ) -> CodeStats:
     """All six statistics of the code of P over F_q.
 
-    The cube dimension is computed on the lattice-point set of P viewed
-    inside the grid [q-1]^n, so q must be at least 3.
+    The code of the whole of P is built first, so its caps refuse an input
+    before anything else runs.  The minimum distance peels off P's
+    Reed-Solomon interval factors by the product rule and runs
+    minimum_distance only on the code of the core left (_product_distance):
+    a box, k = n among them, needs no search.  The cube dimension is
+    computed on the lattice-point set of P viewed inside the grid [q-1]^n,
+    so q must be at least 3.
     """
     _check_budget(budget)
     if q < 3:
@@ -518,9 +570,7 @@ def code_stats(
             f"taken in the grid [q-1]^n, whose base q-1 must be at least 2"
         )
     code = build_code(p, q)
-    # build_code guarantees rank k, so at k = n every nonzero word meets the
-    # Singleton bound n - k + 1 = 1
-    dmin = 1 if code.dimension == code.block_length else minimum_distance(code)
+    dmin = _product_distance(code)
     # build_code refused any vertex outside [0, q-2]^n, so every lattice
     # point, in the vertices' hull, lies in the grid [q-1]^n already
     pts = PointSet._of_checked(GridParams(q - 1, p.dim), p.lattice_points())

@@ -32,6 +32,10 @@ from gridcubes.grid import GridParams, PointSet, format_point_set, parse_point_s
 SEG_FILE = "5 1\n0\n1\n2\n3\n"
 SEG_POLY = "5 1\n0\n2\n"
 POINT_POLY = "3 1\n0\n"
+# 2 Delta_2 over F_7: k = 6 points, d = 24, and no coordinate splits off, so
+# code_stats runs Brouwer-Zimmermann on its whole code and a small word cap
+# stops it
+TRIANGLE7_POLY = "7 2\n0 0\n2 0\n0 2\n"
 
 
 @pytest.fixture
@@ -330,36 +334,37 @@ class TestToric:
 
 
     def test_message_cap_exits_3_with_bounds(self, tmp_path, monkeypatch):
-        # [0,2]^2 over F_7 (d = 16, 7^9 > 2,000 leaves no scan) with a cap
-        # of 2,000 words stops Brouwer-Zimmermann after level 1 on three
-        # sets, before it builds a fourth: inconclusive, with the bounds it
+        # the triangle 2 Delta_2 over F_7 (d = 24, 7^6 > 2,000), no product,
+        # so Brouwer-Zimmermann runs on its whole code; a cap of 2,000 words
+        # stops it at 11 <= d <= 24: inconclusive, with the bounds it
         # proved, not an input error
         monkeypatch.setattr(toric, "MESSAGE_CAP", 2000)
-        p = tmp_path / "square.poly"
-        p.write_text("7 2\n0 0\n2 0\n0 2\n2 2\n")
+        p = tmp_path / "triangle.poly"
+        p.write_text(TRIANGLE7_POLY)
         code, out = run(["toric", str(p)])
         res = result_of(out)
         assert code == 3 and res["status"] == "inconclusive"
         assert set(res) == {"status", "min_distance_lower", "min_distance_upper"}
-        assert res["min_distance_lower"] <= 16 <= res["min_distance_upper"]
+        assert (res["min_distance_lower"], res["min_distance_upper"]) == (11, 24)
 
     def test_cap_refuses_a_set_before_building_it(self, tmp_path, monkeypatch):
-        # [0,2]^2 over F_7: k = 9, n = 36, words of 27 lanes, each counted
-        # once.  The first set counts its 9 level-1 words; each later set
-        # 9 * 9 * 36 // 4 = 729 for its elimination and 9 for its level 1.
-        # A cap of 850 admits the second set (747) but not the third
-        # (1,485), so exactly two systematic forms are built.
+        # 2 Delta_2 over F_7: k = 6, n = 36, words of 30 lanes, each counted
+        # once.  The first set counts its 6 level-1 words; each later set
+        # 6 * 6 * 36 // 4 = 324 for its elimination and 6 for its level 1.
+        # A cap of 850 admits the second set (336) and the third (666) but
+        # not the fourth (996), so exactly three systematic forms are
+        # built, and level 1 on each proves 2 toward the lower bound.
         calls = []
         systematic = toric._systematic
         monkeypatch.setattr(toric, "_systematic", lambda *a: calls.append(1) or systematic(*a))
         monkeypatch.setattr(toric, "MESSAGE_CAP", 850)
-        p = tmp_path / "square.poly"
-        p.write_text("7 2\n0 0\n2 0\n0 2\n2 2\n")
+        p = tmp_path / "triangle.poly"
+        p.write_text(TRIANGLE7_POLY)
         code, out = run(["toric", str(p)])
         res = result_of(out)
         assert code == 3 and res["status"] == "inconclusive"
-        assert res["min_distance_lower"] == 4 <= 16 <= res["min_distance_upper"]
-        assert len(calls) == 2
+        assert res["min_distance_lower"] == 6 <= 24 <= res["min_distance_upper"]
+        assert len(calls) == 3
 
     def test_square_past_the_old_cap(self, tmp_path):
         # [0,2]^2 over F_7: k = 9 and 7^9 > 10^7, which the scan alone
@@ -384,11 +389,13 @@ class TestInconclusive:
             for p, x in zip(iproduct(range(3), repeat=4), iter(random.Random(0).random, None))
             if x < 0.5),
         "square5.poly": lambda: "5 2\n0 0\n1 0\n0 1\n1 1\n",
-        "square7.poly": lambda: "7 2\n0 0\n2 0\n0 2\n2 2\n",
+        "triangle7.poly": lambda: TRIANGLE7_POLY,
     }
 
     # exit code and output_checksum of each kind of exit 3, as printed when
-    # the word cap had an exception type and an except clause of its own
+    # the word cap had an exception type and an except clause of its own;
+    # the word cap's case on the triangle, since the square it used to stop
+    # is a product that needs no search
     PINNED = [
         ("--budget 5 mvalue set.txt", None,
          "ed7daf605d1608494b234f438f16b81d20bbe1f60675698f7d60d9b61e40446c"),
@@ -398,8 +405,8 @@ class TestInconclusive:
          "11a3ff9e840011fc97b7d4a763634a7c043b822dc18434f41f1d1ee5979e6c13"),
         ("--budget 1 toric square5.poly", None,
          "ddb77b0b05ad1a15c91257c1b7d266b8221c349a367b3c4a7c8fcee54fb9d9ed"),
-        ("toric square7.poly", 2000,
-         "9f6a31131a36783b0c25fabc0d56fca4dfcf70554fdf179cbb23dd0ea0ca6342"),
+        ("toric triangle7.poly", 2000,
+         "e3e5978216ec9255783d4211d716ed37b67cadd3f1fe9a2ec99c74df69ebd47f"),
     ]
 
     @pytest.mark.parametrize("args, cap, checksum", PINNED, ids=[case[0] for case in PINNED])
@@ -603,13 +610,13 @@ class TestStrictJson:
         return json.loads(text, parse_constant=refuse)
 
     def test_every_output_parses_strictly(self, seg_path, tmp_path, monkeypatch):
-        # the cap of 2,000 words stops the F_7 square with exit 3, as in
+        # the cap of 2,000 words stops the F_7 triangle with exit 3, as in
         # TestToric; it leaves the segment's code alone
         monkeypatch.setattr(toric, "MESSAGE_CAP", 2000)
         seg_poly = tmp_path / "seg.poly"
         seg_poly.write_text(SEG_POLY)
-        square = tmp_path / "square.poly"
-        square.write_text("7 2\n0 0\n2 0\n0 2\n2 2\n")
+        triangle = tmp_path / "triangle.poly"
+        triangle.write_text(TRIANGLE7_POLY)
         prefix = str(tmp_path / "run")
         cases = [
             (0, ["mvalue", seg_path]),
@@ -620,7 +627,7 @@ class TestStrictJson:
             (0, ["toric", str(seg_poly)]),
             (0, ["verify", "intersection", "--count", "10"]),
             (3, ["--budget", "1", "fexact", "2", "4", "1/2"]),
-            (3, ["toric", str(square)]),
+            (3, ["toric", str(triangle)]),
             (2, ["fexact", "2", "3", "5/4"]),
         ]
         for code, argv in cases:

@@ -681,14 +681,26 @@ class TestMinimumDistance:
             minimum_distance(code)
         assert stop.value.bounds == {"min_distance_lower": 4, "min_distance_upper": 1080}
 
-    def test_sweep_subset_digest(self):
+    def test_sweep_subset_digest(self, subset_lines):
         # every eighth code of the committed sweep (tests/toric_sweep.py),
         # seven of them stopped by the cap: the same d, or the same bounds
         # and message, as when the digest was committed
-        codes = toric_sweep.codes()[::toric_sweep.SUBSET_STRIDE]
-        lines = [toric_sweep.outcome(q, vertices) for _, q, vertices in codes]
-        assert sum(" <= d <= " in line for line in lines) == 7
-        assert toric_sweep.digest(lines) == toric_sweep.SUBSET_DIGEST
+        assert sum(" <= d <= " in line for line in subset_lines) == 7
+        assert toric_sweep.digest(subset_lines) == toric_sweep.SUBSET_DIGEST
+
+
+@pytest.fixture(scope="module")
+def sweep_codes():
+    """The committed sweep's codes, (family, q, vertices)."""
+    return toric_sweep.codes()
+
+
+@pytest.fixture(scope="module")
+def subset_lines(sweep_codes):
+    """The outcome lines of every eighth code of the sweep, by
+    minimum_distance on the whole code."""
+    return [toric_sweep.outcome(q, vertices)
+            for _, q, vertices in sweep_codes[::toric_sweep.SUBSET_STRIDE]]
 
 
 @pytest.fixture(scope="module")
@@ -810,7 +822,8 @@ class TestCodeStats:
         assert stats.max_cube_dim == 0
 
     def test_full_dimension_answers_one_without_elimination(self, monkeypatch):
-        # k = n: build_code guarantees rank k, so d is the Singleton bound 1.
+        # k = n: the lattice points are the whole box [0, q-2]^n, which the
+        # product rule splits into factors of width q - 2, each with d = 1.
         # The unit cube over F_3 is the benchmark's k = n = 8 shape.
         def refuse(*args):
             raise AssertionError("eliminated a k = n code")
@@ -836,18 +849,133 @@ class TestCodeStats:
             code_stats(LatticePolytope([(0,)]), 2)
 
     def test_negative_budget_rejected_before_minimum_distance(self, monkeypatch):
+        # the triangle splits no coordinate off, so only the budget check
+        # keeps its minimum distance from running
         def refuse(*args, **kwargs):
             raise AssertionError("computed a minimum distance")
 
         monkeypatch.setattr(toric, "minimum_distance", refuse)
         with pytest.raises(ValueError, match="budget must be >= 0"):
-            code_stats(segment(2), 5, budget=-1)
+            code_stats(LatticePolytope([(0, 0), (1, 0), (0, 1)]), 5, budget=-1)
 
     def test_rates_at_most_one(self):
         for poly, q in [(segment(1), 3), (LatticePolytope([(0, 0), (1, 1)]), 5)]:
             stats = code_stats(poly, q)
             assert stats.information_rate <= 1
             assert stats.relative_min_distance <= 1
+
+
+def seeded_products(rng, count):
+    """count distinct seeded products (q, polytope, core), each with q^k <=
+    10^5 and placed as the sweep places its codes: boxes prod [0, a_i] of
+    dimension 1-3, with a_i = 0 for a one-point factor, and Delta_2 x [0, b],
+    a prism, or at b = 0 a triangle times one point.  core is the lattice
+    points left once the interval factors are peeled: 3 for the triangle,
+    0 for a box."""
+    out, seen = [], set()
+    while len(out) < count:
+        q = rng.choice((3, 5, 7, 11))
+        if rng.random() < 0.5:
+            sides = [rng.randint(0, min(q - 2, 3)) for _ in range(rng.randint(1, 3))]
+            verts = {tuple(a * bit for a, bit in zip(sides, bits))
+                     for bits in iproduct((0, 1), repeat=len(sides))}
+            core = 0
+        else:
+            b = rng.randint(0, q - 2)
+            verts = {v + (c,) for v in ((0, 0), (1, 0), (0, 1)) for c in (0, b)}
+            core = 3
+        poly = LatticePolytope(toric_sweep._place(sorted(verts), q, rng))
+        pts = poly.lattice_points()
+        if q ** len(pts) <= 10 ** 5 and (q, pts) not in seen:
+            seen.add((q, pts))
+            out.append((q, poly, core))
+    return out
+
+
+class TestProductRule:
+    """code_stats peels interval factors off a polytope's lattice points and
+    runs Brouwer-Zimmermann only on the core left."""
+
+    def test_products_against_the_whole_code(self, monkeypatch):
+        # d from the factors and the core equals Brouwer-Zimmermann's on the
+        # whole matrix.  A cap of 2,000 words, which may stop only codes of
+        # more messages, stops no core here (Delta_2 over F_11: 11^3 =
+        # 1,331), so code_stats answers the 16 whole codes past it
+        draws = seeded_products(random.Random(3201), 60)
+        want = [toric._brouwer_zimmermann(build_code(poly, q).matrix, q) for q, poly, _ in draws]
+        monkeypatch.setattr(toric, "MESSAGE_CAP", 2000)
+        assert [code_stats(poly, q).min_distance for q, poly, _ in draws] == want
+        assert sum(q ** len(poly.lattice_points()) > 2000 for q, poly, _ in draws) == 16
+
+    def test_brouwer_zimmermann_sees_only_the_core(self, monkeypatch):
+        # a full product needs no search; a prism's search is on its
+        # triangle's 3 x (q-1)^2 matrix alone
+        seen = []
+        bz = toric._brouwer_zimmermann
+        monkeypatch.setattr(toric, "_brouwer_zimmermann", lambda matrix, q: seen.append(
+            (len(matrix), len(matrix[0]))) or bz(matrix, q))
+        kinds = set()
+        for q, poly, core in seeded_products(random.Random(3202), 60):
+            seen.clear()
+            code_stats(poly, q)
+            assert seen == ([(core, (q - 1) ** 2)] if core else []), (q, poly.vertices)
+            kinds.add((core, poly.dim))
+        assert {(0, 1), (0, 2), (0, 3), (3, 3)} <= kinds
+
+    def test_capped_core_scales_its_bounds(self):
+        # a code of the sweep: one point (24) times a triangle over F_31, so
+        # D = 30, and the cap stops Brouwer-Zimmermann on the triangle at
+        # 4 <= d <= 780.  On the whole code it stops at 3 <= d <= 23,400.
+        core = build_code(LatticePolytope([(16, 14), (15, 18), (14, 14)]), 31)
+        with pytest.raises(SearchBudgetExceeded) as stop:
+            minimum_distance(core)
+        assert stop.value.bounds == {"min_distance_lower": 4, "min_distance_upper": 780}
+        with pytest.raises(SearchBudgetExceeded) as stop:
+            code_stats(LatticePolytope([(24, 16, 14), (24, 15, 18), (24, 14, 14)]), 31)
+        assert stop.value.bounds == {"min_distance_lower": 120, "min_distance_upper": 23400}
+        assert str(stop.value).endswith("past the cap of 10000000 words weighed: 120 <= d <= 23400")
+
+    def test_caps_refuse_a_product_first(self):
+        # the code of the whole polytope is built first, so a box too big to
+        # build is refused although its d needs no matrix
+        square = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
+        for poly, q, match in ((square, 2003, "block length"), (segment(4), 999983, "entries")):
+            with pytest.raises(ValueError, match=match):
+                code_stats(poly, q)
+
+
+class TestClosedForms:
+    """The sweep's boxes and triangles against their closed forms
+    (toric_sweep.closed_form)."""
+
+    def test_boxes_through_code_stats(self, sweep_codes):
+        # every box of the sweep, the 20 of more than MESSAGE_CAP messages
+        # among them: Brouwer-Zimmermann alone stops 17 of those at the cap
+        boxes = [(q, vertices) for family, q, vertices in sweep_codes if family == "box"]
+        past = 0
+        for q, vertices in boxes:
+            poly = LatticePolytope(vertices)
+            want = toric_sweep.closed_form("box", q, vertices)
+            assert code_stats(poly, q).min_distance == want, (q, vertices)
+            past += q ** len(poly.lattice_points()) > toric.MESSAGE_CAP
+        assert (len(boxes), past) == (72, 20)
+
+    def test_triangles_against_hansen(self, sweep_codes, subset_lines):
+        # minimum_distance gives Hansen's form on each of the 55 triangles of
+        # the sweep that the cap cannot stop, and bounds around it on the 4
+        # of the subset that it stops; tests/toric_sweep.py checks them all
+        cases = [(q, vertices, toric_sweep.outcome(q, vertices))
+                 for family, q, vertices in sweep_codes if family == "triangle"
+                 and q ** len(LatticePolytope(vertices).lattice_points()) <= toric.MESSAGE_CAP]
+        cases += [(q, vertices, line) for (family, q, vertices), line
+                  in zip(sweep_codes[::toric_sweep.SUBSET_STRIDE], subset_lines)
+                  if family == "triangle" and " <= d <= " in line]
+        exact = 0
+        for q, vertices, line in cases:
+            low, high = toric_sweep.bracket(line)
+            assert low <= toric_sweep.closed_form("triangle", q, vertices) <= high, line
+            exact += low == high
+        assert (exact, len(cases) - exact) == (55, 4)
 
 
 class TestReedSolomonFamily:

@@ -12,14 +12,19 @@ SearchBudgetExceeded that the cap raised.
     PYTHONPATH=src python tests/toric_sweep.py
 
 prints one line per code and the sha256 of all of them, and exits 1 unless
-it equals DIGEST.  tests/test_toric.py recomputes the digest of a subset.
+it equals DIGEST and every box and triangle agrees with its closed form
+(closed_form): d equal to it, or bounds around it.  tests/test_toric.py
+recomputes the digest of a subset and checks the closed forms.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
+import re
 import sys
+from math import prod
+from typing import Optional
 
 from gridcubes import toric
 from gridcubes.cubes import SearchBudgetExceeded
@@ -100,18 +105,47 @@ def outcome(q: int, vertices) -> str:
         return f"{head} {sorted(stop.bounds.items())} {stop}"
 
 
+def closed_form(family: str, q: int, vertices) -> Optional[int]:
+    """d by a closed form, for the families that have one: a box
+    prod [0, a_i] has prod (q - 1 - a_i), the product of its Reed-Solomon
+    factors' distances, and a triangle a Delta_2 with a < q - 1 has
+    (q - 1)(q - 1 - a) (J. P. Hansen 2002).  A placement keeps each width."""
+    widths = [max(c) - min(c) for c in zip(*vertices)]
+    if family == "box":
+        return prod(q - 1 - a for a in widths)
+    if family == "triangle":
+        return (q - 1) * (q - 1 - widths[0])
+    return None
+
+
+def bracket(line: str) -> tuple[int, int]:
+    """(lower, upper) on d that an outcome line states: d twice, or the
+    cap's bounds."""
+    capped = re.search(r"(\d+) <= d <= (\d+)$", line)
+    if capped:
+        return int(capped[1]), int(capped[2])
+    d = int(re.search(r" d=(\d+)$", line)[1])
+    return d, d
+
+
 def digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def main() -> int:
     lines = []
+    wrong = 0
     for family, q, vertices in codes():
         lines.append(outcome(q, vertices))
-        print(family, lines[-1], flush=True)
+        form = closed_form(family, q, vertices)
+        low, high = bracket(lines[-1])
+        miss = form is not None and not low <= form <= high
+        wrong += miss
+        note = f" MISSES the closed form {form}" if miss else ""
+        print(f"{family} {lines[-1]}{note}", flush=True)
     got = digest(lines)
-    print(f"{len(lines)} codes, sha256 {got}")
-    return 0 if got == DIGEST else 1
+    print(f"{len(lines)} codes, sha256 {got}, {wrong} missing their closed form")
+    return 0 if got == DIGEST and not wrong else 1
 
 
 if __name__ == "__main__":
