@@ -20,7 +20,6 @@ from typing import Callable, Optional
 
 from .exactmath import (
     floor_log,
-    floor_log_log,
     log_float,
     pow_at_least,
     require_bits,
@@ -249,7 +248,8 @@ def c_n_schedule(n: int, N: int) -> Fraction:
         raise ValueError(f"N must be >= 2, got {N}")
     if n < N:
         raise ValueError(f"need n >= N for a nonnegative exponent, got n={n}")
-    k = floor_log_log(n, N)
+    # exact: N^j is an integer, so N^(N^j) <= n iff N^j <= floor(log_N n)
+    k = floor_log(floor_log(n, N), N)
     return 1 - Fraction(1, N ** k)
 
 

@@ -306,6 +306,8 @@ def run(argv: list[str]) -> tuple[int, str]:
             raise ValueError(f"--threads must be >= 1, got {args.threads}")
         if args.budget < 0:
             raise ValueError(f"--budget must be >= 0, got {args.budget}")
+        if args.seed < 0:
+            raise ValueError(f"--seed must be >= 0, got {args.seed}")
         return _HANDLERS[args.command](args)
     except SearchBudgetExceeded as exc:
         result = {"status": "inconclusive", **exc.bounds}

@@ -72,6 +72,8 @@ class SamplerConfig:
             raise ValueError(f"inclusion probability must lie in (0, 1), got {self.p}")
         if self.max_rounds < 1:
             raise ValueError("max_rounds must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.search_budget < 0:
             raise ValueError(f"search_budget must be >= 0, got {self.search_budget}")
 
@@ -88,18 +90,18 @@ def moser_tardos_sample(grid: GridParams, r: int, config: SamplerConfig) -> Samp
     """Resample violating r-cubes until none remain or rounds run out.
 
     Deterministic for a fixed config: one random stream drives both the
-    initial sample (one draw per cell, in grid.index_of order) and every
-    redraw, the violating cube is always the canonically smallest one, and
-    its cells are redrawn in grid.index_of order.  The current set is a
-    cell mask of the grid's GridBox, kept by cubes._grid_box with the
-    boxes of seven other geometries, so every round's search, and every
-    search of a later call on the same grid, even after searches on other
-    geometries, shares what the box keeps: its decoded cells, guard masks
-    and unit columns, and the index map that takes grid.index_of indices
-    to cells, built by the first call on the grid.  A round reads the
-    violating cube's vertex cells straight from the search's answer, and
-    the PointSet, and the last violation's AffineCube when rounds run out,
-    are built once, at return.
+    initial sample (one draw per cell, in the index order of
+    GridParams.point_of) and every redraw, the violating cube is always the
+    canonically smallest one, and its cells are redrawn in that order.  The
+    current set is a cell mask of the grid's GridBox, kept by
+    cubes._grid_box with the boxes of seven other geometries, so every
+    round's search, and every search of a later call on the same grid, even
+    after searches on other geometries, shares what the box keeps: its
+    decoded cells, guard masks and unit columns, and the index map that
+    takes point_of indices to cells, built by the first call on the grid.
+    A round reads the violating cube's vertex cells straight from the
+    search's answer, and the PointSet, and the last violation's AffineCube
+    when rounds run out, are built once, at return.
     A round searches the set with the cells below the last cube's base
     cleared (see above), and finds the cube a search of the whole set
     would, so the rounds, the random stream and the outcome do not change;
@@ -123,7 +125,7 @@ def moser_tardos_sample(grid: GridParams, r: int, config: SamplerConfig) -> Samp
             current = PointSet._of_checked(grid, map(box.point, box.cells_of(included)))
             return SampleOutcome(current, rounds, cells is None, box.cube(cells) if cells else None)
         # cell_of reverses the n base-N digits of an index, so it also takes
-        # a cell to its grid.index_of index
+        # a cell to its point_of index
         for k in sorted(box.vertex_cells(cells), key=cell_of):
             bit = 1 << k
             included = included | bit if rng.random() < p else included & ~bit

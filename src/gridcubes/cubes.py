@@ -251,10 +251,10 @@ class GridBox:
 
     It keeps three more things, each built once: whether it spans at most
     two values per coordinate (two_valued, where no notion test runs), its
-    unit columns (units, built on first use by a search that tests
-    independence and never changed: eliminate copies them, reduce_against
-    only reads them), and the function of index_map with its two digit
-    tables of at most N^ceil(n/2) entries, built on its first call.
+    n unit columns (units, never changed: eliminate copies them,
+    reduce_against only reads them), and the function of index_map with
+    its two digit tables of at most N^ceil(n/2) entries, built on its first
+    call.
 
     Everything a box holds, its decoded cells, its guard masks and the
     three above, is a pure function of its lows and widths, so one box
@@ -288,7 +288,7 @@ class GridBox:
         self.guard_hi: dict[int, int] = {}
         self.guard_lo: dict[int, int] = {}
         self.two_valued = max(widths, default=2) <= 2
-        self.units: Optional[tuple[tuple[int, ...], ...]] = None
+        self.units = tuple(unit_columns(n))  # the free columns at a base (see intlinalg)
         self.cell_of: Optional[Callable[[int], int]] = None
 
     @staticmethod
@@ -358,20 +358,15 @@ class GridBox:
             k = bits.find("1", k + 1)
         return out
 
-    def _build_units(self) -> tuple[tuple[int, ...], ...]:
-        """The free columns at a base (see intlinalg), built on first use
-        and kept as a tuple, which no search changes."""
-        self.units = units = tuple(unit_columns(self.dim))
-        return units
-
     def index_map(self) -> Callable[[int], int]:
-        """For the box of a whole grid: the cell of a grid.index_of index,
-        which puts the first coordinate least significant.  The digits are
-        reversed by one table over the first n // 2 coordinates and one over
-        the rest, so neither has more than N^ceil(n/2) entries: sqrt(N^n)
-        for even n, N^((n+1)/2) for odd n (N^2 at n = 3, N at n = 1).  Built
-        on the first call and kept, so every call returns the same function,
-        and a sampler call or a sampled f on the grid builds no table."""
+        """For the box of a whole grid: the cell of an index in the order
+        of GridParams.point_of, first coordinate least significant.  The
+        digits are reversed by one table over the first n // 2 coordinates
+        and one over the rest, so neither has more than N^ceil(n/2)
+        entries: sqrt(N^n) for even n, N^((n+1)/2) for odd n (N^2 at n = 3,
+        N at n = 1).  Built on the first call and kept, so every call
+        returns the same function, and a sampler call or a sampled f on the
+        grid builds no table."""
         if self.cell_of is None:
             tables = []
             for part in (slice(0, self.dim // 2), slice(self.dim // 2, None)):
@@ -505,15 +500,14 @@ def _run_box_search(
     eliminating its generators (see intlinalg), d is rejected when
     red = reduce_against(d, cols) is None or, for the unimodular notion,
     gcd(red) != 1, and the child gets eliminate(red, cols).  At a base the
-    free columns are the unit columns, so red = d without a call; the box
-    keeps them, built by the first search that tests independence.  Only a
-    check with m >= best_m can raise best_m, so only it runs its tests
-    first; any other check runs them only once its child has passed the
-    guarded count and is about to be entered.  A failed test only keeps the
-    child out, so the deferral changes no check, witness or bound, and it
-    spares the tests of the checks the count ends, about nine in ten (as
-    bit-parallel clique search pays for per-vertex work only on the
-    branches it takes).  When the box spans at most two values per
+    free columns are the unit columns that the box keeps, so red = d
+    without a call.  Only a check with m >= best_m can raise best_m, so
+    only it runs its tests first; any other check runs them only once its
+    child has passed the guarded count and is about to be entered.  A
+    failed test only keeps the child out, so the deferral changes no check,
+    witness or bound, and it spares the tests of the checks the count ends,
+    about nine in ten (as bit-parallel clique search pays for per-vertex
+    work only on the branches it takes).  When the box spans at most two values per
     coordinate (box.two_valued), as every box of [2]^n does, every notion
     holds and no test runs: on the support of g_j both v and v + g_j lie
     in {a, a + 1}, so a valid d is zero there, and distinct nonzero
@@ -545,7 +539,7 @@ def _run_box_search(
     unimodular = notion is CubeNotion.UNIMODULAR
     test_injective = not independent and not box.two_valued
     test_linalg = independent and not box.two_valued
-    units = (box.units or box._build_units()) if test_linalg else None
+    units = box.units if test_linalg else None
 
     best_m = 0
     best = (first, ())  # base and generator cells of the best cube
@@ -652,15 +646,6 @@ def _check_budget(budget: int) -> None:
         raise ValueError(f"budget must be >= 0, got {budget}")
 
 
-def _too_small(size: int, dim: int, m: int, notion: CubeNotion) -> bool:
-    """True when no m-cube fits a set of `size` points of a dim-dimensional
-    grid: too few points for 2^m vertices, or more independent generators
-    than dimensions.  find_cube asks it before building a box."""
-    if m > VERTEX_CAP or size < 2 ** m:
-        return True
-    return notion is not CubeNotion.VERTEX_INJECTIVE and m > dim
-
-
 def _search(
     box: GridBox, s_mask: int, notion: CubeNotion, target: Optional[int], budget: int
 ) -> _SearchOutcome:
@@ -695,8 +680,8 @@ def find_cube(
     _check_budget(budget)
     if m < 0:
         raise ValueError(f"cube dimension must be >= 0, got {m}")
-    if _too_small(len(s), s.grid.dim, m, notion):
-        return None
+    if _need(len(s), m - 1, s.grid.dim, notion is not CubeNotion.VERTEX_INJECTIVE)[0] > len(s):
+        return None  # the core would stop at its first base: spare the box
     box, s_mask = _box_of(s)
     cells = _search(box, s_mask, notion, m, budget).cells
     return box.cube(cells) if cells else None
@@ -793,33 +778,31 @@ def _least_m_over_removals(box: GridBox, k_min: int, notion: CubeNotion, budget:
     from the whole box; when none is found, f is mu.
     """
     mu = _search(box, (1 << k_min) - 1, notion, None, budget).best_m
-
-    def without_cube(s_mask: int, t: int, barred: int, base: int) -> Optional[int]:
-        """A set with no mu-cube left from s_mask by at most t removals of
-        cells outside barred, or None; s_mask has no mu-cube based below
-        cell base."""
-        cells = _search(box, s_mask & (-1 << base), notion, mu, budget).cells
-        if cells is None:
-            return s_mask
-        if t:
-            for k in box.vertex_cells(cells):
-                bit = 1 << k
-                if not barred & bit:
-                    found = without_cube(s_mask ^ bit, t - 1, barred, cells[0])
-                    if found is not None:
-                        return found
-                    barred |= bit
-        return None
-
-    try:
-        while mu:
-            s_mask = without_cube((1 << box.cells) - 1, box.cells - k_min, 0, 0)
-            if s_mask is None:
-                break
-            mu = _search(box, s_mask, notion, None, budget).best_m
-    finally:
-        del without_cube  # as in _run_box_search, a recursive closure holds the box
+    while mu:
+        s_mask = _without_cube(box, notion, budget, mu, (1 << box.cells) - 1, box.cells - k_min, 0, 0)
+        if s_mask is None:
+            break
+        mu = _search(box, s_mask, notion, None, budget).best_m
     return mu
+
+
+def _without_cube(box: GridBox, notion: CubeNotion, budget: int, mu: int,
+                  s_mask: int, t: int, barred: int, base: int) -> Optional[int]:
+    """A set with no mu-cube left from s_mask by at most t removals of
+    cells outside barred, or None; s_mask has no mu-cube based below cell
+    base."""
+    cells = _search(box, s_mask & (-1 << base), notion, mu, budget).cells
+    if cells is None:
+        return s_mask
+    if t:
+        for k in box.vertex_cells(cells):
+            bit = 1 << k
+            if not barred & bit:
+                found = _without_cube(box, notion, budget, mu, s_mask ^ bit, t - 1, barred, cells[0])
+                if found is not None:
+                    return found
+                barred |= bit
+    return None
 
 
 def f_exhaustive(
@@ -838,8 +821,8 @@ def f_exhaustive(
     N^n - k_min cells that meet every cube of the least dimension found so
     far (see _least_m_over_removals), not the k_min-subsets one by one.
     Pass `samples` for a seeded sampled variant (an upper estimate, not
-    exact): each sample is rng.sample(range(N^n), k_min) of grid.index_of
-    indices, and f is the least M among them.
+    exact): each sample is rng.sample(range(N^n), k_min) of grid indices,
+    in the order of GridParams.point_of, and f is the least M among them.
 
     Every set searched is a cell mask of the GridBox of [N]^n that the
     process keeps (see _grid_box, which keeps eight geometries).  So the
@@ -861,6 +844,8 @@ def f_exhaustive(
         raise ValueError(f"exhaustive mode handles at most 16 cells, got {cells}; pass samples=")
     if samples is not None and samples < 1:
         raise ValueError("sample count must be positive")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     box = GridBox.of_grid(grid)
     if samples is None:
         return _least_m_over_removals(box, k_min, notion, budget)

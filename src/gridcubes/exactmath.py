@@ -56,22 +56,6 @@ def floor_log(x: Rational, base: Rational) -> int:
     return k
 
 
-def floor_log_log(n: int, base: int) -> int:
-    """Exact floor(log_base(log_base(n))) for integers n >= base >= 2.
-
-    Settled without floats: k is the answer iff base^(base^k) <= n <
-    base^(base^(k+1)), and those towers are exact integers.
-    """
-    if base < 2:
-        raise ValueError(f"base must be >= 2, got {base}")
-    if n < base:
-        raise ValueError(f"need n >= base for a non-negative value, got n={n}")
-    k = 0
-    while base ** (base ** (k + 1)) <= n:
-        k += 1
-    return k
-
-
 def pow_at_least(x: Rational, exponent: Rational, base: int) -> bool:
     """Exact test  x >= base**exponent  for rational x >= 0 and integer base >= 2.
 

@@ -47,15 +47,10 @@ class GridParams:
             raise ValueError(f"point {p} outside grid [{self.base}]^{self.dim}")
         return p
 
-    def index_of(self, point: Sequence[int]) -> int:
-        """The index of a point, first coordinate least significant."""
-        idx = 0
-        for x in reversed(point):
-            idx = idx * self.base + x
-        return idx
-
     def point_of(self, index: int) -> Point:
-        """The point of an index_of index, which must lie in [0, N^n)."""
+        """The point of an index in [0, N^n), its base-N digits with the
+        first coordinate least significant: the order in which the sampler
+        and sampled f draw cells."""
         coords, rest = [], index
         for _ in range(self.dim):
             rest, rem = divmod(rest, self.base)
@@ -104,8 +99,9 @@ class PointSet:
 
     @classmethod
     def from_indices(cls, grid: GridParams, indices: Iterable[int]) -> "PointSet":
-        """The points of these index_of indices; an index outside [0, N^n)
-        raises ValueError."""
+        """The points of these indices, in the order of point_of (first
+        coordinate least significant); an index outside [0, N^n) raises
+        ValueError."""
         return cls(grid, map(grid.point_of, indices))
 
     @classmethod

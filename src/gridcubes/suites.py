@@ -233,6 +233,8 @@ def run_suite(name: str, seed: int = 0, count: int | None = None) -> dict:
     """Run one named suite (or 'lemmas' = the three lemma suites, or 'all')."""
     if count is not None and count < 0:
         raise ValueError(f"instance count must be >= 0, got {count}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     if name == "lemmas":
         members = ["intersection", "prefix", "hypergeometric"]
     elif name == "all":

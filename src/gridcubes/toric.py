@@ -81,15 +81,13 @@ def _in_hull(x: Sequence[int], vertices: Sequence[Point]) -> bool:
         enter = next((j for j in range(k + m) if z[j] > 0), None)  # Bland
         if enter is None:
             break
-        leave = None
+        leave = None  # phase 1 is bounded below: some row leaves
         for i in range(m):
             a = rows[i][enter]
             if a > 0:  # c: the sign of rhs_i / a - rhs_leave / a_leave
                 c = -1 if leave is None else rows[i][-1] * rows[leave][enter] - rows[leave][-1] * a
                 if c < 0 or (c == 0 and basis[i] < basis[leave]):
                     leave = i
-        if leave is None:
-            break  # cannot happen: phase-1 objective is bounded below
         b, p = rows[leave], rows[leave][enter]
         for i, row in enumerate(rows):
             if i != leave:

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import permutations
 
@@ -393,6 +394,31 @@ class TestCnSchedule:
         with pytest.raises(ValueError):
             c_n_schedule(2, 3)
 
+    def test_domain(self):
+        with pytest.raises(ValueError, match="need n >= N for a nonnegative exponent, got n=1"):
+            c_n_schedule(1, 2)
+        with pytest.raises(ValueError, match="N must be >= 2, got 1"):
+            c_n_schedule(5, 1)
+
+    def test_against_tower_loop(self):
+        # slow path: k = floor(log_N log_N n) is the k with
+        # N^(N^k) <= n < N^(N^(k+1)), towers of exact integers
+        def tower_k(n, N):
+            k = 0
+            while N ** (N ** (k + 1)) <= n:
+                k += 1
+            return k
+
+        for N in range(2, 40):
+            ns = set(range(N, 5000 if N <= 3 else 400))
+            k = 0
+            while N ** k * N.bit_length() <= 20000:  # each tower N^(N^k) ± 1
+                tower = N ** (N ** k)
+                ns |= {tower - 1, tower, tower + 1} - {N - 1}
+                k += 1
+            for n in sorted(ns):
+                assert c_n_schedule(n, N) == 1 - Fraction(1, N ** tower_k(n, N)), (n, N)
+
 
 class TestEqEp:
     def test_golden_threshold(self):
@@ -559,3 +585,31 @@ class TestBoundTable:
         rows = bound_table_rows(2, [10], 1, Fraction(1, 2))
         assert rows[0]["closed_form_bound"] is None
         assert rows[0]["iterated_bound"] >= 1
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: alpha_of(0), "eps must be positive, got 0"),
+    (lambda: lower_bound_iterated(0, Fraction(1, 2), 2), "n must be >= 1, got 0"),
+    (lambda: lower_bound_closed_form(1, Fraction(1, 2), 2, 3), "n must be >= 2, got 1"),
+    (lambda: lower_bound_closed_form(10, Fraction(1, 2), 2, 1), "alpha must exceed 1, got 1"),
+    (lambda: beta(Fraction(1, 2), 1, 3), "N must be >= 2, got 1"),
+    (lambda: beta(1, 2, 3), "c must lie in (0, 1), got 1"),
+    (lambda: beta(Fraction(1, 2), 2, Fraction(1, 2)), "alpha must exceed 1, got 1/2"),
+    (lambda: check_eq_ep(16, 0, 2), "eps must be positive, got 0"),
+    (lambda: choose_r_dense(1, Fraction(1, 2)), "n must be >= 2, got 1"),
+    (lambda: choose_r_dense(16, -1), "eps must be positive, got -1"),
+    (lambda: choose_r_sparse(0), "eps must be positive, got 0"),
+    (lambda: lll_condition(0, Fraction(1, 2), 1), "L must be >= 1, got 0"),
+    (lambda: lll_condition(1, 1, 1), "p must lie in (0, 1), got 1"),
+    (lambda: lll_condition(1, Fraction(1, 2), -1), "r must be >= 0, got -1"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_alpha_power_at_or_below_zero_is_at_most_x():
+    # x = 1 + (1-n)(alpha-1)/log_N(c) >= 1 >= alpha^k for every k <= 0
+    for k in (0, -1, -5):
+        assert bounds._alpha_pow_le_x(k, 5, Fraction(1, 2), 2, Fraction(5, 2))
+        assert bounds._alpha_pow_le_x(k, 2, Fraction(99, 100), 7, Fraction(7, 3))

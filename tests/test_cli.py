@@ -28,6 +28,7 @@ from gridcubes.cubes import (
     is_cube_in,
 )
 from gridcubes.grid import GridParams, PointSet, format_point_set, parse_point_set
+from gridcubes.suites import run_suite
 
 SEG_FILE = "5 1\n0\n1\n2\n3\n"
 SEG_POLY = "5 1\n0\n2\n"
@@ -514,6 +515,31 @@ class TestBadNumericFlags:
         for argv in (["construct", "dense", "24", "2", "10000"],
                      ["construct", "sparse", "20", "2", "1000"]):
             assert json.loads(run(argv)[1])["error"].startswith("eps = "), argv
+
+    def test_empty_dimension_list_exits_2(self):
+        code, out = run(["bound", "--N", "2", "--n", "", "--c", "1/2"])
+        assert code == 2 and json.loads(out) == {"error": "bad dimension list ''"}
+
+    def test_negative_seed_exits_2(self):
+        # random.Random(-n) draws what random.Random(n) draws, so a negative
+        # seed would repeat another seed's run under its own manifest
+        for argv in (["--seed", "-7", "construct", "dense", "8", "2", "1"],
+                     ["--seed", "-3", "fexact", "2", "5", "1/2", "--samples", "30"],
+                     ["--seed", "-1", "verify", "lemmas", "--count", "3"]):
+            code, out = run(argv)
+            assert code == 2, argv
+            assert json.loads(out) == {"error": f"--seed must be >= 0, got {argv[1]}"}
+        assert run(["--seed", "0", "fexact", "2", "5", "1/2", "--samples", "3"])[0] == 0
+
+    @pytest.mark.parametrize("call", [
+        lambda: construct.SamplerConfig(p=Fraction(1, 2), seed=-1),
+        lambda: cubes.f_exhaustive(2, 3, Fraction(1, 2), samples=3, seed=-1),
+        lambda: cubes.f_exhaustive(2, 3, Fraction(1, 2), seed=-1),
+        lambda: run_suite("lemmas", seed=-1, count=3),
+    ])
+    def test_library_refuses_a_negative_seed(self, call):
+        with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+            call()
 
 
 class TestDeterminismAndManifest:

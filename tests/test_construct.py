@@ -82,23 +82,24 @@ class TestMoserTardos:
             assert out.rounds == 50 and out.last_violation is not None
 
     def test_against_reference_loop(self):
-        # slow path: a PointSet of grid.index_of indices and find_cube every
-        # round, drawing from the random stream in the same order
+        # slow path: a PointSet and find_cube every round, drawing from the
+        # random stream in the same order, the point_of order of indices
+        # (first coordinate least significant, so sorted by v[::-1])
         def reference(grid, r, config):
             rng = random.Random(config.seed)
             p = float(config.p)
-            included = {idx for idx in range(grid.size) if rng.random() < p}
+            included = {grid.point_of(idx) for idx in range(grid.size) if rng.random() < p}
             rounds = 0
             while True:
-                current = PointSet.from_indices(grid, included)
+                current = PointSet(grid, included)
                 cube = find_cube(current, r, config.notion, budget=config.search_budget)
                 if cube is None or rounds >= config.max_rounds:
                     return rounds, cube is None, current, cube
-                for idx in sorted(grid.index_of(v) for v in cube.vertices()):
+                for v in sorted(cube.vertices(), key=lambda v: v[::-1]):
                     if rng.random() < p:
-                        included.add(idx)
+                        included.add(v)
                     else:
-                        included.discard(idx)
+                        included.discard(v)
                 rounds += 1
 
         cases = [((2, 5), 3, Fraction(1, 2), 100), ((2, 6), 3, Fraction(1, 2), 100),

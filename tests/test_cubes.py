@@ -4,6 +4,7 @@ import gc
 import hashlib
 import math
 import random
+import re
 import sys
 import weakref
 from collections import namedtuple
@@ -243,10 +244,10 @@ class TestTooBigTargets:
                     for target in targets:
                         assert _run_box_search(box, s_mask, notion, target, 0) == none
                         assert _search(box, s_mask, notion, target, 0) == none
-                        assert cubes._too_small(size, n, target, notion)
+                        assert cubes._need(size, target - 1, n, notion is not VI)[0] > size
                         assert find_cube(pts, target, notion, budget=0) is None
                     for target in range(1, top + 1):
-                        assert not cubes._too_small(size, n, target, notion)
+                        assert cubes._need(size, target - 1, n, notion is not VI)[0] <= size
 
 
 class TestSearchChecksGate:
@@ -538,8 +539,8 @@ class TestBoxIndexing:
             grid = GridParams(N, n)
             whole = GridBox.of_grid(grid)
             cell_of = whole.index_map()
-            # the sampler sorts vertex cells by cell_of as by grid.index_of
-            assert all(cell_of(whole.cell(p)) == grid.index_of(p) for p in grid.points())
+            # the sampler sorts vertex cells by cell_of as by their point_of index
+            assert all(grid.point_of(cell_of(whole.cell(p))) == p for p in grid.points())
             for _ in range(4):
                 s = PointSet.from_indices(grid, rng.sample(range(grid.size), rng.randint(2, grid.size)))
                 for box, s_mask in (_box_of(s), (whole, whole.mask(map(whole.cell, s)))):
@@ -743,7 +744,7 @@ class TestKeptTables:
                     for target in range(1, best.best_m + 2):
                         _run_box_search(box, s_mask, notion, target, DEFAULT_BUDGET)
                     for kept in (box, own_box):
-                        assert kept.units in (None, tuple(unit_columns(n)))
+                        assert kept.units == tuple(unit_columns(n))
             assert box.units == tuple(unit_columns(n)) and all(type(c) is tuple for c in box.units)
 
 
@@ -954,6 +955,19 @@ class TestFExhaustive:
         v = f_exhaustive(2, 5, Fraction(1, 2), IND, samples=5, seed=3)
         assert 0 <= v <= 5
 
+    def test_sampled_stops_at_zero(self, monkeypatch):
+        # no set has a smaller M than 0, so the sampled loop returns at the
+        # first sample with M = 0: on [3]^1 a unimodular cube needs a unit
+        # step, and {0, 2} has none
+        searches = []
+        search = cubes._search
+        monkeypatch.setattr(cubes, "_search", lambda *args: searches.append(args) or search(*args))
+        for c, made in ((Fraction(2, 3), 7), (Fraction(1, 3), 1)):
+            searches.clear()
+            assert f_exhaustive(3, 1, c, UNI, samples=10, seed=0) == 0
+            assert len(searches) == made
+            assert f_exhaustive(3, 1, c, UNI) == 0
+
     def test_sampled_default_seed(self, monkeypatch):
         # with no seed the draws are those of seed 1729, the CLI's default,
         # not of system entropy
@@ -1104,7 +1118,7 @@ class TestFExhaustive:
         assert len(searches) >= 1000 and built == []
 
     def test_sampled_against_oracle(self):
-        # slow path: the same rng.sample draws of grid.index_of indices
+        # slow path: the same rng.sample draws of point_of indices
         for N, n, c, samples, seed in [(2, 6, Fraction(1, 4), 12, 0), (2, 9, Fraction(1, 32), 6, 1),
                                        (3, 4, Fraction(1, 5), 10, 2), (3, 5, Fraction(1, 15), 6, 3),
                                        (5, 3, Fraction(1, 8), 8, 4), (8, 3, Fraction(1, 32), 6, 5),
@@ -1118,3 +1132,15 @@ class TestFExhaustive:
                 expected = min(o[notion] for o in oracles)
                 got = f_exhaustive(N, n, c, notion, samples=samples, seed=seed)
                 assert got == expected, (N, n, notion)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: extend_cube((0,), (0, 1), AffineCube((1,))), "prefixes must have equal length"),
+    (lambda: extend_cube((0,), (0,), AffineCube((1,))), "prefixes must be distinct"),
+    (lambda: extend_cube((0,), (1,), AffineCube((0,), ((1,), (1,)))), "inner cube must be vertex-injective"),
+    (lambda: find_cube(seg_set(), -1), "cube dimension must be >= 0, got -1"),
+    (lambda: find_cube(PointSet.empty(GridParams(2, 2)), -2), "cube dimension must be >= 0, got -2"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

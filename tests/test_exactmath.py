@@ -1,6 +1,7 @@
 """Exact floors/ceilings of logarithms and rational power comparisons."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -8,7 +9,6 @@ import pytest
 from gridcubes import exactmath
 from gridcubes.exactmath import (
     floor_log,
-    floor_log_log,
     log_float,
     pow_at_least,
 )
@@ -68,20 +68,6 @@ class TestFloorLog:
             floor_log(4, 1)
 
 
-class TestFloorLogLog:
-    def test_towers(self):
-        assert floor_log_log(4, 2) == 1
-        assert floor_log_log(15, 2) == 1
-        assert floor_log_log(16, 2) == 2
-        assert floor_log_log(255, 2) == 2
-        assert floor_log_log(256, 2) == 3
-        assert floor_log_log(3, 3) == 0
-
-    def test_domain(self):
-        with pytest.raises(ValueError):
-            floor_log_log(1, 2)
-
-
 class TestPowAtLeast:
     def test_integral_exponents(self):
         assert pow_at_least(64, Fraction(6), 2)
@@ -128,3 +114,14 @@ class TestPowAtLeast:
         # 2 < 3 < 4 and 1 < e < 2: only 3^b >= 2^a can decide, with b = 2^24
         with pytest.raises(ArithmeticError, match=r"2\^\(16777217/16777216\) needs more than"):
             pow_at_least(3, Fraction(2 ** 24 + 1, 2 ** 24), 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: log_float(0), "log of non-positive value 0"),
+    (lambda: log_float(Fraction(-1, 3)), "log of non-positive value -1/3"),
+    (lambda: pow_at_least(-1, 2, 2), "x must be non-negative"),
+    (lambda: pow_at_least(Fraction(-1, 2), Fraction(1, 2), 3), "x must be non-negative"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

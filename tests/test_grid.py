@@ -35,9 +35,10 @@ class TestGridParams:
             GridParams(2, -1)
 
     def test_index_round_trip(self):
+        # point_of's index is its base-N digits, first coordinate least significant
         grid = GridParams(3, 4)
         for idx in range(grid.size):
-            assert grid.index_of(grid.point_of(idx)) == idx
+            assert sum(x * 3 ** i for i, x in enumerate(grid.point_of(idx))) == idx
 
     def test_index_outside_the_grid_is_refused(self):
         # both ends of [0, N^n): no index wraps around to a cell of the grid
@@ -65,7 +66,7 @@ class TestGridParams:
         grid = GridParams(5, 0)
         assert grid.size == 1
         assert list(grid.points()) == [()]
-        assert grid.check_point(()) == () and grid.index_of(()) == 0
+        assert grid.check_point(()) == () and grid.point_of(0) == ()
 
     def test_check_point_messages(self):
         grid = GridParams(3, 2)
@@ -284,3 +285,18 @@ class TestPointSetObject:
         assert set(a.intersection(b).tuple_set) == expected[0]
         assert {p: set(t.tuple_set) for p, t in split_by_prefix(a, 1).items()} == expected[1]
         assert set(moser_tardos_sample(sample_grid, 3, config).point_set.tuple_set) == sample
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: count_heavy_prefixes(PointSet.full(GridParams(2, 3)), 1, 0),
+     "density threshold must lie in (0, 1], got 0"),
+    (lambda: count_heavy_prefixes(PointSet.full(GridParams(2, 3)), 1, Fraction(3, 2)),
+     "density threshold must lie in (0, 1], got 3/2"),
+    (lambda: max_pair_intersection([]), "need at least two sets"),
+    (lambda: max_pair_intersection([PointSet.full(GridParams(2, 1))]), "need at least two sets"),
+    (lambda: max_pair_intersection([PointSet.full(GridParams(2, 1)), PointSet.full(GridParams(3, 1))]),
+     "all sets must share one grid"),
+])
+def test_refusals(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

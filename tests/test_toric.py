@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 import struct
 from collections import Counter
 from fractions import Fraction
@@ -1037,3 +1038,13 @@ class TestPolytopeFormat:
         for text in ("", "5\n0\n", "5 2\n0\n", "5 1\n0\nx\n", "5 1\n0\n0\n", "5 1\n"):
             with pytest.raises(ValueError):
                 parse_polytope(text)
+
+
+@pytest.mark.parametrize("vertices, message", [
+    ([], "polytope needs at least one vertex"),
+    ([(0, 0), (1,)], "vertices have mixed dimensions"),
+    ([(0,), (1, 2), (3,)], "vertices have mixed dimensions"),
+])
+def test_polytope_refusals(vertices, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        LatticePolytope(vertices)
