@@ -291,6 +291,8 @@ def construct_dense_small_M(
     grid.require_materializable("sample")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    if seed < 0:  # SamplerConfig's check, which the early returns below skip
+        raise ValueError(f"seed must be >= 0, got {seed}")
     _check_budget(budget)
     r = choose_r_dense(n, eps)
     if r is None:

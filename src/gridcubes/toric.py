@@ -151,17 +151,39 @@ class ToricCode:
         return len(self.monomials)
 
 
+def _capped_points(p: LatticePolytope, q: int) -> tuple[Point, ...]:
+    """P's lattice points, once the caps of P's code over F_q let it be built.
+
+    The vertices' box and the block-length cap are checked before q is
+    tested for primality, so trial division never passes q = BLOCK_CAP + 1,
+    at any n, and all three before the lattice points are enumerated; the
+    k (q-1)^n entries are then checked against ENTRY_CAP.
+    """
+    n = p.dim
+    for v in p.vertices:
+        if any(not 0 <= x <= q - 2 for x in v):
+            raise ValueError(f"vertex {v} outside the box [0, {q - 2}]^{n}")
+    if q - 1 > BLOCK_CAP or (q - 1) ** n > BLOCK_CAP:
+        # at n = 0 the block is one symbol, but trial division on q would not end
+        size = f"block length {q - 1}^{n}" if n else f"q - 1 = {q - 1}"
+        raise ValueError(f"{size} exceeds cap {BLOCK_CAP}")
+    PrimeField(q)  # raises unless q is prime
+    pts = p.lattice_points()
+    block = (q - 1) ** n
+    if len(pts) * block > ENTRY_CAP:
+        raise ValueError(f"generator matrix {len(pts)} x {block} = {len(pts) * block} entries "
+                         f"exceeds cap {ENTRY_CAP}")
+    return pts
+
+
 def build_code(p: LatticePolytope, q: int) -> ToricCode:
-    """Generator matrix of the evaluation code of P over F_q.
+    """Generator matrix of the evaluation code of P over F_q, refused by
+    _capped_points before any row is built.
 
     Rows follow the lex-sorted lattice points of P; columns follow the
     lex-sorted torus points of [1, q-1]^n, so the matrix is reproducible.
     The row of u is the Kronecker product r_{u_1} (x) ... (x) r_{u_n}, with
-    r_a = (t^a mod q for t = 1..q-1) built only for the a that occur.  The
-    vertices' box and the block-length cap are checked before q is tested
-    for primality (so trial division never passes q = BLOCK_CAP + 1 at
-    n >= 1), and all three before the lattice points are enumerated; the
-    k (q-1)^n entries are checked against ENTRY_CAP before any row is built.
+    r_a = (t^a mod q for t = 1..q-1) built only for the a that occur.
 
     The k rows have rank k, so no elimination checks it (J. P. Hansen 2000;
     J. Little and H. Schenck 2006).  Past the box check every lattice point
@@ -170,23 +192,12 @@ def build_code(p: LatticePolytope, q: int) -> ToricCode:
     coordinate i, separates the torus characters t -> t^u and t -> t^u'.
     Distinct characters are linearly independent over F_q (Dedekind).
     """
-    n = p.dim
-    for v in p.vertices:
-        if any(not 0 <= x <= q - 2 for x in v):
-            raise ValueError(f"vertex {v} outside the box [0, {q - 2}]^{n}")
-    if (n and q - 1 > BLOCK_CAP) or (q - 1) ** n > BLOCK_CAP:
-        raise ValueError(f"block length {q - 1}^{n} exceeds cap {BLOCK_CAP}")
-    field = PrimeField(q)
-    pts = p.lattice_points()
-    block = (q - 1) ** n
-    if len(pts) * block > ENTRY_CAP:
-        raise ValueError(f"generator matrix {len(pts)} x {block} = {len(pts) * block} entries "
-                         f"exceeds cap {ENTRY_CAP}")
+    pts = _capped_points(p, q)
     power = {a: [pow(t, a, q) for t in range(1, q)] for a in {a for u in pts for a in u}}
     rows = {(): [1]}  # Kronecker products of the points and their prefixes
-    for u in sorted({u[:i] for u in pts for i in range(1, n + 1)}, key=len):
+    for u in sorted({u[:i] for u in pts for i in range(1, p.dim + 1)}, key=len):
         rows[u] = [x * y % q for x in rows[u[:-1]] for y in power[u[-1]]]
-    return ToricCode(field, p, tuple(pts), tuple(tuple(rows[u]) for u in pts), block)
+    return ToricCode(PrimeField(q), p, pts, tuple(tuple(rows[u]) for u in pts), (q - 1) ** p.dim)
 
 
 class _Lanes:
@@ -492,9 +503,10 @@ def minimum_distance(code: ToricCode) -> int:
     return _brouwer_zimmermann(code.matrix, code.field.q)
 
 
-def _product_distance(code: ToricCode) -> int:
-    """Minimum distance of the code of its polytope P, by the product rule
-    on P's lattice points S, with Brouwer-Zimmermann on the core left.
+def _product_distance(p: LatticePolytope, q: int, pts: Sequence[Point]) -> int:
+    """Minimum distance of the code of P over F_q, pts P's lattice points S,
+    by the product rule: only the code of the core left is built, and
+    searched by Brouwer-Zimmermann.
 
     Coordinate i splits off S when |pi_i S| |pi_-i S| = |S|, pi_i the
     projection onto it and pi_-i onto the others: then S = pi_i S x pi_-i S
@@ -506,13 +518,14 @@ def _product_distance(code: ToricCode) -> int:
     off, another coordinate splits off pi_-i S exactly when it splits off
     S.  P is then a box times the hull of the core points, so the core
     polytope, the projection of P's vertices onto the coordinates left, has
-    exactly the projected points as its lattice points.  d is D times the
-    core code's minimum_distance, D (scale) the product of the intervals'
-    distances, and a core stopped by MESSAGE_CAP gives its bounds times D.
+    exactly the projected points as its lattice points; a P with no
+    coordinate that splits is its own core, and a box has none.  d is D
+    times the core code's minimum_distance, D (scale) the product of the
+    intervals' distances, and a core stopped by MESSAGE_CAP gives its
+    bounds times D.
     """
-    p, q = code.polytope, code.field.q
     keep = list(range(p.dim))  # the core's coordinates
-    pts = set(code.monomials)  # S projected onto them
+    pts = set(pts)  # S projected onto them
     scale = 1
     for j in reversed(range(p.dim)):  # deleting position j leaves positions < j in place
         axis = {u[j] for u in pts}
@@ -523,10 +536,9 @@ def _product_distance(code: ToricCode) -> int:
             del keep[j]
     if not keep:
         return scale
-    if len(keep) < p.dim:
-        core = LatticePolytope(sorted({tuple(v[i] for i in keep) for v in p.vertices}))
-        core._points = tuple(sorted(pts))
-        code = build_code(core, q)
+    core = LatticePolytope(sorted({tuple(v[i] for i in keep) for v in p.vertices}))
+    core._points = tuple(sorted(pts))
+    code = build_code(core, q)
     try:
         return scale * minimum_distance(code)
     except SearchBudgetExceeded as stop:
@@ -553,13 +565,12 @@ def code_stats(
 ) -> CodeStats:
     """All six statistics of the code of P over F_q.
 
-    The code of the whole of P is built first, so its caps refuse an input
-    before anything else runs.  The minimum distance peels off P's
-    Reed-Solomon interval factors by the product rule and runs
-    minimum_distance only on the code of the core left (_product_distance):
-    a box, k = n among them, needs no search.  The cube dimension is
-    computed on the lattice-point set of P viewed inside the grid [q-1]^n,
-    so q must be at least 3.
+    The caps of P's code refuse an input first (_capped_points), but no
+    matrix of P's is built: the minimum distance peels off P's
+    Reed-Solomon interval factors by the product rule and builds and
+    searches only the code of the core left (_product_distance), none for
+    a box, k = n among them.  The cube dimension is computed on the
+    lattice-point set of P viewed inside the grid [q-1]^n, so q >= 3.
     """
     _check_budget(budget)
     if q < 3:
@@ -567,18 +578,19 @@ def code_stats(
             f"code statistics need q >= 3, got q = {q}: the cube dimension is "
             f"taken in the grid [q-1]^n, whose base q-1 must be at least 2"
         )
-    code = build_code(p, q)
-    dmin = _product_distance(code)
-    # build_code refused any vertex outside [0, q-2]^n, so every lattice
+    lattice = _capped_points(p, q)
+    n, k = (q - 1) ** p.dim, len(lattice)
+    dmin = _product_distance(p, q, lattice)
+    # the caps refused any vertex outside [0, q-2]^n, so every lattice
     # point, in the vertices' hull, lies in the grid [q-1]^n already
-    pts = PointSet._of_checked(GridParams(q - 1, p.dim), p.lattice_points())
+    pts = PointSet._of_checked(GridParams(q - 1, p.dim), lattice)
     m, _ = m_value(pts, notion, budget=budget)
     return CodeStats(
-        block_length=code.block_length,
-        dimension=code.dimension,
+        block_length=n,
+        dimension=k,
         min_distance=dmin,
-        relative_min_distance=Fraction(dmin, code.block_length),
-        information_rate=Fraction(code.dimension, code.block_length),
+        relative_min_distance=Fraction(dmin, n),
+        information_rate=Fraction(k, n),
         max_cube_dim=m,
     )
 

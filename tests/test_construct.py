@@ -435,6 +435,13 @@ class TestDenseConstruction:
             with pytest.raises(ValueError, match="budget must be >= 0"):
                 construct_dense_small_M(n, 2, eps, budget=-1)
 
+    def test_negative_seed_refused_before_degenerate_schedule(self):
+        # random.Random(-1) draws what random.Random(1) draws, so neither early
+        # return may certify a set under seed -1
+        for n, eps in ((3, 1), (16, Fraction(1, 2))):
+            with pytest.raises(ValueError, match=r"^seed must be >= 0, got -1$"):
+                construct_dense_small_M(n, 2, eps, seed=-1)
+
 
 class TestHypergeometricBound:
     def test_pinned_product(self):

@@ -438,6 +438,9 @@ class TestBuildCode:
         monkeypatch.setattr(toric, "is_prime", refuse)
         with pytest.raises(ValueError, match="block length"):
             build_code(LatticePolytope([(0,)]), 2 ** 89 - 1)
+        # at n = 0 the block is one symbol long, but q is bounded all the same
+        with pytest.raises(ValueError, match=r"^q - 1 = 2305843009213693950 exceeds cap 1000000$"):
+            build_code(LatticePolytope([()]), 2 ** 61 - 1)
 
     def test_entry_cap_before_power_rows(self, monkeypatch):
         # the segment [0, 10005] over F_10007 would hold 10006^2 = 10^8
@@ -923,6 +926,42 @@ class TestProductRule:
             kinds.add((core, poly.dim))
         assert {(0, 1), (0, 2), (0, 3), (3, 3)} <= kinds
 
+    def test_a_product_builds_no_power_row(self, monkeypatch):
+        # the refusing spy of test_entry_cap_before_power_rows: d comes from
+        # the factors alone, d = 999,979 for [0,3] over F_999983 (whose whole
+        # code would hold 4 x 999,982 entries) and 8 * 8 for [0,2]^2 over F_11
+        def refuse(*args):
+            raise AssertionError("power rows built for a product")
+
+        monkeypatch.setattr(toric, "pow", refuse, raising=False)
+        assert code_stats(segment(3), 999983).min_distance == 999979
+        square = LatticePolytope([(0, 0), (2, 0), (0, 2), (2, 2)])
+        assert code_stats(square, 11).min_distance == 64
+
+    def test_one_code_built_for_the_core(self, monkeypatch):
+        # as (vertices, k, n): the prism Delta_2 x [0, 1] builds its triangle's
+        # code alone, a polytope with no coordinate that splits builds its own
+        # code once, and a box builds none
+        built = []
+        build = toric.build_code
+
+        def spy(p, q):
+            code = build(p, q)
+            built.append((p.vertices, code.dimension, code.block_length))
+            return code
+
+        monkeypatch.setattr(toric, "build_code", spy)
+        prism = LatticePolytope([v + (c,) for c in (0, 1) for v in ((0, 0), (1, 0), (0, 1))])
+        triangle = LatticePolytope([(0, 0), (3, 0), (0, 3)])
+        box = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 2, 0), (0, 0, 1),
+                               (1, 0, 1), (0, 2, 1), (1, 2, 1)])
+        for poly, q, want, d in ((prism, 7, [(((0, 0), (0, 1), (1, 0)), 3, 36)], 30 * 5),
+                                 (triangle, 5, [(((0, 0), (0, 3), (3, 0)), 10, 16)], 4),
+                                 (box, 7, [], 5 * 4 * 5)):
+            built.clear()
+            assert code_stats(poly, q).min_distance == d
+            assert built == want, poly.vertices
+
     def test_capped_core_scales_its_bounds(self):
         # a code of the sweep: one point (24) times a triangle over F_31, so
         # D = 30, and the cap stops Brouwer-Zimmermann on the triangle at
@@ -937,8 +976,8 @@ class TestProductRule:
         assert str(stop.value).endswith("past the cap of 10000000 words weighed: 120 <= d <= 23400")
 
     def test_caps_refuse_a_product_first(self):
-        # the code of the whole polytope is built first, so a box too big to
-        # build is refused although its d needs no matrix
+        # the caps of the whole polytope's code are checked first, so a box
+        # too big to build is refused although its d needs no matrix
         square = LatticePolytope([(0, 0), (1, 0), (0, 1), (1, 1)])
         for poly, q, match in ((square, 2003, "block length"), (segment(4), 999983, "entries")):
             with pytest.raises(ValueError, match=match):
