@@ -147,8 +147,6 @@ def _emit_json(args: argparse.Namespace, result: dict) -> str:
 
 
 def _emit_csv(rows: list[dict]) -> str:
-    if not rows:
-        return ""
     import csv as _csv
 
     buf = io.StringIO()

@@ -234,9 +234,11 @@ def read_rows(text: str, kind: str, header: str, row: str, make: Callable[[int, 
 
 
 def format_rows(a: int, n: int, rows: Iterable[Sequence[int]]) -> str:
-    """Write the row format read by read_rows: header "a n", then the rows."""
-    lines = [f"{a} {n}"]
-    lines.extend(" ".join(str(x) for x in p) for p in rows)
+    """Write the row format read by read_rows: header "a n", then the rows.
+    A row of 0 coordinates is refused, as the blank line read_rows skips."""
+    lines = [f"{a} {n}"] + [" ".join(str(x) for x in p) for p in rows]
+    if "" in lines:  # the header is never blank
+        raise ValueError("the row format cannot hold a row of 0 coordinates")
     return "\n".join(lines) + "\n"
 
 

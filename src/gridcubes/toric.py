@@ -101,10 +101,10 @@ def _in_hull(x: Sequence[int], vertices: Sequence[Point]) -> bool:
 
 
 class LatticePolytope:
-    """Integral polytope given by a nonempty vertex list; lattice points are
-    the integer points of the convex hull of those vertices."""
+    """Integral polytope given by a nonempty vertex list; it keeps no cache,
+    and each lattice_points call enumerates the integer points of its hull."""
 
-    __slots__ = ("dim", "vertices", "_points")
+    __slots__ = ("dim", "vertices")
 
     def __init__(self, vertices: Sequence[Sequence[int]]):
         verts = tuple(tuple(int(x) for x in v) for v in vertices)
@@ -115,7 +115,6 @@ class LatticePolytope:
             raise ValueError("vertices have mixed dimensions")
         self.dim = dim
         self.vertices = verts
-        self._points: Optional[tuple[Point, ...]] = None
 
     def __repr__(self) -> str:
         return f"LatticePolytope(dim={self.dim}, vertices={len(self.vertices)})"
@@ -127,21 +126,18 @@ class LatticePolytope:
         )
 
     def lattice_points(self) -> tuple[Point, ...]:
-        if self._points is None:
-            box = self.bounding_box()
-            volume = prod(hi - lo + 1 for lo, hi in box)
-            if volume > BOX_CAP:
-                raise ValueError(f"bounding box volume {volume} exceeds cap {BOX_CAP}")
-            vset = set(self.vertices)  # product() runs in lex order
-            self._points = tuple(p for p in product(*(range(lo, hi + 1) for lo, hi in box))
-                                 if p in vset or _in_hull(p, self.vertices))
-        return self._points
+        box = self.bounding_box()
+        volume = prod(hi - lo + 1 for lo, hi in box)
+        if volume > BOX_CAP:
+            raise ValueError(f"bounding box volume {volume} exceeds cap {BOX_CAP}")
+        vset = set(self.vertices)  # product() runs in lex order
+        return tuple(p for p in product(*(range(lo, hi + 1) for lo, hi in box))
+                     if p in vset or _in_hull(p, self.vertices))
 
 
 @dataclass(frozen=True)
 class ToricCode:
     field: PrimeField
-    polytope: LatticePolytope
     monomials: tuple[Point, ...]  # exponent vectors, one per matrix row
     matrix: tuple[tuple[int, ...], ...]
     block_length: int
@@ -151,13 +147,14 @@ class ToricCode:
         return len(self.monomials)
 
 
-def _capped_points(p: LatticePolytope, q: int) -> tuple[Point, ...]:
-    """P's lattice points, once the caps of P's code over F_q let it be built.
+def _capped_points(p: LatticePolytope, q: int) -> tuple[PrimeField, tuple[Point, ...]]:
+    """The field F_q and P's lattice points, once P's code passes its caps.
 
     The vertices' box and the block-length cap are checked before q is
     tested for primality, so trial division never passes q = BLOCK_CAP + 1,
     at any n, and all three before the lattice points are enumerated; the
-    k (q-1)^n entries are then checked against ENTRY_CAP.
+    k (q-1)^n entries are then checked against ENTRY_CAP.  A build_code or
+    code_stats call tests q for primality here and nowhere else.
     """
     n = p.dim
     for v in p.vertices:
@@ -167,23 +164,33 @@ def _capped_points(p: LatticePolytope, q: int) -> tuple[Point, ...]:
         # at n = 0 the block is one symbol, but trial division on q would not end
         size = f"block length {q - 1}^{n}" if n else f"q - 1 = {q - 1}"
         raise ValueError(f"{size} exceeds cap {BLOCK_CAP}")
-    PrimeField(q)  # raises unless q is prime
+    field = PrimeField(q)  # raises unless q is prime
     pts = p.lattice_points()
     block = (q - 1) ** n
     if len(pts) * block > ENTRY_CAP:
         raise ValueError(f"generator matrix {len(pts)} x {block} = {len(pts) * block} entries "
                          f"exceeds cap {ENTRY_CAP}")
-    return pts
+    return field, pts
+
+
+def _points_code(field: PrimeField, pts: tuple[Point, ...], n: int) -> ToricCode:
+    """The code over field of the lex-sorted points pts of [0, q-2]^n,
+    within the caps _capped_points checks: rows follow pts, columns the
+    lex-sorted torus points of [1, q-1]^n, and the row of u is the Kronecker
+    product r_{u_1} (x) ... (x) r_{u_n}, with r_a = (t^a mod q for
+    t = 1..q-1) built only for the a that occur."""
+    q = field.q
+    power = {a: [pow(t, a, q) for t in range(1, q)] for a in {a for u in pts for a in u}}
+    rows = {(): [1]}  # Kronecker products of the points and their prefixes
+    for u in sorted({u[:i] for u in pts for i in range(1, n + 1)}, key=len):
+        rows[u] = [x * y % q for x in rows[u[:-1]] for y in power[u[-1]]]
+    return ToricCode(field, pts, tuple(tuple(rows[u]) for u in pts), (q - 1) ** n)
 
 
 def build_code(p: LatticePolytope, q: int) -> ToricCode:
-    """Generator matrix of the evaluation code of P over F_q, refused by
-    _capped_points before any row is built.
-
-    Rows follow the lex-sorted lattice points of P; columns follow the
-    lex-sorted torus points of [1, q-1]^n, so the matrix is reproducible.
-    The row of u is the Kronecker product r_{u_1} (x) ... (x) r_{u_n}, with
-    r_a = (t^a mod q for t = 1..q-1) built only for the a that occur.
+    """Generator matrix of the evaluation code of P over F_q: _points_code
+    on P's lattice points, once _capped_points, the call's one primality
+    test, has let it be built.
 
     The k rows have rank k, so no elimination checks it (J. P. Hansen 2000;
     J. Little and H. Schenck 2006).  Past the box check every lattice point
@@ -192,12 +199,7 @@ def build_code(p: LatticePolytope, q: int) -> ToricCode:
     coordinate i, separates the torus characters t -> t^u and t -> t^u'.
     Distinct characters are linearly independent over F_q (Dedekind).
     """
-    pts = _capped_points(p, q)
-    power = {a: [pow(t, a, q) for t in range(1, q)] for a in {a for u in pts for a in u}}
-    rows = {(): [1]}  # Kronecker products of the points and their prefixes
-    for u in sorted({u[:i] for u in pts for i in range(1, p.dim + 1)}, key=len):
-        rows[u] = [x * y % q for x in rows[u[:-1]] for y in power[u[-1]]]
-    return ToricCode(PrimeField(q), p, pts, tuple(tuple(rows[u]) for u in pts), (q - 1) ** p.dim)
+    return _points_code(*_capped_points(p, q), p.dim)
 
 
 class _Lanes:
@@ -503,10 +505,10 @@ def minimum_distance(code: ToricCode) -> int:
     return _brouwer_zimmermann(code.matrix, code.field.q)
 
 
-def _product_distance(p: LatticePolytope, q: int, pts: Sequence[Point]) -> int:
-    """Minimum distance of the code of P over F_q, pts P's lattice points S,
-    by the product rule: only the code of the core left is built, and
-    searched by Brouwer-Zimmermann.
+def _product_distance(field: PrimeField, pts: Sequence[Point], n: int) -> int:
+    """Minimum distance of the code over field of the lattice-point set S =
+    pts of [0, q-2]^n, by the product rule: only the code of the core left
+    is built, and searched by Brouwer-Zimmermann.
 
     Coordinate i splits off S when |pi_i S| |pi_-i S| = |S|, pi_i the
     projection onto it and pi_-i onto the others: then S = pi_i S x pi_-i S
@@ -516,31 +518,26 @@ def _product_distance(p: LatticePolytope, q: int, pts: Sequence[Point]) -> int:
     w, whose code is Reed-Solomon with d = q - 1 - w (J. P. Hansen 2000).
     One pass peels every coordinate that splits, since once i has split
     off, another coordinate splits off pi_-i S exactly when it splits off
-    S.  P is then a box times the hull of the core points, so the core
-    polytope, the projection of P's vertices onto the coordinates left, has
-    exactly the projected points as its lattice points; a P with no
-    coordinate that splits is its own core, and a box has none.  d is D
-    times the core code's minimum_distance, D (scale) the product of the
-    intervals' distances, and a core stopped by MESSAGE_CAP gives its
+    S.  The points left are the core, with at most S's points and block
+    length, so _points_code builds its code within S's caps; an S with no
+    coordinate that splits is its own core, and a box has none.
+    d is D times the core code's minimum_distance, D (scale) the product of
+    the intervals' distances, and a core stopped by MESSAGE_CAP gives its
     bounds times D.
     """
-    keep = list(range(p.dim))  # the core's coordinates
-    pts = set(pts)  # S projected onto them
+    pts = set(pts)  # S projected onto the coordinates left
     scale = 1
-    for j in reversed(range(p.dim)):  # deleting position j leaves positions < j in place
+    for j in reversed(range(n)):  # deleting position j leaves positions < j in place
         axis = {u[j] for u in pts}
         rest = {u[:j] + u[j + 1:] for u in pts}
         if len(axis) * len(rest) == len(pts):
-            scale *= q - 1 - (max(axis) - min(axis))
+            scale *= field.q - 1 - (max(axis) - min(axis))
             pts = rest
-            del keep[j]
-    if not keep:
+            n -= 1
+    if not n:
         return scale
-    core = LatticePolytope(sorted({tuple(v[i] for i in keep) for v in p.vertices}))
-    core._points = tuple(sorted(pts))
-    code = build_code(core, q)
     try:
-        return scale * minimum_distance(code)
+        return scale * minimum_distance(_points_code(field, tuple(sorted(pts)), n))
     except SearchBudgetExceeded as stop:
         low, high = stop.bounds["min_distance_lower"], stop.bounds["min_distance_upper"]
         raise _past_cap(scale * low, scale * high) from None
@@ -563,14 +560,16 @@ def code_stats(
     *,
     budget: int = DEFAULT_BUDGET,
 ) -> CodeStats:
-    """All six statistics of the code of P over F_q.
+    """All six statistics of the code of P over F_q, each a function of
+    F_q and P's lattice points alone.
 
-    The caps of P's code refuse an input first (_capped_points), but no
-    matrix of P's is built: the minimum distance peels off P's
-    Reed-Solomon interval factors by the product rule and builds and
-    searches only the code of the core left (_product_distance), none for
-    a box, k = n among them.  The cube dimension is computed on the
-    lattice-point set of P viewed inside the grid [q-1]^n, so q >= 3.
+    The caps of P's code refuse an input first (_capped_points, the one
+    primality test of the call), but no matrix of P's is built: the
+    minimum distance peels Reed-Solomon interval factors off the lattice
+    points by the product rule and builds and searches only the code of
+    the core point set left (_product_distance), none for a box, k = n
+    among them.  The cube dimension is computed on the lattice-point set
+    of P viewed inside the grid [q-1]^n, so q >= 3.
     """
     _check_budget(budget)
     if q < 3:
@@ -578,9 +577,9 @@ def code_stats(
             f"code statistics need q >= 3, got q = {q}: the cube dimension is "
             f"taken in the grid [q-1]^n, whose base q-1 must be at least 2"
         )
-    lattice = _capped_points(p, q)
+    field, lattice = _capped_points(p, q)
     n, k = (q - 1) ** p.dim, len(lattice)
-    dmin = _product_distance(p, q, lattice)
+    dmin = _product_distance(field, lattice, p.dim)
     # the caps refused any vertex outside [0, q-2]^n, so every lattice
     # point, in the vertices' hull, lies in the grid [q-1]^n already
     pts = PointSet._of_checked(GridParams(q - 1, p.dim), lattice)

@@ -1140,6 +1140,9 @@ class TestFExhaustive:
     (lambda: extend_cube((0,), (1,), AffineCube((0,), ((1,), (1,)))), "inner cube must be vertex-injective"),
     (lambda: find_cube(seg_set(), -1), "cube dimension must be >= 0, got -1"),
     (lambda: find_cube(PointSet.empty(GridParams(2, 2)), -2), "cube dimension must be >= 0, got -2"),
+    (lambda: f_exhaustive(2, 3, Fraction(1, 2), samples=0), "sample count must be positive"),
+    (lambda: moser_tardos_sample(GridParams(2, 3), 0, SamplerConfig(p=Fraction(1, 2))),
+     "r must be >= 1, got 0"),
 ])
 def test_refusals(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

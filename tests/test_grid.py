@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gridcubes.toric import parse_polytope
+from gridcubes.toric import LatticePolytope, format_polytope, parse_polytope
 
 from gridcubes.grid import (
     GridParams,
@@ -221,6 +221,19 @@ class TestTextFormat:
         s = PointSet(GridParams(2, 2), [(1, 1), (0, 0), (1, 0)])
         assert format_point_set(s) == "2 2\n0 0\n1 0\n1 1\n"
 
+    def test_zero_coordinate_rows_refused(self):
+        # a row of 0 coordinates would be a blank line, which the reader
+        # skips, so the writers refuse it; the empty 0-dimensional set has no
+        # row and round-trips
+        message = "^the row format cannot hold a row of 0 coordinates$"
+        with pytest.raises(ValueError, match=message):
+            format_point_set(PointSet(GridParams(3, 0), [()]))
+        with pytest.raises(ValueError, match=message):
+            format_polytope(5, LatticePolytope([()]))
+        empty = PointSet.empty(GridParams(3, 0))
+        assert format_point_set(empty) == "3 0\n"
+        assert parse_point_set(format_point_set(empty)) == empty
+
 
 # One fault per file, and the message each parser gives for it.  Point sets
 # and polytopes share one row reader, so every row fault appears in both.
@@ -258,6 +271,13 @@ class TestPointSetObject:
         s = PointSet.full(GridParams(2, 2))
         with pytest.raises(AttributeError):
             s.grid = GridParams(2, 3)
+
+    def test_membership_and_hash(self):
+        # a list point is a member as its tuple is, and equal sets hash equal
+        a = PointSet(GridParams(3, 2), [(0, 1), (2, 2)])
+        b = PointSet(GridParams(3, 2), [[2, 2], [0, 1]])
+        assert [0, 1] in a and (2, 2) in a and [1, 1] not in a
+        assert a == b and hash(a) == hash(b)
 
     def test_intersection_requires_common_grid(self):
         a = PointSet.full(GridParams(2, 2))

@@ -540,7 +540,7 @@ class TestMinimumDistance:
         bz = toric._brouwer_zimmermann
         monkeypatch.setattr(toric, "_brouwer_zimmermann", lambda *a: runs.append(a) or bz(*a))
         for q, k, matrix, want in hand_built:
-            code = ToricCode(PrimeField(q), segment(0), ((0,),) * k,
+            code = ToricCode(PrimeField(q), ((0,),) * k,
                              tuple(map(tuple, matrix)), len(matrix[0]))
             runs.clear()
             assert minimum_distance(code) == want, (q, matrix)
@@ -634,7 +634,7 @@ class TestMinimumDistance:
         # information sets needs 2 C(6, 3) 1008^2 > 10^7 words
         rng = random.Random(94)
         matrix = tuple(tuple(rng.randrange(1009) for _ in range(12)) for _ in range(6))
-        code = ToricCode(PrimeField(1009), segment(0), ((0,),) * 6, matrix, 12)
+        code = ToricCode(PrimeField(1009), ((0,),) * 6, matrix, 12)
         assert gf_rank(matrix, 1009) == 6
         with pytest.raises(SearchBudgetExceeded, match=r"cap.* \d+ <= d <= \d+$"):
             minimum_distance(code)
@@ -842,7 +842,7 @@ class TestCodeStats:
     def test_rank_deficient_square_matrix_still_answers_zero(self):
         # minimum_distance itself makes no k = n shortcut
         for q, matrix in ((5, [[1, 2], [2, 4]]), (3, [[1, 0, 1], [0, 1, 1], [1, 1, 2]])):
-            code = ToricCode(PrimeField(q), segment(0), ((0,),) * len(matrix),
+            code = ToricCode(PrimeField(q), ((0,),) * len(matrix),
                              tuple(map(tuple, matrix)), len(matrix[0]))
             assert minimum_distance(code) == naive_min_distance(matrix, q) == 0
 
@@ -939,28 +939,43 @@ class TestProductRule:
         assert code_stats(square, 11).min_distance == 64
 
     def test_one_code_built_for_the_core(self, monkeypatch):
-        # as (vertices, k, n): the prism Delta_2 x [0, 1] builds its triangle's
+        # as (points, k, n): the prism Delta_2 x [0, 1] builds its triangle's
         # code alone, a polytope with no coordinate that splits builds its own
         # code once, and a box builds none
         built = []
-        build = toric.build_code
+        build = toric._points_code
 
-        def spy(p, q):
-            code = build(p, q)
-            built.append((p.vertices, code.dimension, code.block_length))
+        def spy(field, pts, n):
+            code = build(field, pts, n)
+            built.append((pts, code.dimension, code.block_length))
             return code
 
-        monkeypatch.setattr(toric, "build_code", spy)
+        monkeypatch.setattr(toric, "_points_code", spy)
         prism = LatticePolytope([v + (c,) for c in (0, 1) for v in ((0, 0), (1, 0), (0, 1))])
         triangle = LatticePolytope([(0, 0), (3, 0), (0, 3)])
         box = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 2, 0), (0, 0, 1),
                                (1, 0, 1), (0, 2, 1), (1, 2, 1)])
         for poly, q, want, d in ((prism, 7, [(((0, 0), (0, 1), (1, 0)), 3, 36)], 30 * 5),
-                                 (triangle, 5, [(((0, 0), (0, 3), (3, 0)), 10, 16)], 4),
+                                 (triangle, 5, [(triangle.lattice_points(), 10, 16)], 4),
                                  (box, 7, [], 5 * 4 * 5)):
             built.clear()
             assert code_stats(poly, q).min_distance == d
             assert built == want, poly.vertices
+
+    def test_one_primality_test_per_call(self, monkeypatch):
+        # _capped_points tests q once and the core's code reuses its field:
+        # code_stats on the prism over F_7 and on the triangle over F_5, and
+        # build_code on the triangle
+        calls = []
+        prime = toric.is_prime
+        monkeypatch.setattr(toric, "is_prime", lambda q: calls.append(q) or prime(q))
+        prism = LatticePolytope([v + (c,) for c in (0, 1) for v in ((0, 0), (1, 0), (0, 1))])
+        triangle = LatticePolytope([(0, 0), (3, 0), (0, 3)])
+        for run, q in ((lambda: code_stats(prism, 7), 7), (lambda: code_stats(triangle, 5), 5),
+                       (lambda: build_code(triangle, 5), 5)):
+            calls.clear()
+            run()
+            assert calls == [q]
 
     def test_capped_core_scales_its_bounds(self):
         # a code of the sweep: one point (24) times a triangle over F_31, so
