@@ -422,9 +422,9 @@ def _past_cap(low: int, high: int) -> SearchBudgetExceeded:
         f"{low} <= d <= {high}", min_distance_lower=low, min_distance_upper=high)
 
 
-def _brouwer_zimmermann(matrix, q: int) -> int:
+def _brouwer_zimmermann(matrix, q: int, floor: int = 0, ceiling: Optional[int] = None) -> int:
     """Minimum weight of the code of matrix by Brouwer-Zimmermann (K.-H.
-    Zimmermann 1996; M. Grassl 2006).
+    Zimmermann 1996; M. Grassl 2006), given floor <= d <= ceiling.
 
     The matrix is put in systematic form on greedily chosen disjoint column
     sets (_information_sets); a rank-deficient matrix answers 0 at once.  At
@@ -433,9 +433,9 @@ def _brouwer_zimmermann(matrix, q: int) -> int:
     a multiple of its last (_weigh_level).  A codeword not yet seen then
     has message weight >= w + 1 on every set, so weight >= w + 1 on an
     information set's columns and >= w + 1 - (k - r) on the own columns of
-    a set of rank r < k.  The run stops once that
-    lower bound reaches the least weight found (at first the Singleton
-    bound n - k + 1), or after level k.
+    a set of rank r < k.  The run stops once the larger of that lower bound
+    and floor reaches the least weight found, which starts at ceiling, or
+    else at the Singleton bound n - k + 1; or after level k.
 
     Prices are in words weighed; building a set costs one word per
     SET_ENTRIES entries reduced, k n per pivot.  After the first set, _plan
@@ -447,13 +447,14 @@ def _brouwer_zimmermann(matrix, q: int) -> int:
     first set's always do under ENTRY_CAP).  Only a code of more than
     MESSAGE_CAP messages (q^k) is stopped by the cap: it raises
     SearchBudgetExceeded whose bounds are min_distance_lower <= d <=
-    min_distance_upper, the bounds found.  A smaller code always finishes.
+    min_distance_upper, that larger bound and the least weight, so floor
+    and ceiling can only tighten them.  A smaller code always finishes.
     """
     k, n = len(matrix), len(matrix[0])
     setup = k * k * n // SET_ENTRIES
     unit = max(1, -(-(n - k) // WORD_LANES))  # what one word counts toward the cap
     capped = q ** k > MESSAGE_CAP
-    best = n - k + 1
+    best = n - k + 1 if ceiling is None else ceiling
     spare = (n % k,) if n % k else ()  # what the columns past n // k sets might give
     lanes = _Lanes(q, n)
     sets = []  # (rank, packed whole rows) of each set kept
@@ -463,7 +464,7 @@ def _brouwer_zimmermann(matrix, q: int) -> int:
         # count `cost` toward the cap, and stop the run if it and `ahead` do not fit
         nonlocal weighed
         if capped and weighed + cost + ahead > MESSAGE_CAP:
-            raise _past_cap(low, best)
+            raise _past_cap(max(low, floor), best)
         weighed += cost
 
     for r, rows in _information_sets(matrix, q):  # each set, and its level 1: its k rows
@@ -471,7 +472,7 @@ def _brouwer_zimmermann(matrix, q: int) -> int:
         sets.append((r, [lanes.pack(row) for row in rows]))
         best = min(best, _weigh_level(lanes, sets[-1][1], 1))
         low += _gain(k, r, 1)
-        if k == 1 or low >= best:
+        if k == 1 or max(low, floor) >= best:
             return best  # at k = 1 one set at level 1 has seen every message
         if len(sets) == 1:
             # price the rest, with the sets not built yet taken as information sets
@@ -492,23 +493,81 @@ def _brouwer_zimmermann(matrix, q: int) -> int:
             best = min(best, _weigh_level(lanes, rows, w))
             # this set has weighed level w; at w = k it has seen every message
             low += _gain(k, r, w) - _gain(k, r, w - 1)
-            if w == k or low >= best:
+            if w == k or max(low, floor) >= best:
                 return best
 
 
-def minimum_distance(code: ToricCode) -> int:
+def minimum_distance(code: ToricCode, floor: int = 0, ceiling: Optional[int] = None) -> int:
     """Exact minimum Hamming distance of the code, by Brouwer-Zimmermann
-    (_brouwer_zimmermann) in this process.  Past q^k > MESSAGE_CAP, a run
+    (_brouwer_zimmermann) in this process, given floor <= d <= ceiling
+    (with no ceiling, the Singleton bound).  Past q^k > MESSAGE_CAP, a run
     that would weigh more than MESSAGE_CAP words raises SearchBudgetExceeded
     with the bounds found so far.
     """
-    return _brouwer_zimmermann(code.matrix, code.field.q)
+    return _brouwer_zimmermann(code.matrix, code.field.q, floor, ceiling)
+
+
+def _orientation_bounds(q: int, pts: set[Point], corner: Point) -> tuple[int, int]:
+    """(L, W) of the lattice-point set pts with corner of its box moved to 0,
+    each u to v = |u - corner|: L the least prod (q - 1 - v_i) over pts, and
+    W the least over the v whose box [0, v] lies in the moved set, or the
+    block length (q-1)^n if there is none.  Points are taken in lex order
+    of v, so each v - e_i comes before v, and [0, v] lies in the set
+    exactly when v does and every [0, v - e_i] does."""
+    low = witness = (q - 1) ** len(corner)
+    whole = set()  # the v taken so far whose box lies in the set
+    for v in sorted(tuple(abs(x - c) for x, c in zip(u, corner)) for u in pts):
+        weight = prod(q - 1 - x for x in v)
+        low = min(low, weight)
+        if all(v[:i] + (x - 1,) + v[i + 1:] in whole for i, x in enumerate(v) if x):
+            whole.add(v)
+            witness = min(witness, weight)
+    return low, witness
+
+
+def _footprint(q: int, pts: set[Point], n: int) -> tuple[int, int]:
+    """L <= d <= W for the code of the lattice-point set pts of [0, q-2]^n,
+    from the points alone, by the footprint bound (O. Geil and T. Hoholdt
+    2000; for toric codes D. Ruano 2007).
+
+    Under any monomial order a nonzero codeword f, reduced modulo the
+    torus's ideal <x_i^(q-1) - 1>, has a leading monomial x^u, u in pts,
+    and the prod (q - 1 - u_i) monomials of [0, q-2]^n that x^u divides are
+    not in the footprint of <f> + that ideal; so f vanishes at most at
+    (q-1)^n - prod (q - 1 - u_i) torus points.  Moving a corner of the box
+    to 0 by reflections and a translation gives a monomially equivalent
+    code, so L is the largest least product (_orientation_bounds) over the
+    corners tried.  A v whose box [0, v] lies in the moved set gives
+    the codeword prod_i prod_{j <= v_i} (x_i - c_ij), c_ij distinct and
+    nonzero, of weight prod (q - 1 - v_i), so W is the least such weight,
+    or the Singleton bound (q-1)^n - k + 1 if that is less.  On a down-set
+    from a corner of its box, both are the least product there, so L = W = d.
+
+    Corners in pts come first, the one at the end of each coordinate that
+    holds more points first of all, and the loop stops once L = W.  A
+    down-set's own corner is that first one: in a coordinate that does not
+    split off, its end holds strictly more points than the other.  So a
+    down-set costs one pass over its points.  The caps of the code passed
+    and q >= 3, so the whole loop is at most k 2^n <= k (q-1)^n <= ENTRY_CAP
+    point-orientations.
+    """
+    ends = [(min(c), max(c)) for c in zip(*pts)]
+    first = tuple(lo if sum(u[i] == lo for u in pts) >= sum(u[i] == hi for u in pts) else hi
+                  for i, (lo, hi) in enumerate(ends))
+    low, high = 0, (q - 1) ** n - len(pts) + 1
+    for corner in sorted(product(*ends), key=lambda c: (c != first, c not in pts)):
+        at_low, at_high = _orientation_bounds(q, pts, corner)
+        low, high = max(low, at_low), min(high, at_high)
+        if low == high:
+            break
+    return low, high
 
 
 def _product_distance(field: PrimeField, pts: Sequence[Point], n: int) -> int:
     """Minimum distance of the code over field of the lattice-point set S =
-    pts of [0, q-2]^n, by the product rule: only the code of the core left
-    is built, and searched by Brouwer-Zimmermann.
+    pts of [0, q-2]^n, by the product rule and the footprint bound: only
+    the code of a core that the bound leaves open is built, and searched by
+    Brouwer-Zimmermann.
 
     Coordinate i splits off S when |pi_i S| |pi_-i S| = |S|, pi_i the
     projection onto it and pi_-i onto the others: then S = pi_i S x pi_-i S
@@ -521,9 +580,12 @@ def _product_distance(field: PrimeField, pts: Sequence[Point], n: int) -> int:
     S.  The points left are the core, with at most S's points and block
     length, so _points_code builds its code within S's caps; an S with no
     coordinate that splits is its own core, and a box has none.
-    d is D times the core code's minimum_distance, D (scale) the product of
-    the intervals' distances, and a core stopped by MESSAGE_CAP gives its
-    bounds times D.
+    d is D times the core's, D (scale) the product of the intervals'
+    distances.  The footprint bound brackets the core's d from its points
+    (_footprint), and settles it with no matrix when its two ends meet, as
+    on a down-set from a corner of its box; otherwise they are the floor
+    and ceiling of the core code's minimum_distance.  A core stopped by
+    MESSAGE_CAP gives its bounds times D.
     """
     pts = set(pts)  # S projected onto the coordinates left
     scale = 1
@@ -536,8 +598,11 @@ def _product_distance(field: PrimeField, pts: Sequence[Point], n: int) -> int:
             n -= 1
     if not n:
         return scale
+    low, high = _footprint(field.q, pts, n)
+    if low == high:
+        return scale * low
     try:
-        return scale * minimum_distance(_points_code(field, tuple(sorted(pts)), n))
+        return scale * minimum_distance(_points_code(field, tuple(sorted(pts)), n), low, high)
     except SearchBudgetExceeded as stop:
         low, high = stop.bounds["min_distance_lower"], stop.bounds["min_distance_upper"]
         raise _past_cap(scale * low, scale * high) from None
@@ -566,10 +631,12 @@ def code_stats(
     The caps of P's code refuse an input first (_capped_points, the one
     primality test of the call), but no matrix of P's is built: the
     minimum distance peels Reed-Solomon interval factors off the lattice
-    points by the product rule and builds and searches only the code of
-    the core point set left (_product_distance), none for a box, k = n
-    among them.  The cube dimension is computed on the lattice-point set
-    of P viewed inside the grid [q-1]^n, so q >= 3.
+    points by the product rule, brackets the core point set left by the
+    footprint bound, and builds and searches the core's code only when
+    that bracket is open (_product_distance): none for a box, k = n among
+    them, or for a down-set from a corner of its box.  The cube dimension
+    is computed on the lattice-point set of P viewed inside the grid
+    [q-1]^n, so q >= 3.
     """
     _check_budget(budget)
     if q < 3:

@@ -535,7 +535,7 @@ class TestMinimumDistance:
     def test_hand_built_matrices_against_flat_enumeration(self, hand_built, monkeypatch):
         # the codes of the hand-built matrices, distance 0 among them: each
         # answer is that of one Brouwer-Zimmermann run, in this process, on
-        # the code's matrix over its field
+        # the code's matrix over its field, with no floor and no ceiling
         runs = []
         bz = toric._brouwer_zimmermann
         monkeypatch.setattr(toric, "_brouwer_zimmermann", lambda *a: runs.append(a) or bz(*a))
@@ -544,7 +544,7 @@ class TestMinimumDistance:
                              tuple(map(tuple, matrix)), len(matrix[0]))
             runs.clear()
             assert minimum_distance(code) == want, (q, matrix)
-            assert runs == [(code.matrix, q)]
+            assert runs == [(code.matrix, q, 0, None)]
 
     def test_lane_reduction_against_flat_weights(self):
         # the lane arithmetic Brouwer-Zimmermann weighs its words with, on
@@ -853,12 +853,12 @@ class TestCodeStats:
             code_stats(LatticePolytope([(0,)]), 2)
 
     def test_negative_budget_rejected_before_minimum_distance(self, monkeypatch):
-        # the triangle splits no coordinate off, so only the budget check
-        # keeps its minimum distance from running
+        # only the budget check keeps the triangle's minimum distance, by the
+        # product rule and the footprint bound, from running
         def refuse(*args, **kwargs):
             raise AssertionError("computed a minimum distance")
 
-        monkeypatch.setattr(toric, "minimum_distance", refuse)
+        monkeypatch.setattr(toric, "_product_distance", refuse)
         with pytest.raises(ValueError, match="budget must be >= 0"):
             code_stats(LatticePolytope([(0, 0), (1, 0), (0, 1)]), 5, budget=-1)
 
@@ -869,13 +869,17 @@ class TestCodeStats:
             assert stats.relative_min_distance <= 1
 
 
-def seeded_products(rng, count):
+TRIANGLE = ((0, 0), (1, 0), (0, 1))
+PARALLELOGRAM = ((0, 0), (1, 0), (1, 1), (2, 1))  # d = (q - 2)^2, the footprint's L = d - 1
+
+
+def seeded_products(rng, count, base=TRIANGLE):
     """count distinct seeded products (q, polytope, core), each with q^k <=
     10^5 and placed as the sweep places its codes: boxes prod [0, a_i] of
-    dimension 1-3, with a_i = 0 for a one-point factor, and Delta_2 x [0, b],
-    a prism, or at b = 0 a triangle times one point.  core is the lattice
-    points left once the interval factors are peeled: 3 for the triangle,
-    0 for a box."""
+    dimension 1-3, with a_i = 0 for a one-point factor, and base x [0, b],
+    a prism, or at b = 0 base times one point; base is a polygon whose
+    lattice points are its vertices.  core is the lattice points left once
+    the interval factors are peeled: len(base) for the prism, 0 for a box."""
     out, seen = [], set()
     while len(out) < count:
         q = rng.choice((3, 5, 7, 11))
@@ -885,9 +889,11 @@ def seeded_products(rng, count):
                      for bits in iproduct((0, 1), repeat=len(sides))}
             core = 0
         else:
+            if max(map(max, base)) > q - 2:
+                continue
             b = rng.randint(0, q - 2)
-            verts = {v + (c,) for v in ((0, 0), (1, 0), (0, 1)) for c in (0, b)}
-            core = 3
+            verts = {v + (c,) for v in base for c in (0, b)}
+            core = len(base)
         poly = LatticePolytope(toric_sweep._place(sorted(verts), q, rng))
         pts = poly.lattice_points()
         if q ** len(pts) <= 10 ** 5 and (q, pts) not in seen:
@@ -912,19 +918,20 @@ class TestProductRule:
         assert sum(q ** len(poly.lattice_points()) > 2000 for q, poly, _ in draws) == 16
 
     def test_brouwer_zimmermann_sees_only_the_core(self, monkeypatch):
-        # a full product needs no search; a prism's search is on its
-        # triangle's 3 x (q-1)^2 matrix alone
+        # a full product needs no search; a search on the parallelogram's
+        # products, which the footprint bound leaves open, is on its 4 x
+        # (q-1)^2 matrix alone
         seen = []
         bz = toric._brouwer_zimmermann
-        monkeypatch.setattr(toric, "_brouwer_zimmermann", lambda matrix, q: seen.append(
-            (len(matrix), len(matrix[0]))) or bz(matrix, q))
+        monkeypatch.setattr(toric, "_brouwer_zimmermann", lambda matrix, q, *bounds: seen.append(
+            (len(matrix), len(matrix[0]))) or bz(matrix, q, *bounds))
         kinds = set()
-        for q, poly, core in seeded_products(random.Random(3202), 60):
+        for q, poly, core in seeded_products(random.Random(3202), 60, PARALLELOGRAM):
             seen.clear()
             code_stats(poly, q)
             assert seen == ([(core, (q - 1) ** 2)] if core else []), (q, poly.vertices)
             kinds.add((core, poly.dim))
-        assert {(0, 1), (0, 2), (0, 3), (3, 3)} <= kinds
+        assert {(0, 1), (0, 2), (0, 3), (4, 3)} <= kinds
 
     def test_a_product_builds_no_power_row(self, monkeypatch):
         # the refusing spy of test_entry_cap_before_power_rows: d comes from
@@ -939,9 +946,10 @@ class TestProductRule:
         assert code_stats(square, 11).min_distance == 64
 
     def test_one_code_built_for_the_core(self, monkeypatch):
-        # as (points, k, n): the prism Delta_2 x [0, 1] builds its triangle's
-        # code alone, a polytope with no coordinate that splits builds its own
-        # code once, and a box builds none
+        # as (points, k, n): the prism parallelogram x [0, 1] builds its
+        # parallelogram's code alone, the parallelogram, with no coordinate
+        # that splits, builds its own code once, and a box, or a triangle,
+        # which the footprint bound settles, builds none
         built = []
         build = toric._points_code
 
@@ -951,12 +959,14 @@ class TestProductRule:
             return code
 
         monkeypatch.setattr(toric, "_points_code", spy)
-        prism = LatticePolytope([v + (c,) for c in (0, 1) for v in ((0, 0), (1, 0), (0, 1))])
+        prism = LatticePolytope([v + (c,) for c in (0, 1) for v in PARALLELOGRAM])
+        parallelogram = LatticePolytope(PARALLELOGRAM)
         triangle = LatticePolytope([(0, 0), (3, 0), (0, 3)])
         box = LatticePolytope([(0, 0, 0), (1, 0, 0), (0, 2, 0), (1, 2, 0), (0, 0, 1),
                                (1, 0, 1), (0, 2, 1), (1, 2, 1)])
-        for poly, q, want, d in ((prism, 7, [(((0, 0), (0, 1), (1, 0)), 3, 36)], 30 * 5),
-                                 (triangle, 5, [(triangle.lattice_points(), 10, 16)], 4),
+        for poly, q, want, d in ((prism, 7, [(PARALLELOGRAM, 4, 36)], 25 * 5),
+                                 (parallelogram, 7, [(PARALLELOGRAM, 4, 36)], 25),
+                                 (triangle, 5, [], 4),
                                  (box, 7, [], 5 * 4 * 5)):
             built.clear()
             assert code_stats(poly, q).min_distance == d
@@ -979,16 +989,20 @@ class TestProductRule:
 
     def test_capped_core_scales_its_bounds(self):
         # a code of the sweep: one point (24) times a triangle over F_31, so
-        # D = 30, and the cap stops Brouwer-Zimmermann on the triangle at
-        # 4 <= d <= 780.  On the whole code it stops at 3 <= d <= 23,400.
+        # D = 30, and the cap stops Brouwer-Zimmermann alone on the triangle
+        # at 4 <= d <= 780.  Given the footprint bound's 754 <= d <= 840 it
+        # stops at 754 <= d <= 780.  On the whole code, alone, it stops at
+        # 3 <= d <= 23,400.
         core = build_code(LatticePolytope([(16, 14), (15, 18), (14, 14)]), 31)
         with pytest.raises(SearchBudgetExceeded) as stop:
             minimum_distance(core)
         assert stop.value.bounds == {"min_distance_lower": 4, "min_distance_upper": 780}
+        assert toric._footprint(31, set(core.monomials), 2) == (754, 840)
         with pytest.raises(SearchBudgetExceeded) as stop:
             code_stats(LatticePolytope([(24, 16, 14), (24, 15, 18), (24, 14, 14)]), 31)
-        assert stop.value.bounds == {"min_distance_lower": 120, "min_distance_upper": 23400}
-        assert str(stop.value).endswith("past the cap of 10000000 words weighed: 120 <= d <= 23400")
+        assert stop.value.bounds == {"min_distance_lower": 22620, "min_distance_upper": 23400}
+        assert str(stop.value).endswith(
+            "past the cap of 10000000 words weighed: 22620 <= d <= 23400")
 
     def test_caps_refuse_a_product_first(self):
         # the caps of the whole polytope's code are checked first, so a box
@@ -997,6 +1011,137 @@ class TestProductRule:
         for poly, q, match in ((square, 2003, "block length"), (segment(4), 999983, "entries")):
             with pytest.raises(ValueError, match=match):
                 code_stats(poly, q)
+
+
+def is_down_set(pts):
+    """Whether the point set is a down-set from some corner c of its box:
+    with each u it holds every point between c and u.  Brute force, an
+    oracle for the footprint bound's tests."""
+    pts = set(pts)
+    ends = [(min(c), max(c)) for c in zip(*pts)]
+    return any(all(set(iproduct(*(range(min(x, y), max(x, y) + 1) for x, y in zip(c, u)))) <= pts
+                   for u in pts)
+               for c in iproduct(*ends))
+
+
+def footprint_draws(rng, count):
+    """count distinct seeded (q, polytope) with q^k <= 10^5, dimensions 1-3,
+    placed as the sweep places its codes: down-sets, the hull of a few
+    points with every projection that zeroes some of their coordinates;
+    random polytopes, most of them no down-set; and, one draw in ten, the
+    parallelogram over F_7 (d = 25, the footprint's L = 24)."""
+    out, seen = [], set()
+    while len(out) < count:
+        dim = rng.choice((1, 2, 2, 2, 3, 3))
+        q = rng.choice((3, 5, 7, 11, 13) if dim < 3 else (3, 5))
+        top = min(q - 2, 3)
+        kind = rng.random()
+        if kind < 0.6:
+            tips = [tuple(rng.randint(0, top) for _ in range(dim)) for _ in range(rng.randint(2, 3))]
+            verts = sorted({tuple(x * b for x, b in zip(v, bits)) for v in tips
+                            for bits in iproduct((0, 1), repeat=dim)})
+        elif kind < 0.92:
+            verts = [tuple(rng.randint(0, top) for _ in range(dim)) for _ in range(rng.randint(2, 5))]
+        else:
+            q, verts = 7, list(PARALLELOGRAM)
+        poly = LatticePolytope(toric_sweep._place(verts, q, rng))
+        pts = poly.lattice_points()
+        box = len(pts) == prod(hi - lo + 1 for lo, hi in poly.bounding_box())
+        if box and rng.random() < 0.6:
+            continue  # a box needs only the product rule
+        if q ** len(pts) <= 10 ** 5 and (q, pts) not in seen:
+            seen.add((q, pts))
+            out.append((q, poly))
+    return out
+
+
+class TestFootprint:
+    """The footprint bound (toric._footprint) settles a down-set's minimum
+    distance with no matrix and brackets the others' for Brouwer-Zimmermann."""
+
+    HEXAGON = ((1, 0), (2, 0), (0, 1), (2, 1), (0, 2), (1, 2))  # F_5: L = 6 = d < W = 9
+    KITE = ((0, 0), (0, 1), (1, 2), (2, 2))  # 5 points; F_7: L = 24 = d < W = 30
+
+    def test_against_flat_enumeration(self, monkeypatch):
+        # d of code_stats, the naive enumeration and Brouwer-Zimmermann on
+        # the whole matrix agree; L <= d <= W; a down-set builds no code and
+        # tries one orientation, none if a box peels it whole.  On the F_5
+        # hexagon and the F_7 kite Brouwer-Zimmermann must stop at the
+        # floor L = d, not at a word one heavier.  Codes of more than 7^4
+        # messages, these among them, are scanned projectively instead of
+        # enumerated.
+        tried, built = [], []
+        bounds, build = toric._orientation_bounds, toric._points_code
+        monkeypatch.setattr(toric, "_orientation_bounds",
+                            lambda *a: tried.append(a) or bounds(*a))
+        monkeypatch.setattr(toric, "_points_code", lambda *a: built.append(a) or build(*a))
+        rng = random.Random(3601)
+        cases = footprint_draws(rng, 120)
+        cases += [(q, LatticePolytope(toric_sweep._place(shape, q, rng)))
+                  for q, shape in ((5, self.HEXAGON), (7, self.KITE)) for _ in range(3)]
+        kinds = Counter()
+        for q, poly in cases:
+            pts = poly.lattice_points()
+            matrix = build_code(poly, q).matrix
+            want = (naive_min_distance(matrix, q) if q ** len(pts) <= 7 ** 4
+                    else min_weight_scan(matrix, q, [(0,), (1,)]))
+            tried.clear()
+            built.clear()
+            assert code_stats(poly, q).min_distance == want, (q, poly.vertices)
+            assert toric._brouwer_zimmermann(matrix, q) == want, (q, poly.vertices)
+            box = len(pts) == prod(hi - lo + 1 for lo, hi in poly.bounding_box())
+            if is_down_set(pts):
+                assert (len(tried), built) == (0 if box else 1, []), (q, poly.vertices)
+                kinds["box" if box else "down-set"] += 1
+            else:
+                kinds["settled" if not built else "searched"] += 1
+            low, high = toric._footprint(q, set(pts), poly.dim)
+            assert low <= want <= high, (q, poly.vertices)
+        assert kinds == {"box": 29, "down-set": 25, "settled": 2, "searched": 70}, kinds
+
+    def test_capped_brackets_inside_brouwer_zimmermann_alone(self, monkeypatch):
+        # under a cap of 300 words, what code_stats states, d or a
+        # bracket, lies inside the bracket of Brouwer-Zimmermann alone on
+        # the whole code, which the cap stops on 54 of the 150 codes; on 52
+        # code_stats states more
+        monkeypatch.setattr(toric, "MESSAGE_CAP", 300)
+
+        def bracket(run):
+            try:
+                d = run()
+                return d, d
+            except SearchBudgetExceeded as stop:
+                return stop.bounds["min_distance_lower"], stop.bounds["min_distance_upper"]
+
+        tighter = capped = 0
+        for q, poly in footprint_draws(random.Random(3602), 150):
+            low, high = bracket(lambda: code_stats(poly, q).min_distance)
+            alone = bracket(lambda: minimum_distance(build_code(poly, q)))
+            assert alone[0] <= low <= high <= alone[1], (q, poly.vertices)
+            tighter += (low, high) != alone
+            capped += alone[0] < alone[1]
+        assert (tighter, capped) == (52, 54)
+
+    def test_down_set_past_the_word_cap(self, monkeypatch):
+        # P_{10,5}, the 638 0/1 points of weight <= 5 in dimension 10, over
+        # F_3: a down-set, so d = 2^5 from its points alone, in one
+        # orientation; Brouwer-Zimmermann alone stops at 3 <= d <= 32
+        pts = tuple(u for u in iproduct((0, 1), repeat=10) if sum(u) <= 5)
+        field = PrimeField(3)
+        code = toric._points_code(field, pts, 10)
+        with pytest.raises(SearchBudgetExceeded) as stop:
+            minimum_distance(code)
+        assert stop.value.bounds == {"min_distance_lower": 3, "min_distance_upper": 32}
+        tried = []
+        bounds = toric._orientation_bounds
+
+        def refuse(*args):
+            raise AssertionError("built a code for a down-set")
+
+        monkeypatch.setattr(toric, "_orientation_bounds", lambda *a: tried.append(a) or bounds(*a))
+        monkeypatch.setattr(toric, "_points_code", refuse)
+        assert toric._product_distance(field, pts, 10) == 32
+        assert len(tried) == 1
 
 
 class TestClosedForms:
@@ -1031,6 +1176,25 @@ class TestClosedForms:
             assert low <= toric_sweep.closed_form("triangle", q, vertices) <= high, line
             exact += low == high
         assert (exact, len(cases) - exact) == (55, 4)
+
+
+    def test_subset_against_the_footprint_bound(self, sweep_codes, subset_lines):
+        # every eighth code of the sweep: the footprint bound agrees with
+        # what Brouwer-Zimmermann alone found (toric_sweep.footprint_miss),
+        # settling 39 of the 45, and each of the 6 simplices meets its
+        # closed form
+        settled = simplices = 0
+        for (family, q, vertices), line in zip(sweep_codes[::toric_sweep.SUBSET_STRIDE],
+                                               subset_lines):
+            assert toric_sweep.footprint_miss(q, vertices, line) is None, line
+            low, high = toric._footprint(q, set(LatticePolytope(vertices).lattice_points()),
+                                         len(vertices[0]))
+            settled += low == high
+            if family == "simplex":
+                lower, upper = toric_sweep.bracket(line)
+                assert lower <= toric_sweep.closed_form(family, q, vertices) <= upper, line
+                simplices += 1
+        assert (settled, simplices, len(subset_lines)) == (39, 6, 45)
 
 
 class TestReedSolomonFamily:

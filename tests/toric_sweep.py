@@ -12,9 +12,12 @@ SearchBudgetExceeded that the cap raised.
     PYTHONPATH=src python tests/toric_sweep.py
 
 prints one line per code and the sha256 of all of them, and exits 1 unless
-it equals DIGEST and every box and triangle agrees with its closed form
-(closed_form): d equal to it, or bounds around it.  tests/test_toric.py
-recomputes the digest of a subset and checks the closed forms.
+it equals DIGEST, every box, triangle and simplex agrees with its closed form
+(closed_form), d equal to it or bounds around it, and the footprint bound
+agrees with every code (footprint_miss).  The digest covers only what
+minimum_distance, Brouwer-Zimmermann alone, found.  tests/test_toric.py
+recomputes the digest of a subset and checks the closed forms and the
+footprint bound on it.
 """
 
 from __future__ import annotations
@@ -108,13 +111,17 @@ def outcome(q: int, vertices) -> str:
 def closed_form(family: str, q: int, vertices) -> Optional[int]:
     """d by a closed form, for the families that have one: a box
     prod [0, a_i] has prod (q - 1 - a_i), the product of its Reed-Solomon
-    factors' distances, and a triangle a Delta_2 with a < q - 1 has
-    (q - 1)(q - 1 - a) (J. P. Hansen 2002).  A placement keeps each width."""
+    factors' distances, a triangle a Delta_2 with a < q - 1 has
+    (q - 1)(q - 1 - a) (J. P. Hansen 2002), and a simplex a Delta_3
+    (q - 1)^2 (q - 1 - a), each the footprint bound's least product over a
+    down-set, at a vertex.  A placement keeps each width."""
     widths = [max(c) - min(c) for c in zip(*vertices)]
     if family == "box":
         return prod(q - 1 - a for a in widths)
     if family == "triangle":
         return (q - 1) * (q - 1 - widths[0])
+    if family == "simplex":
+        return (q - 1) ** 2 * (q - 1 - widths[0])
     return None
 
 
@@ -128,13 +135,27 @@ def bracket(line: str) -> tuple[int, int]:
     return d, d
 
 
+def footprint_miss(q: int, vertices, line: str) -> Optional[str]:
+    """How the footprint bound's L <= d <= W (toric._footprint, on the
+    code's lattice points) contradicts an outcome line, or None: L must be
+    at most the line's upper bound and W at least its lower one, and a
+    code that the bound settles, L = W, must have d = L, or L inside the
+    cap's bounds."""
+    pts = LatticePolytope(vertices).lattice_points()
+    low, high = toric._footprint(q, set(pts), len(vertices[0]))
+    lower, upper = bracket(line)
+    if low > upper or high < lower or (low == high and not lower <= low <= upper):
+        return f"the footprint bound {low} <= d <= {high}"
+    return None
+
+
 def digest(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def main() -> int:
     lines = []
-    wrong = 0
+    wrong = broken = 0
     for family, q, vertices in codes():
         lines.append(outcome(q, vertices))
         form = closed_form(family, q, vertices)
@@ -142,10 +163,14 @@ def main() -> int:
         miss = form is not None and not low <= form <= high
         wrong += miss
         note = f" MISSES the closed form {form}" if miss else ""
+        footprint = footprint_miss(q, vertices, lines[-1])
+        broken += footprint is not None
+        note += f" CONTRADICTS {footprint}" if footprint else ""
         print(f"{family} {lines[-1]}{note}", flush=True)
     got = digest(lines)
-    print(f"{len(lines)} codes, sha256 {got}, {wrong} missing their closed form")
-    return 0 if got == DIGEST and not wrong else 1
+    print(f"{len(lines)} codes, sha256 {got}, {wrong} missing their closed form, "
+          f"{broken} contradicting the footprint bound")
+    return 0 if got == DIGEST and not wrong and not broken else 1
 
 
 if __name__ == "__main__":
