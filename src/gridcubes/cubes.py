@@ -250,11 +250,11 @@ class GridBox:
     cells raises ValueError before any mask is built.
 
     It keeps three more things, each built once: whether it spans at most
-    two values per coordinate (two_valued, where no notion test runs), its
-    n unit columns (units, never changed: eliminate copies them,
-    reduce_against only reads them), and the function of index_map with
-    its two digit tables of at most N^ceil(n/2) entries, built on its first
-    call.
+    two values per coordinate (two_valued, where no notion test runs), the
+    unit columns of the coordinates it spans, width >= 2 (units, never
+    changed: eliminate copies them, reduce_against only reads them), and
+    the function of index_map with its two digit tables of at most
+    N^ceil(n/2) entries, built on its first call.
 
     Everything a box holds, its decoded cells, its guard masks and the
     three above, is a pure function of its lows and widths, so one box
@@ -288,7 +288,7 @@ class GridBox:
         self.guard_hi: dict[int, int] = {}
         self.guard_lo: dict[int, int] = {}
         self.two_valued = max(widths, default=2) <= 2
-        self.units = tuple(unit_columns(n))  # the free columns at a base (see intlinalg)
+        self.units = tuple(unit_columns(n, [i for i, w in enumerate(widths) if w > 1]))
         self.cell_of: Optional[Callable[[int], int]] = None
 
     @staticmethod
@@ -500,15 +500,16 @@ def _run_box_search(
     eliminating its generators (see intlinalg), d is rejected when
     red = reduce_against(d, cols) is None or, for the unimodular notion,
     gcd(red) != 1, and the child gets eliminate(red, cols).  At a base the
-    free columns are the unit columns that the box keeps, so red = d
-    without a call.  Only a check with m >= best_m can raise best_m, so
-    only it runs its tests first; any other check runs them only once its
-    child has passed the guarded count and is about to be entered.  A
-    failed test only keeps the child out, so the deferral changes no check,
-    witness or bound, and it spares the tests of the checks the count ends,
-    about nine in ten (as bit-parallel clique search pays for per-vertex
-    work only on the branches it takes).  When the box spans at most two values per
-    coordinate (box.two_valued), as every box of [2]^n does, every notion
+    free columns are the unit columns that the box keeps, one per
+    coordinate it spans, off which every shift is zero, so red = d without
+    a call when it spans all n.  Only a check with m >= best_m can raise
+    best_m, so only it runs its tests first; any other check runs them
+    only once its child has passed the guarded count and is about to be
+    entered.  A failed test only keeps the child out, so the deferral
+    changes no check, witness or bound, and it spares the tests of the
+    checks the count ends, about nine in ten (as bit-parallel clique search
+    pays for per-vertex work only on the branches it takes).  When the box
+    spans at most two values per coordinate (box.two_valued), as every box of [2]^n does, every notion
     holds and no test runs: on the support of g_j both v and v + g_j lie
     in {a, a + 1}, so a valid d is zero there, and distinct nonzero
     {-1, 0, 1} vectors with disjoint supports are injective, independent
@@ -540,6 +541,7 @@ def _run_box_search(
     test_injective = not independent and not box.two_valued
     test_linalg = independent and not box.two_valued
     units = box.units if test_linalg else None
+    spans_all = len(box.units) == n  # then red = d at a base
 
     best_m = 0
     best = (first, ())  # base and generator cells of the best cube
@@ -552,9 +554,8 @@ def _run_box_search(
         free columns (() for the vertex-injective notion)."""
         if test_injective:
             return None if vmask & (vmask << o) else ()
-        # at m = 0 the free columns are the unit columns
         red = _sub((decoded.get(k) or decode(k))[0], z)
-        if m:
+        if m or not spans_all:
             red = reduce_against(red, cols)
             if red is None:
                 return None

@@ -19,14 +19,17 @@ from __future__ import annotations
 
 from math import gcd
 from operator import mul
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 IntVector = Sequence[int]
 
 
-def unit_columns(n: int) -> list[tuple[int, ...]]:
-    """The free columns before any row is eliminated."""
-    return [tuple(int(i == j) for i in range(n)) for j in range(n)]
+def unit_columns(n: int, axes: Optional[Iterable[int]] = None) -> list[tuple[int, ...]]:
+    """The free columns before any row is eliminated: the unit columns e_j
+    of Z^n for j in axes, every j by default.  Rows that are zero off axes
+    are independent, or extend to a basis, in Z^n exactly when their
+    coordinates on axes are or do in that sublattice."""
+    return [tuple(int(i == j) for i in range(n)) for j in (range(n) if axes is None else axes)]
 
 
 def reduce_against(vec: IntVector, cols: Sequence[IntVector]) -> Optional[tuple[int, ...]]:

@@ -541,21 +541,21 @@ def _footprint(q: int, pts: set[Point], n: int) -> tuple[int, int]:
     the codeword prod_i prod_{j <= v_i} (x_i - c_ij), c_ij distinct and
     nonzero, of weight prod (q - 1 - v_i), so W is the least such weight,
     or the Singleton bound (q-1)^n - k + 1 if that is less.  On a down-set
-    from a corner of its box, both are the least product there, so L = W = d.
+    from a corner of its box, both are the least product there, so L = W = d;
+    elsewhere Brouwer-Zimmermann works between them (_product_distance).
 
-    Corners in pts come first, the one at the end of each coordinate that
-    holds more points first of all, and the loop stops once L = W.  A
-    down-set's own corner is that first one: in a coordinate that does not
-    split off, its end holds strictly more points than the other.  So a
-    down-set costs one pass over its points.  The caps of the code passed
-    and q >= 3, so the whole loop is at most k 2^n <= k (q-1)^n <= ENTRY_CAP
-    point-orientations.
+    Each coordinate's end that holds more points is tried first, and the
+    loop stops once L = W.  A down-set's own corner is the first one: in a
+    coordinate that does not split off, its end holds strictly more points
+    than the other.  So a down-set costs one pass over its points.  With
+    L <= d <= W the loop either stops at L = W = d or tries every corner,
+    so the bracket does not depend on the order.  The caps of the code
+    passed and q >= 3, so the whole loop is at most k 2^n <= k (q-1)^n <=
+    ENTRY_CAP point-orientations.
     """
-    ends = [(min(c), max(c)) for c in zip(*pts)]
-    first = tuple(lo if sum(u[i] == lo for u in pts) >= sum(u[i] == hi for u in pts) else hi
-                  for i, (lo, hi) in enumerate(ends))
+    ends = [sorted((min(c), max(c)), key=c.count, reverse=True) for c in zip(*pts)]
     low, high = 0, (q - 1) ** n - len(pts) + 1
-    for corner in sorted(product(*ends), key=lambda c: (c != first, c not in pts)):
+    for corner in product(*ends):
         at_low, at_high = _orientation_bounds(q, pts, corner)
         low, high = max(low, at_low), min(high, at_high)
         if low == high:
@@ -565,9 +565,9 @@ def _footprint(q: int, pts: set[Point], n: int) -> tuple[int, int]:
 
 def _product_distance(field: PrimeField, pts: Sequence[Point], n: int) -> int:
     """Minimum distance of the code over field of the lattice-point set S =
-    pts of [0, q-2]^n, by the product rule and the footprint bound: only
-    the code of a core that the bound leaves open is built, and searched by
-    Brouwer-Zimmermann.
+    pts of [0, q-2]^n: D times the core's, settled by the footprint bound
+    (_footprint) when its two ends meet, else by Brouwer-Zimmermann on the
+    core's code between them.
 
     Coordinate i splits off S when |pi_i S| |pi_-i S| = |S|, pi_i the
     projection onto it and pi_-i onto the others: then S = pi_i S x pi_-i S
@@ -578,13 +578,13 @@ def _product_distance(field: PrimeField, pts: Sequence[Point], n: int) -> int:
     One pass peels every coordinate that splits, since once i has split
     off, another coordinate splits off pi_-i S exactly when it splits off
     S.  The points left are the core, with at most S's points and block
-    length, so _points_code builds its code within S's caps; an S with no
-    coordinate that splits is its own core, and a box has none.
-    d is D times the core's, D (scale) the product of the intervals'
-    distances.  The footprint bound brackets the core's d from its points
-    (_footprint), and settles it with no matrix when its two ends meet, as
-    on a down-set from a corner of its box; otherwise they are the floor
-    and ceiling of the core code's minimum_distance.  A core stopped by
+    length, so _points_code builds its code within S's caps; D (scale) is
+    the product of the intervals' distances.  A box's core is the one
+    point () of dimension 0, of distance 1.
+
+    The bound settles a down-set from a corner of its box, peeled or not,
+    so the product rule's one job is to shrink the matrix Brouwer-Zimmermann
+    searches on a core the bound leaves open.  A core stopped by
     MESSAGE_CAP gives its bounds times D.
     """
     pts = set(pts)  # S projected onto the coordinates left
@@ -596,8 +596,6 @@ def _product_distance(field: PrimeField, pts: Sequence[Point], n: int) -> int:
             scale *= field.q - 1 - (max(axis) - min(axis))
             pts = rest
             n -= 1
-    if not n:
-        return scale
     low, high = _footprint(field.q, pts, n)
     if low == high:
         return scale * low
@@ -630,11 +628,10 @@ def code_stats(
 
     The caps of P's code refuse an input first (_capped_points, the one
     primality test of the call), but no matrix of P's is built: the
-    minimum distance peels Reed-Solomon interval factors off the lattice
-    points by the product rule, brackets the core point set left by the
-    footprint bound, and builds and searches the core's code only when
-    that bracket is open (_product_distance): none for a box, k = n among
-    them, or for a down-set from a corner of its box.  The cube dimension
+    minimum distance is the footprint bound's on the lattice points, and
+    only a core point set that the bound leaves open has its code built
+    and searched, a code the product rule shrinks by peeling off
+    Reed-Solomon interval factors (_product_distance).  The cube dimension
     is computed on the lattice-point set of P viewed inside the grid
     [q-1]^n, so q >= 3.
     """

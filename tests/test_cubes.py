@@ -6,6 +6,7 @@ import math
 import random
 import re
 import sys
+import tracemalloc
 import weakref
 from collections import namedtuple
 from fractions import Fraction
@@ -743,8 +744,9 @@ class TestKeptTables:
                     _run_box_search(own_box, own_mask, notion, None, DEFAULT_BUDGET)
                     for target in range(1, best.best_m + 2):
                         _run_box_search(box, s_mask, notion, target, DEFAULT_BUDGET)
-                    for kept in (box, own_box):
-                        assert kept.units == tuple(unit_columns(n))
+                    assert box.units == tuple(unit_columns(n))
+                    spanned = [c for c, w in zip(unit_columns(n), own_box.widths) if w > 1]
+                    assert own_box.units == tuple(spanned)
             assert box.units == tuple(unit_columns(n)) and all(type(c) is tuple for c in box.units)
 
 
@@ -757,6 +759,20 @@ class TestMValue:
     def test_singleton(self):
         m, w = m_value(pset(3, 2, [(1, 2)]))
         assert m == 0 and w == AffineCube((1, 2))
+
+    def test_large_dimension_costs_only_what_s_spans(self):
+        # one point of [2]^3000 and {0, 2 e_1} in [3]^3000: the box keeps a
+        # unit column per coordinate S spans, none or one, not 3000^2 entries
+        n = 3000
+        for N, pts in ((2, [(0,) * n]), (3, [(0,) * n, (2,) + (0,) * (n - 1)])):
+            s = pset(N, n, pts)
+            tracemalloc.start()
+            try:
+                m, _ = m_value(s)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert m == len(pts) - 1 and peak < 4 * 10 ** 6, (N, m, peak)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -933,6 +933,23 @@ class TestProductRule:
             kinds.add((core, poly.dim))
         assert {(0, 1), (0, 2), (0, 3), (4, 3)} <= kinds
 
+    def test_only_the_peel_finishes(self):
+        # the parallelogram times [0, a_i] boxes: the footprint bound leaves
+        # the whole lattice-point set open, and Brouwer-Zimmermann between
+        # its ends stops at MESSAGE_CAP on the whole code, at the bounds
+        # given; peeled, the parallelogram's 4 x (q-1)^2 code finishes
+        for q, sides, d, capped in ((7, (2,), 100, (96, 100)), (11, (1,), 729, (720, 729)),
+                                    (11, (2,), 648, (640, 648)), (13, (1,), 1331, (1320, 1331)),
+                                    (7, (1, 1), 625, (600, 625))):
+            poly = LatticePolytope([v + c for v in PARALLELOGRAM
+                                    for c in iproduct(*((0, a) for a in sides))])
+            assert code_stats(poly, q).min_distance == d, (q, sides)
+            low, high = toric._footprint(q, set(poly.lattice_points()), poly.dim)
+            with pytest.raises(SearchBudgetExceeded) as stop:
+                minimum_distance(build_code(poly, q), low, high)
+            bounds = stop.value.bounds
+            assert (bounds["min_distance_lower"], bounds["min_distance_upper"]) == capped, (q, sides)
+
     def test_a_product_builds_no_power_row(self, monkeypatch):
         # the refusing spy of test_entry_cap_before_power_rows: d comes from
         # the factors alone, d = 999,979 for [0,3] over F_999983 (whose whole
@@ -1065,7 +1082,7 @@ class TestFootprint:
     def test_against_flat_enumeration(self, monkeypatch):
         # d of code_stats, the naive enumeration and Brouwer-Zimmermann on
         # the whole matrix agree; L <= d <= W; a down-set builds no code and
-        # tries one orientation, none if a box peels it whole.  On the F_5
+        # tries one orientation, a box's empty core among them.  On the F_5
         # hexagon and the F_7 kite Brouwer-Zimmermann must stop at the
         # floor L = d, not at a word one heavier.  Codes of more than 7^4
         # messages, these among them, are scanned projectively instead of
@@ -1091,7 +1108,7 @@ class TestFootprint:
             assert toric._brouwer_zimmermann(matrix, q) == want, (q, poly.vertices)
             box = len(pts) == prod(hi - lo + 1 for lo, hi in poly.bounding_box())
             if is_down_set(pts):
-                assert (len(tried), built) == (0 if box else 1, []), (q, poly.vertices)
+                assert (len(tried), built) == (1, []), (q, poly.vertices)
                 kinds["box" if box else "down-set"] += 1
             else:
                 kinds["settled" if not built else "searched"] += 1
